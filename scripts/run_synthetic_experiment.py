@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import skg
+from skg.harness import write_bf_trace_csv, write_scatter_csv
 
 
 def write_dataset_csvs(dataset, out_dir: Path) -> None:
@@ -77,20 +78,12 @@ def main() -> int:
     }
     for name, sigma_sq in regimes.items():
         result = skg.run_once(dataset, config, sigma_sq, seed=args.seed, keep_trace=True)
-        rows = skg.export_bf_trace(result)
-        from skg.harness import write_bf_trace_csv
-        write_bf_trace_csv(out_dir / f"trace_{name}.csv", rows)
+        write_bf_trace_csv(out_dir / f"trace_{name}.csv", skg.export_bf_trace(result))
         print(f"trace[{name}] sigma_sq={sigma_sq:.4f} gnmse={result.gnmse:.4f} "
               f"probe={result.probe_node}")
 
-    sampled, tested = skg.split_sample(dataset.node_ids, args.fraction, args.seed)
-    vectors = skg.build_adjacency_vectors(dataset.graph, sampled, sampled)
-    from skg.graph_data import apply_normalization
-    _, normalized, _ = apply_normalization("max-abs", dataset.value_array(sampled),
-                                           dataset.value_array(tested))
-    from skg.graph_data import TrainingSet
-    from skg.harness import write_scatter_csv
-    rows = skg.export_scatter(TrainingSet(vectors, normalized))
+    prepared = skg.prepare(dataset, config, seed=args.seed)
+    rows = skg.export_scatter(skg.TrainingSet(prepared.vectors, prepared.train_values))
     write_scatter_csv(out_dir / "scatter.csv", rows)
     print(f"wrote {out_dir}/: edges, values, selection_report, sweep, traces, scatter")
     return 0

@@ -17,12 +17,11 @@ from .graph_data import (Dataset, Graph, PairwiseStats, TrainingSet,
                          build_adjacency_vectors, drop_isolated, load_dataset,
                          load_graph, load_values, normalize_values, pairwise_stats,
                          read_split_manifest, split_sample, write_split_manifest)
-from .harness import (GnmseResult, RunConfig, RunResult, SweepGrid, default_grid,
-                      export_bf_trace, export_scatter, gnmse, resolve_sigma_sq,
-                      run_once, sweep, write_sweep_csv)
+from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGrid,
+                      default_grid, export_bf_trace, export_scatter, gnmse, prepare,
+                      resolve_sigma_sq, run_once, sweep, write_sweep_csv)
 from .model import SkgModel, TrainingTrace, load_model, save_model
-from .rff import (RandomFeatureBank, feature_map, feature_matrix, kernel_exact,
-                  load_bank, sample_bank, save_bank)
+from .rff import RandomFeatureBank, feature_map, feature_matrix, kernel_exact, sample_bank
 from .synthetic import planted_community_dataset
 from .variance import (SELECTION_REPORT_SCHEMA, SelectionReport, laplacian_diversity,
                        pairwise_l1_max, select, sigma_ce, sigma_da, sigma_ed)

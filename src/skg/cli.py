@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, SkgError
-from .graph_data import (TrainingSet, apply_normalization, build_adjacency_vectors,
-                         drop_isolated, load_dataset, load_graph, load_values,
-                         pairwise_stats, read_split_manifest, split_sample,
-                         write_split_manifest)
+from .graph_data import (TrainingSet, build_adjacency_vectors, drop_isolated, load_dataset,
+                         load_graph, load_values, pairwise_stats, read_split_manifest,
+                         split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
-                      gnmse, resolve_sigma_sq, run_once, sweep, write_bf_trace_csv,
+                      gnmse, prepare, resolve_sigma_sq, run_once, sweep, write_bf_trace_csv,
                       write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
 
@@ -94,7 +93,8 @@ def _run_config(opts) -> RunConfig:
     return RunConfig(
         eta=opts["eta"], n_features=opts["features"], epochs=opts["epochs"],
         sample_fraction=opts["fraction"], closeness=opts["closeness"],
-        refine_noise=bool(opts["refine"]), normalization=opts["normalization"],
+        refine_noise=bool(opts["refine"]), first_order_da=bool(opts["first_order_da"]),
+        normalization=opts["normalization"],
     )
 
 
@@ -144,10 +144,7 @@ def cmd_stats(args) -> int:
     }
     _emit(payload, args.out)
     if args.hist_out:
-        with open(args.hist_out, "w", encoding="utf-8") as handle:
-            handle.write("d_sq,count\n")
-            for value, count in stats.histogram:
-                handle.write(f"{value!r},{count}\n")
+        write_csv(args.hist_out, ("d_sq", "count"), stats.histogram)
     return 0
 
 
@@ -155,8 +152,7 @@ def cmd_select(args) -> int:
     opts = _merged_options(args)
     dataset = _load_dataset(args)
     config = _run_config(opts)
-    report = resolve_sigma_sq(dataset, config, opts["seed"],
-                              first_order_da=bool(opts["first_order_da"]))
+    report = resolve_sigma_sq(dataset, config, opts["seed"])
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -203,21 +199,14 @@ def cmd_predict(args) -> int:
         _, targets, _, _ = read_split_manifest(args.split)
     else:
         targets = [n for n in graph.nodes]
-    vectors = build_adjacency_vectors(graph, targets, referencing)
-    predictions = scale * model.predict_batch(vectors)
-    out = args.out or "-"
-    lines = ["node_id,prediction"]
-    lines += [f"{node},{float(pred)!r}" for node, pred in zip(targets, predictions)]
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
     if dataset_values is not None:
         missing = [n for n in targets if n not in dataset_values]
         if missing:
             raise DataError(f"{len(missing)} target nodes have no value (first: {missing[0]!r})")
+    vectors = build_adjacency_vectors(graph, targets, referencing)
+    predictions = scale * model.predict_batch(vectors)
+    write_csv(args.out or "-", ("node_id", "prediction"), zip(targets, predictions.tolist()))
+    if dataset_values is not None:
         y_true = np.array([dataset_values[n] for n in targets], dtype=np.float64)
         sys.stdout.write(f'{{"gnmse": {gnmse(y_true, predictions)!r}}}\n')
     return 0
@@ -271,13 +260,9 @@ def cmd_analyze(args) -> int:
         summary["trace_rows"] = result.training_trace.duration
         summary["gnmse"] = result.gnmse
     if args.scatter_out:
-        sampled, tested = split_sample(dataset.node_ids, opts["fraction"], opts["seed"])
-        vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
-        _, yn, _ = apply_normalization(
-            opts["normalization"], dataset.value_array(sampled),
-            dataset.value_array(tested),
-        )
-        rows = export_scatter(TrainingSet(vectors, yn, node_ids=tuple(sampled)))
+        prepared = prepare(dataset, config, opts["seed"])
+        rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values,
+                                          node_ids=prepared.sampled))
         write_scatter_csv(args.scatter_out, rows)
         summary["scatter_out"] = args.scatter_out
         summary["scatter_rows"] = int(rows.shape[0])
@@ -293,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"skg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("SKG_JOBS", "1"))
+    raw_jobs = os.environ.get("SKG_JOBS", "1")
+    try:
+        default_jobs = int(raw_jobs)
+    except ValueError:
+        raise ArgumentError(f"SKG_JOBS must be an integer, got {raw_jobs!r}") from None
 
     p_stats = sub.add_parser("stats", help="pairwise-distance statistics of a sampled split")
     _add_dataset_flags(p_stats, values_required=False)
@@ -360,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.func(args)
     except SkgError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ set pairs adjacency vectors of sampled nodes with their known nodal values.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
@@ -172,6 +174,33 @@ def _parse_csv_rows(path: Path):
             if not line or line.startswith("#"):
                 continue
             yield lineno, [part.strip() for part in line.split(",")]
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one comma-joined line per row; ``path`` "-" is stdout.
+
+    Floats are written with ``repr`` (shortest exact round trip), ``None``
+    as an empty cell, anything else with ``str``. ``rows`` may be a 2-d
+    numeric array: it is converted to Python numbers a few thousand rows
+    at a time, whose ``repr`` is that same text and formats faster than
+    numpy scalars, without copying the whole array.
+    """
+    target = contextlib.nullcontext(sys.stdout) if path == "-" else open(
+        path, "w", encoding="utf-8")
+    with target as handle:
+        handle.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), 4096):
+                handle.writelines(",".join(map(repr, row)) + "\n"
+                                  for row in rows[start:start + 4096].tolist())
+        else:
+            handle.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:

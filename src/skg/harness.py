@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, StateError
 from .graph_data import (Dataset, TrainingSet, apply_normalization,
-                         build_adjacency_vectors, split_sample)
+                         build_adjacency_vectors, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace
 from .rff import feature_matrix, sample_bank
 from .variance import SelectionReport, select
@@ -32,11 +32,15 @@ class RunConfig:
     sample_fraction: float = 0.4
     closeness: float = 0.1
     refine_noise: bool = False
+    first_order_da: bool = False
     normalization: str = "max-abs"
 
     def __post_init__(self):
-        if self.eta <= 0 or self.n_features < 1 or self.epochs < 1:
-            raise ArgumentError("eta, n_features and epochs must be positive")
+        if not 0.0 < self.eta < 1.0:
+            # unit-norm features scale a revisited node's residual by (1 - 2*eta)
+            raise ArgumentError(f"eta must lie in (0, 1), got {self.eta}")
+        if self.n_features < 1 or self.epochs < 1:
+            raise ArgumentError("n_features and epochs must be positive")
         if not (0.0 < self.sample_fraction <= 1.0):
             raise ArgumentError(f"sample_fraction must lie in (0, 1], got {self.sample_fraction}")
         if not (0.0 < self.closeness < 0.5):
@@ -104,20 +108,58 @@ def gnmse(y_true, y_pred) -> float:
     return float(diff @ diff) / denom
 
 
-def resolve_sigma_sq(dataset: Dataset, config: RunConfig, seed: int,
-                     first_order_da: bool = False) -> SelectionReport:
-    """Run variance selection on the seed's sampled split of ``dataset``."""
-    sampled, tested = split_sample(dataset.node_ids, config.sample_fraction, seed)
+@dataclass(frozen=True)
+class PreparedSplit:
+    """Everything a run needs before the bank is drawn, for one split.
+
+    ``vectors`` are the sampled nodes' adjacency vectors and
+    ``test_vectors`` the tested nodes', both against the sampled
+    (referencing) set; ``train_values`` and ``test_values`` are normalized
+    by ``value_scale``. The arrays are read-only so that one record can
+    serve every grid variance of a seed.
+    """
+
+    sampled: tuple
+    tested: tuple
+    vectors: np.ndarray
+    test_vectors: np.ndarray
+    train_values: np.ndarray
+    test_values: np.ndarray
+    value_scale: float
+
+
+def prepare(dataset: Dataset, config: RunConfig, seed: int, split=None) -> PreparedSplit:
+    """Split the nodes, build adjacency vectors and normalize the values.
+
+    ``split`` fixes the (sampled, tested) lists instead of drawing them
+    from the seed.
+    """
+    if split is None:
+        sampled, tested = split_sample(dataset.node_ids, config.sample_fraction, seed)
+    else:
+        sampled, tested = split
+    sampled, tested = tuple(sampled), tuple(tested)
     vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
-    y_train = dataset.value_array(sampled)
-    y_test = dataset.value_array(tested)
-    _, yn_train, _ = apply_normalization(config.normalization, y_train, y_test)
-    probes = build_adjacency_vectors(dataset.graph, tested, sampled) if tested else None
+    test_vectors = build_adjacency_vectors(dataset.graph, tested, sampled)
+    scale, train_values, test_values = apply_normalization(
+        config.normalization, dataset.value_array(sampled), dataset.value_array(tested)
+    )
+    for array in (vectors, test_vectors, train_values, test_values):
+        array.flags.writeable = False
+    return PreparedSplit(sampled=sampled, tested=tested, vectors=vectors,
+                         test_vectors=test_vectors, train_values=train_values,
+                         test_values=test_values, value_scale=scale)
+
+
+def resolve_sigma_sq(dataset: Dataset, config: RunConfig, seed: int) -> SelectionReport:
+    """Run variance selection on the seed's sampled split of ``dataset``."""
+    prepared = prepare(dataset, config, seed)
     return select(
-        vectors, config.eta, config.n_features,
-        values=yn_train, refine=config.refine_noise, closeness=config.closeness,
-        epochs=config.epochs, seed=seed, probe_vectors=probes,
-        first_order_da=first_order_da,
+        prepared.vectors, config.eta, config.n_features,
+        values=prepared.train_values, refine=config.refine_noise, closeness=config.closeness,
+        epochs=config.epochs, seed=seed,
+        probe_vectors=prepared.test_vectors if prepared.tested else None,
+        first_order_da=config.first_order_da,
     )
 
 
@@ -129,39 +171,40 @@ def run_once(dataset: Dataset, config: RunConfig, sigma_sq: float, seed: int, *,
     from the seed. With ``keep_trace`` the contribution-weight trace of
     ``probe_node`` (default: first tested node) is retained.
     """
-    if split is None:
-        sampled, tested = split_sample(dataset.node_ids, config.sample_fraction, seed)
-    else:
-        sampled, tested = list(split[0]), list(split[1])
+    return _fit_and_score(prepare(dataset, config, seed, split), config, sigma_sq, seed,
+                          keep_trace=keep_trace, probe_node=probe_node)
+
+
+def _fit_and_score(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
+                   keep_trace: bool = False, probe_node=None) -> RunResult:
+    """Sample the bank, train on the prepared split and score its tested nodes."""
+    tested = prepared.tested
     if not tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
-    test_vectors = build_adjacency_vectors(dataset.graph, tested, sampled)
-    scale, yn_train, yn_test = apply_normalization(
-        config.normalization, dataset.value_array(sampled), dataset.value_array(tested)
-    )
-    bank = sample_bank(float(sigma_sq), config.n_features, len(sampled), seed)
+    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
     skg = SkgModel(bank=bank, eta=config.eta)
     training_trace = skg.train(
-        TrainingSet(vectors, yn_train, node_ids=tuple(sampled)), config.epochs, seed
+        TrainingSet(prepared.vectors, prepared.train_values, node_ids=prepared.sampled),
+        config.epochs, seed,
     )
-    predictions = skg.predict_batch(test_vectors)
-    score = gnmse(yn_test, predictions)
+    predictions = skg.predict_batch(prepared.test_vectors)
+    score = gnmse(prepared.test_values, predictions)
 
     trace = None
     if keep_trace:
         probe = tested[0] if probe_node is None else probe_node
         if probe not in tested:
             raise DataError(f"probe node {probe!r} is not among the tested nodes")
-        ordered = feature_matrix(bank, vectors)[training_trace.order]
-        probe_vec = test_vectors[tested.index(probe)][None, :]
+        ordered = feature_matrix(bank, prepared.vectors)[training_trace.order]
+        probe_vec = prepared.test_vectors[tested.index(probe)][None, :]
         trace = probe_weight_traces(ordered, feature_matrix(bank, probe_vec), config.eta)[0]
         probe_node = probe
 
     return RunResult(
-        gnmse=score, sampled=tuple(sampled), tested=tuple(tested), value_scale=scale,
-        predictions=predictions, test_values=yn_test, model=skg,
-        training_trace=training_trace, trace=trace, probe_node=probe_node,
+        gnmse=score, sampled=prepared.sampled, tested=tested,
+        value_scale=prepared.value_scale, predictions=predictions,
+        test_values=prepared.test_values, model=skg, training_trace=training_trace,
+        trace=trace, probe_node=probe_node,
     )
 
 
@@ -180,9 +223,11 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
     return SweepGrid(sigma_sq_values=tuple(values), config=config, marked_sigma_sq=ed)
 
 
-def _sweep_cell(args):
-    dataset, config, sigma_sq, seed, split = args
-    return run_once(dataset, config, sigma_sq, seed, split=split).gnmse
+def _sweep_seed(args) -> list[float]:
+    dataset, config, sigma_sq_values, seed, split = args
+    prepared = prepare(dataset, config, seed, split)
+    return [_fit_and_score(prepared, config, sigma_sq, seed).gnmse
+            for sigma_sq in sigma_sq_values]
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,
@@ -191,8 +236,10 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
 
     Each repeat uses a fresh split, bank and order (seed ``base_seed + r``)
     unless ``fixed_split`` pins the split of ``base_seed`` for all runs,
-    isolating bank/order randomness. Cells are independent; ``jobs`` > 1
-    runs them in processes, and aggregation does not depend on completion
+    isolating bank/order randomness. A seed's split is prepared once and
+    shared by all grid variances; every cell equals :func:`run_once` at
+    the same variance and seed. Seeds are independent; ``jobs`` > 1 runs
+    them in processes, and aggregation does not depend on completion
     order.
     """
     if seeds is None:
@@ -205,17 +252,14 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     split = None
     if fixed_split:
         split = split_sample(dataset.node_ids, grid.config.sample_fraction, base_seed)
-    cells = [
-        (dataset, grid.config, sigma_sq, seed, split)
-        for sigma_sq in grid.sigma_sq_values
-        for seed in seeds
-    ]
+    tasks = [(dataset, grid.config, grid.sigma_sq_values, seed, split) for seed in seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * jobs))))
+            per_seed = list(pool.map(_sweep_seed, tasks,
+                                     chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
-        flat = [_sweep_cell(cell) for cell in cells]
-    scores = np.array(flat, dtype=np.float64).reshape(len(grid.sigma_sq_values), len(seeds))
+        per_seed = [_sweep_seed(task) for task in tasks]
+    scores = np.array(per_seed, dtype=np.float64).T
     results = []
     for i, sigma_sq in enumerate(grid.sigma_sq_values):
         row = scores[i]
@@ -231,17 +275,13 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
 
 def write_sweep_csv(path, results, marked_sigma_sq=None) -> None:
     """Write sweep results as ``sigma_sq,gnmse_mean,gnmse_std,repeats,is_theoretical_ed``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("sigma_sq,gnmse_mean,gnmse_std,repeats,is_theoretical_ed\n")
-        for res in results:
-            marked = (
-                marked_sigma_sq is not None
-                and np.isclose(res.sigma_sq, marked_sigma_sq, rtol=1e-12, atol=0.0)
-            )
-            handle.write(
-                f"{res.sigma_sq!r},{res.gnmse_mean!r},{res.gnmse_std!r},"
-                f"{res.repeats},{'true' if marked else 'false'}\n"
-            )
+    def marked(sigma_sq):
+        return (marked_sigma_sq is not None
+                and np.isclose(sigma_sq, marked_sigma_sq, rtol=1e-12, atol=0.0))
+
+    write_csv(path, ("sigma_sq", "gnmse_mean", "gnmse_std", "repeats", "is_theoretical_ed"),
+              ((res.sigma_sq, res.gnmse_mean, res.gnmse_std, res.repeats,
+                "true" if marked(res.sigma_sq) else "false") for res in results))
 
 
 def export_scatter(training_set: TrainingSet) -> np.ndarray:
@@ -260,10 +300,7 @@ def export_scatter(training_set: TrainingSet) -> np.ndarray:
 
 def write_scatter_csv(path, rows: np.ndarray) -> None:
     """Write scatter rows as ``d_sq,abs_dy``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("d_sq,abs_dy\n")
-        for d_sq, dy in rows:
-            handle.write(f"{float(d_sq)!r},{float(dy)!r}\n")
+    write_csv(path, ("d_sq", "abs_dy"), rows)
 
 
 def export_bf_trace(result: RunResult) -> list[tuple]:
@@ -283,8 +320,5 @@ def export_bf_trace(result: RunResult) -> list[tuple]:
 
 def write_bf_trace_csv(path, rows) -> None:
     """Write probe-trace rows as ``i,B,F,alpha,alpha_flag``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("i,B,F,alpha,alpha_flag\n")
-        for i, b, f, alpha, valid in rows:
-            a = "" if alpha is None else repr(float(alpha))
-            handle.write(f"{i},{b!r},{f!r},{a},{1 if valid else 0}\n")
+    write_csv(path, ("i", "B", "F", "alpha", "alpha_flag"),
+              ((i, b, f, alpha, int(valid)) for i, b, f, alpha, valid in rows))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import streams
 from .errors import ArgumentError, DataError, NumericError
-from .graph_data import TrainingSet
+from .graph_data import TrainingSet, write_csv
 from .rff import RandomFeatureBank, feature_map, feature_matrix, sample_bank
 
 
@@ -63,8 +63,9 @@ class SkgModel:
     theta: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ArgumentError(f"learning rate must be positive, got {self.eta}")
+        if not 0.0 < self.eta < 1.0:
+            # unit-norm features scale a revisited node's residual by (1 - 2*eta)
+            raise ArgumentError(f"learning rate must lie in (0, 1), got {self.eta}")
         if self.theta is None:
             self.theta = np.zeros(2 * self.bank.n_features, dtype=np.float64)
         else:
@@ -184,10 +185,6 @@ def load_model(path):
 
 def write_training_trace_csv(path, trace: TrainingTrace) -> None:
     """Write a trace as ``t,node_index,prediction,error`` rows (t from 1)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,node_index,prediction,error\n")
-        for t in range(trace.duration):
-            handle.write(
-                f"{t + 1},{int(trace.order[t])},"
-                f"{float(trace.predictions[t])!r},{float(trace.errors[t])!r}\n"
-            )
+    write_csv(path, ("t", "node_index", "prediction", "error"),
+              zip(range(1, trace.duration + 1), trace.order.tolist(), trace.predictions.tolist(),
+                  trace.errors.tolist()))

@@ -9,14 +9,13 @@ cancellation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError
 
 
 @dataclass(frozen=True)
@@ -94,35 +93,3 @@ def kernel_exact(a1, a2, sigma_sq: float) -> float:
         raise ArgumentError(f"vector shapes differ: {x1.shape} vs {x2.shape}")
     diff = x1 - x2
     return float(np.exp(-float(diff @ diff) / (2.0 * sigma_sq)))
-
-
-def save_bank(path, bank: RandomFeatureBank) -> None:
-    """Serialize a bank as JSON with hex-float rows (bit-exact round trip)."""
-    payload = {
-        "format": "skg-bank-v1",
-        "input_dim": bank.input_dim,
-        "n_features": bank.n_features,
-        "sigma_sq": bank.sigma_sq.hex(),
-        "seed": bank.seed,
-        "frequencies": [x.hex() for x in bank.frequencies.ravel().tolist()],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
-
-
-def load_bank(path) -> RandomFeatureBank:
-    """Load a bank written by :func:`save_bank`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "skg-bank-v1":
-        raise DataError(f"{path}: not a feature-bank file")
-    d, m = payload["n_features"], payload["input_dim"]
-    flat = np.array([float.fromhex(x) for x in payload["frequencies"]], dtype=np.float64)
-    if flat.size != d * m:
-        raise DataError(f"{path}: expected {d * m} frequency entries, found {flat.size}")
-    return RandomFeatureBank(
-        frequencies=flat.reshape(d, m),
-        sigma_sq=float.fromhex(payload["sigma_sq"]),
-        seed=int(payload["seed"]),
-    )

@@ -274,26 +274,3 @@ def refined_noise_from_traces(traces) -> float:
     if not traces:
         raise StateError("no probe traces supplied")
     return max(noise_up_refined(trace) for trace in traces)
-
-
-def write_weight_trace_csv(path, trace: WeightTrace, d_sq=None) -> None:
-    """Write a trace as ``i,d_sq,B,F,alpha,flag`` rows (i from 1).
-
-    ``d_sq`` optionally supplies the squared distance of each step's
-    vector to the target's; the column is left empty when absent. Rows
-    with an undefined conformity factor carry flag 0 and an empty alpha.
-    """
-    t = trace.weights.size
-    dcol = None if d_sq is None else np.asarray(d_sq, dtype=np.float64)
-    if dcol is not None and dcol.shape != (t,):
-        raise ArgumentError(f"d_sq must have length {t}, got {dcol.shape}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("i,d_sq,B,F,alpha,flag\n")
-        for i in range(t):
-            d = "" if dcol is None else repr(float(dcol[i]))
-            a = repr(float(trace.alpha[i])) if trace.alpha_valid[i] else ""
-            flag = 1 if trace.alpha_valid[i] else 0
-            handle.write(
-                f"{i + 1},{d},{float(trace.similarities[i])!r},"
-                f"{float(trace.weights[i])!r},{a},{flag}\n"
-            )

@@ -170,6 +170,28 @@ class TestTrainPredict:
             models.append(path.read_bytes())
         assert models[0] == models[1]
 
+    def test_unstable_learning_rate_exits_2(self, tiny_dataset_files, tmp_path, capsys):
+        edges, values = tiny_dataset_files
+        code, _, err = run_cli(capsys, "train", "--graph", str(edges), "--values",
+                               str(values), "--eta", "1.5",
+                               "--model-out", str(tmp_path / "m.json"))
+        assert code == 2 and "error:" in err
+
+    def test_missing_target_values_write_nothing(self, tiny_dataset_files, tmp_path, capsys):
+        edges, values = tiny_dataset_files
+        model, split = tmp_path / "m.json", tmp_path / "split.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "64", "--seed", "1", "--model-out", str(model),
+                "--split-out", str(split))
+        partial = tmp_path / "partial.csv"
+        partial.write_text("".join(values.read_text().splitlines(keepends=True)[:3]))
+        preds = tmp_path / "preds.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
+                                    str(edges), "--split", str(split), "--values",
+                                    str(partial), "--out", str(preds))
+        assert code == 3 and "error:" in err
+        assert not preds.exists() and stdout == ""
+
     def test_bad_sigma_exits_2(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
         code, _, _ = run_cli(capsys, "train", "--graph", str(edges), "--values",
@@ -191,6 +213,19 @@ class TestSweepCommand:
         assert len(lines) >= 7  # grid plus the inserted selected variance
         summary = json.loads(stdout)
         assert summary["best_gnmse_mean"] >= 0.0
+
+    def test_first_order_da_sets_the_grid_top(self, tiny_dataset_files, tmp_path, capsys):
+        edges, values = tiny_dataset_files
+        flags = ["--graph", str(edges), "--values", str(values), "--features", "64",
+                 "--seed", "1", "--first-order-da"]
+        code, stdout, _ = run_cli(capsys, "select", *flags)
+        d_sq_max = json.loads(stdout)["d_sq_max"]["value"]
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", *flags, "--grid-points", "6", "--repeats", "1",
+                             "--out", str(out))
+        assert code == 0
+        top = float(out.read_text().strip().splitlines()[-1].split(",")[0])
+        assert top == pytest.approx(10 * d_sq_max / (2 * 0.1), rel=1e-12)
 
     def test_manual_grid_needs_both_bounds(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
@@ -252,6 +287,11 @@ class TestParser:
         args = build_parser().parse_args(
             ["sweep", "--graph", "g", "--values", "v", "--out", "s"])
         assert args.jobs == 3
+
+    def test_non_integer_jobs_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SKG_JOBS", "abc")
+        code, _, err = run_cli(capsys, "--version")
+        assert code == 2 and err.startswith("error:") and "SKG_JOBS" in err
 
     def test_first_order_da_flag(self, tiny_dataset_files, capsys):
         edges, values = tiny_dataset_files

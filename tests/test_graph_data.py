@@ -9,7 +9,8 @@ from skg.errors import ArgumentError, DataError, DegenerateInputError
 from skg.graph_data import (Dataset, Graph, TrainingSet, apply_normalization,
                             build_adjacency_vectors, drop_isolated, load_dataset,
                             load_graph, load_values, normalize_values, pairwise_stats,
-                            read_split_manifest, split_sample, write_split_manifest)
+                            read_split_manifest, split_sample, write_csv,
+                            write_split_manifest)
 
 from conftest import require_data
 
@@ -230,6 +231,21 @@ class TestSplitSample:
         got_sampled, got_tested, seed, fraction = read_split_manifest(path)
         assert got_sampled == sampled and got_tested == tested
         assert seed == 3 and fraction == 0.4
+
+
+def test_write_csv_cells(tmp_path, capsys):
+    rows = [(1, 0.1, None, "a", np.float64(1 / 3), np.int64(7))]
+    path = tmp_path / "out.csv"
+    write_csv(path, ("i", "x", "empty", "s", "f", "n"), rows)
+    expected = f"i,x,empty,s,f,n\n1,0.1,,a,{1 / 3!r},7\n"
+    assert path.read_text(encoding="utf-8") == expected
+    write_csv("-", ("i", "x", "empty", "s", "f", "n"), rows)
+    assert capsys.readouterr().out == expected
+    # a numeric array takes a faster path that must write the same text
+    array = np.array([[0.1, 1 / 3, 1e-300], [2.0, -0.0, 123456789.125]])
+    write_csv(path, ("a", "b", "c"), array)
+    write_csv(tmp_path / "generic.csv", ("a", "b", "c"), [tuple(r) for r in array])
+    assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 class TestDataset:

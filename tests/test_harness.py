@@ -9,7 +9,7 @@ import skg
 from skg.errors import ArgumentError, DataError, DegenerateInputError, StateError
 from skg.graph_data import TrainingSet, apply_normalization
 from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
-                         export_scatter, gnmse, run_once, sweep, write_bf_trace_csv,
+                         export_scatter, gnmse, prepare, run_once, sweep, write_bf_trace_csv,
                          write_sweep_csv)
 from skg.synthetic import planted_community_dataset
 
@@ -103,6 +103,19 @@ class TestRunOnce:
         with pytest.raises(DegenerateInputError):
             run_once(planted_small_dataset, RunConfig(sample_fraction=1.0), 5.0, seed=0)
 
+    def test_prepare_matches_the_seeded_split(self, planted_small_dataset):
+        cfg = RunConfig(n_features=64)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        sampled, tested = skg.split_sample(planted_small_dataset.node_ids, 0.4, 3)
+        assert prepared.sampled == tuple(sampled) and prepared.tested == tuple(tested)
+        assert prepared.vectors.shape == (len(sampled), len(sampled))
+        assert prepared.test_vectors.shape == (len(tested), len(sampled))
+        assert np.abs(prepared.train_values).max() == 1.0
+        with pytest.raises(ValueError):
+            prepared.vectors[0, 0] = 5.0  # shared across a seed's grid cells
+        pinned = prepare(planted_small_dataset, cfg, seed=4, split=(sampled, tested))
+        assert np.array_equal(pinned.test_vectors, prepared.test_vectors)
+
     def test_fixed_split_override(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
         base = run_once(planted_small_dataset, cfg, 5.0, seed=3)
@@ -143,6 +156,19 @@ class TestSweep:
         manual = [run_once(small_ds, cfg, 2.0, seed=7 + r, split=split).gnmse for r in range(2)]
         assert results[0].gnmse_mean == pytest.approx(np.mean(manual), rel=1e-12)
 
+    def test_cells_equal_run_once_bitwise(self, small_ds):
+        cfg = RunConfig(n_features=32)
+        grid = SweepGrid(sigma_sq_values=(1.0, 4.0), config=cfg)
+        results = sweep(small_ds, grid, seeds=[3, 4])
+        for res in results:
+            cells = np.array([run_once(small_ds, cfg, res.sigma_sq, seed).gnmse
+                              for seed in (3, 4)])
+            assert res.gnmse_mean == cells.mean()
+            assert res.gnmse_std == cells.std(ddof=1)
+        single = sweep(small_ds, grid, seeds=[5])
+        assert [r.gnmse_mean for r in single] == [
+            run_once(small_ds, cfg, v, 5).gnmse for v in grid.sigma_sq_values]
+
     def test_csv_marks_the_selected_variance(self, small_ds, tmp_path):
         cfg = RunConfig(n_features=32)
         report = skg.resolve_sigma_sq(small_ds, cfg, seed=0)
@@ -181,6 +207,13 @@ class TestRunConfig:
             RunConfig(sample_fraction=0.0)
         with pytest.raises(ArgumentError):
             RunConfig(closeness=0.6)
+        # (1 - 2*eta) must contract: eta outside (0, 1) diverges or oscillates
+        bank = skg.sample_bank(2.0, 8, 3, seed=0)
+        for eta in (1.0, 1.5, 5.0, -0.1):
+            with pytest.raises(ArgumentError):
+                RunConfig(eta=eta)
+            with pytest.raises(ArgumentError):
+                skg.SkgModel(bank=bank, eta=eta)
 
 
 class TestExports:
@@ -212,6 +245,8 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "i,B,F,alpha,alpha_flag"
         assert len(lines) == 1 + kept.training_trace.duration
+        # the final row has gap 1: no conformity factor, empty alpha and flag 0
+        assert lines[-1].endswith(",,0")
 
     def test_chaos_regime_weights_sit_in_the_noise_range(self, planted_small_dataset):
         # far below the chaos/extending boundary, nearly all weights fall

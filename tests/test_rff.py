@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from skg.errors import ArgumentError, DataError
-from skg.rff import (feature_map, feature_matrix, kernel_exact, load_bank,
-                     sample_bank, save_bank)
+from skg.errors import ArgumentError
+from skg.rff import feature_map, feature_matrix, kernel_exact, sample_bank
 
 
 class TestSampleBank:
@@ -117,19 +116,3 @@ class TestKernelExact:
             kernel_exact([0.0], [1.0, 2.0], 1.0)
         with pytest.raises(ArgumentError):
             kernel_exact([0.0], [1.0], 0.0)
-
-
-class TestBankSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        bank = sample_bank(2.5, 32, 6, seed=77)
-        path = tmp_path / "bank.json"
-        save_bank(path, bank)
-        loaded = load_bank(path)
-        assert np.array_equal(loaded.frequencies, bank.frequencies)
-        assert loaded.sigma_sq == bank.sigma_sq and loaded.seed == bank.seed
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}', encoding="utf-8")
-        with pytest.raises(DataError):
-            load_bank(path)

@@ -16,8 +16,7 @@ from skg.weights import (WeightTrace, conformity_alpha, contribution_weights,
                          expected_weight_sum, noise_up_refined, noise_up_theoretical,
                          probe_weight_traces, refined_noise_from_traces, similarity,
                          similarity_approx, similarity_conditional_variance,
-                         similarity_matrix, weighted_prediction_oracle,
-                         write_weight_trace_csv)
+                         similarity_matrix, weighted_prediction_oracle)
 
 
 def traces_for_identical_vectors(eta, duration, n_features=64, seed=3):
@@ -299,15 +298,3 @@ class TestPositiveAverage:
         b = 2 * 0.1 * (z @ z.T)
         pairs = b[np.triu_indices(len(sampled), k=1)]
         assert 0.0 < pairs.mean() < 2 * 0.1
-
-
-class TestTraceCsv:
-    def test_layout_and_flags(self, tmp_path):
-        trace = traces_for_identical_vectors(eta=0.1, duration=3)
-        path = tmp_path / "trace.csv"
-        write_weight_trace_csv(path, trace, d_sq=np.zeros(3))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i,d_sq,B,F,alpha,flag"
-        assert len(lines) == 4
-        # the final row has gap 1: no conformity factor, flag 0
-        assert lines[3].endswith(",,0")
