@@ -242,6 +242,8 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     them in processes, and aggregation does not depend on completion
     order.
     """
+    if jobs < 1:
+        raise ArgumentError(f"jobs must be at least 1, got {jobs}")
     if seeds is None:
         if repeats < 1:
             raise ArgumentError(f"repeats must be at least 1, got {repeats}")

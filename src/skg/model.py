@@ -90,14 +90,11 @@ class SkgModel:
         update.
         """
         z = feature_map(self.bank, vector)
-        return self._step_on_features(z, value)
-
-    def _step_on_features(self, z: np.ndarray, value: float) -> float:
         if not np.isfinite(value) or not np.all(np.isfinite(z)):
             raise NumericError("non-finite value or features in training step")
-        error = float(value) - float(self.theta @ z)
-        self.theta += (2.0 * self.eta * error) * z
-        return error
+        (pred,) = sgd_pass(z[None, :], np.zeros(1, np.int64), np.array([float(value)]),
+                           self.theta, self.eta)
+        return float(value) - float(pred)
 
     def train(self, training_set: TrainingSet, epochs: int, seed: int) -> TrainingTrace:
         """Run ``epochs`` passes over the set, reshuffling each epoch.
@@ -119,16 +116,28 @@ class SkgModel:
         if not np.all(np.isfinite(features)) or not np.all(np.isfinite(training_set.values)):
             raise NumericError("non-finite features or values in training set")
         order = np.concatenate([rng.permutation(training_set.n) for _ in range(epochs)])
-        predictions = np.empty(order.size, dtype=np.float64)
-        errors = np.empty(order.size, dtype=np.float64)
-        for t, idx in enumerate(order):
-            z = features[idx]
-            pred = float(self.theta @ z)
-            err = training_set.values[idx] - pred
-            self.theta += (2.0 * self.eta * err) * z
-            predictions[t] = pred
-            errors[t] = err
+        predictions = sgd_pass(features, order, training_set.values, self.theta, self.eta)
+        errors = training_set.values[order] - predictions
         return TrainingTrace(order=order, predictions=predictions, errors=errors)
+
+
+def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
+    """Least-squares SGD over ``order``; returns the pre-update predictions.
+
+    Step t takes z = ``features[order[t]]``, predicts ``z @ state`` and moves
+    ``state`` in place by 2*eta*(``targets[order[t]]`` - prediction) along z.
+    ``state`` is one coefficient vector (D,) or P of them side by side (D, P).
+    """
+    predictions = np.empty(order.shape + state.shape[1:], dtype=np.float64)
+    gain = 2.0 * eta
+    step = np.empty_like(state)
+    for t, idx in enumerate(order.tolist()):
+        z = features[idx]
+        pred = z @ state
+        np.multiply.outer(z, gain * (targets[idx] - pred), out=step)
+        state += step
+        predictions[t] = pred
+    return predictions
 
 
 def save_model(path, model: SkgModel, referencing=None, value_scale=None) -> None:
@@ -174,7 +183,10 @@ def load_model(path):
         seed=int(payload["bank_seed"]),
     )
     theta = np.array([float.fromhex(x) for x in payload["theta"]], dtype=np.float64)
-    model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
+    try:
+        model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
+    except ArgumentError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     scale = payload.get("value_scale")
     metadata = {
         "referencing": payload.get("referencing"),

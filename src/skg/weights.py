@@ -3,11 +3,17 @@
 The similarity of the nodes seen at times i < j is twice the learning
 rate times the inner product of their feature vectors. Contribution
 weights express any in-run prediction as a weighted sum of previously
-seen nodal values; they follow from the similarities by a backward
-recursion:
+seen nodal values; by definition they follow from the similarities by a
+backward recursion:
 
     F[j-1, j] = B[j-1, j]
     F[i, j]   = B[i, j] - sum_{k=i+1}^{j-1} B[i, k] * F[k, j]
+
+In residual form F[i, j] = 2*eta * z_i . r_i, with r_{j-1} = z_j and
+r_{i-1} = r_i - F[i, j] * z_i: the SGD update run backward with zero
+targets. :func:`probe_weight_traces` runs it for P probes at once in
+O(T*D*P) time and O(D*P) state; :func:`contribution_weights` is the dense
+reference.
 
 Conformity factors relate the two via F = B * (1 - alpha)^(gap - 1) and
 the noise-range estimates bound which weights count as insignificant.
@@ -21,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError, StateError
+from .model import sgd_pass
 from .rff import RandomFeatureBank, feature_map
-
-DEFAULT_MAX_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def similarity_conditional_variance(d_sq: float, sigma_sq: float, eta: float,
 
 
 def similarity_matrix(features: np.ndarray, eta: float,
-                      max_steps: int = DEFAULT_MAX_STEPS) -> SimilarityMatrix:
+                      max_steps: int = 5000) -> SimilarityMatrix:
     """Similarities for a full processing sequence of feature vectors.
 
     ``features`` holds one row per step, in processing order. Sequences
@@ -133,19 +138,18 @@ def _backward_recursion(block: np.ndarray, target_column: np.ndarray) -> np.ndar
 
 
 def _alphas(weights: np.ndarray, similarities: np.ndarray):
-    """Conformity factors for a weight trace; invalid entries become NaN."""
-    t = weights.size
-    alpha = np.full(t, np.nan)
-    valid = np.zeros(t, dtype=bool)
-    for i in range(t):
-        gap = t + 1 - (i + 1)  # target j = t+1 (1-based), row i+1
-        if gap < 2 or similarities[i] == 0.0:
-            continue
-        ratio = weights[i] / similarities[i]
-        if ratio <= 0.0:
-            continue
-        alpha[i] = 1.0 - ratio ** (1.0 / (gap - 1))
-        valid[i] = True
+    """Conformity factors of weights of shape (t, ...) toward time t+1.
+
+    Entries with gap < 2, zero similarity or a nonpositive ratio become NaN.
+    """
+    t = weights.shape[0]
+    gap = (t - np.arange(t)).reshape((t,) + (1,) * (weights.ndim - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = weights / similarities
+        valid = (gap >= 2) & (similarities != 0.0) & (alpha > 0.0)
+        alpha **= 1.0 / (gap - 1)
+    np.subtract(1.0, alpha, out=alpha)
+    alpha[~valid] = np.nan
     return alpha, valid
 
 
@@ -161,52 +165,34 @@ def contribution_weights(matrix: SimilarityMatrix, target: int) -> WeightTrace:
     block = matrix.values[: target - 1, : target - 1]
     weights = _backward_recursion(block, column)
     alpha, valid = _alphas(weights, column)
-    return WeightTrace(
-        target=int(target),
-        weights=weights,
-        similarities=column.copy(),
-        alpha=alpha,
-        alpha_valid=valid,
-        noise_up=float(abs(weights.min())),
-    )
+    return WeightTrace(target=int(target), weights=weights, similarities=column.copy(),
+                       alpha=alpha, alpha_valid=valid, noise_up=float(abs(weights.min())))
 
 
 def probe_weight_traces(train_features: np.ndarray, probe_features: np.ndarray,
-                        eta: float, max_steps: int = DEFAULT_MAX_STEPS) -> list[WeightTrace]:
+                        eta: float) -> list[WeightTrace]:
     """Weight traces for held-out probes appended after a training sequence.
 
     ``train_features`` holds the T training steps in processing order;
-    each probe row is treated as the node at time T+1. The training block
-    is computed once and shared across probes.
+    each probe row is treated as the node at time T+1. All probes share
+    one backward SGD pass from the probe features with zero targets; its
+    predictions are F / (2*eta).
     """
     z = np.asarray(train_features, dtype=np.float64)
     p = np.asarray(probe_features, dtype=np.float64)
-    if z.ndim != 2 or p.ndim != 2 or z.shape[1] != p.shape[1]:
-        raise ArgumentError("train and probe features must be 2-d with equal width")
+    if z.ndim != 2 or p.ndim != 2 or z.shape[1] != p.shape[1] or z.shape[0] < 1:
+        raise ArgumentError("need nonempty 2-d training features and 2-d probes of equal width")
     if not eta > 0:
         raise ArgumentError(f"eta must be positive, got {eta}")
-    if z.shape[0] + 1 > max_steps:
-        raise ArgumentError(
-            f"sequence of {z.shape[0] + 1} steps exceeds the cap of {max_steps}"
-        )
-    block = 2.0 * eta * (z @ z.T)
-    columns = 2.0 * eta * (z @ p.T)
-    traces = []
-    for k in range(p.shape[0]):
-        column = columns[:, k]
-        weights = _backward_recursion(block, column)
-        alpha, valid = _alphas(weights, column)
-        traces.append(
-            WeightTrace(
-                target=z.shape[0] + 1,
-                weights=weights,
-                similarities=column.copy(),
-                alpha=alpha,
-                alpha_valid=valid,
-                noise_up=float(abs(weights.min())),
-            )
-        )
-    return traces
+    steps = z.shape[0]
+    weights = 2.0 * eta * sgd_pass(z, np.arange(steps - 1, -1, -1), np.zeros(steps),
+                                   p.T.copy(), eta)[::-1]
+    similarities = 2.0 * eta * (z @ p.T)
+    alpha, valid = _alphas(weights, similarities)
+    return [WeightTrace(target=steps + 1, weights=weights[:, k], similarities=similarities[:, k],
+                        alpha=alpha[:, k], alpha_valid=valid[:, k],
+                        noise_up=float(abs(weights[:, k].min())))
+            for k in range(p.shape[0])]
 
 
 def weighted_prediction_oracle(values, trace: WeightTrace) -> float:

@@ -192,6 +192,20 @@ class TestTrainPredict:
         assert code == 3 and "error:" in err
         assert not preds.exists() and stdout == ""
 
+    def test_out_of_range_eta_in_model_file_exits_3(self, tiny_dataset_files, tmp_path, capsys):
+        edges, values = tiny_dataset_files
+        model = tmp_path / "m.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "64", "--seed", "1", "--model-out", str(model))
+        payload = json.loads(model.read_text())
+        payload["eta"] = (1.5).hex()
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
+                                    str(edges), "--nodes", "5,6", "--out", str(preds))
+        assert code == 3 and "error:" in err and str(model) in err
+        assert not preds.exists() and stdout == ""
+
     def test_bad_sigma_exits_2(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
         code, _, _ = run_cli(capsys, "train", "--graph", str(edges), "--values",
@@ -226,6 +240,19 @@ class TestSweepCommand:
         assert code == 0
         top = float(out.read_text().strip().splitlines()[-1].split(",")[0])
         assert top == pytest.approx(10 * d_sq_max / (2 * 0.1), rel=1e-12)
+
+    @pytest.mark.parametrize("jobs_flag, jobs_env", [(["--jobs", "-3"], None), ([], "0")])
+    def test_non_positive_jobs_exit_2(self, tiny_dataset_files, tmp_path, capsys, monkeypatch,
+                                      jobs_flag, jobs_env):
+        edges, values = tiny_dataset_files
+        if jobs_env is not None:
+            monkeypatch.setenv("SKG_JOBS", jobs_env)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--graph", str(edges), "--values",
+                               str(values), "--features", "64", "--grid-points", "3",
+                               "--repeats", "1", *jobs_flag, "--out", str(out))
+        assert code == 2 and "jobs" in err
+        assert not out.exists()
 
     def test_manual_grid_needs_both_bounds(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files

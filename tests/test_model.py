@@ -111,6 +111,25 @@ class TestTrain:
         rel = np.abs(rebuilt - model.theta).max() / np.abs(model.theta).max()
         assert rel < 1e-10
 
+    def test_matches_reference_loop_bitwise(self):
+        rng = np.random.default_rng(7)
+        ts = TrainingSet(rng.random((40, 4)), rng.standard_normal(40))
+        model = make_model(eta=0.1, n_features=64)
+        trace = model.train(ts, epochs=3, seed=5)
+        features = feature_matrix(model.bank, ts.vectors)
+        theta = np.zeros_like(model.theta)
+        predictions, errors = [], []
+        for idx in trace.order:
+            z = features[idx]
+            pred = float(theta @ z)
+            err = ts.values[idx] - pred
+            theta += (2.0 * 0.1 * err) * z
+            predictions.append(pred)
+            errors.append(err)
+        assert np.array_equal(model.theta, theta)
+        assert np.array_equal(trace.predictions, predictions)
+        assert np.array_equal(trace.errors, errors)
+
     def test_epoch_and_dimension_validation(self):
         ts = TrainingSet(np.ones((2, 4)), np.ones(2))
         with pytest.raises(ArgumentError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skg
@@ -137,19 +137,57 @@ class TestContributionWeights:
     def test_sequence_cap_is_enforced(self):
         with pytest.raises(ArgumentError, match="cap"):
             similarity_matrix(np.ones((11, 2)), eta=0.1, max_steps=10)
-        with pytest.raises(ArgumentError, match="cap"):
-            probe_weight_traces(np.ones((10, 2)), np.ones((1, 2)), 0.1, max_steps=10)
 
-    def test_probe_traces_match_stacked_matrix(self):
-        rng = np.random.default_rng(12)
+    @given(steps=st.integers(1, 40), n_probes=st.integers(1, 5),
+           eta=st.floats(0.01, 0.49), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_probe_traces_match_stacked_matrix(self, steps, n_probes, eta, seed):
+        # the residual pass against the dense definitional recursion, per probe
+        rng = np.random.default_rng(seed)
         bank = sample_bank(2.0, 32, 5, seed=6)
-        train = feature_matrix(bank, rng.random((7, 5)))
-        probe = feature_matrix(bank, rng.random((1, 5)))
-        via_probe = probe_weight_traces(train, probe, 0.15)[0]
-        stacked = similarity_matrix(np.vstack([train, probe]), 0.15)
-        via_matrix = contribution_weights(stacked, target=8)
-        assert via_probe.weights == pytest.approx(via_matrix.weights, abs=1e-12)
-        assert via_probe.target == via_matrix.target == 8
+        train = feature_matrix(bank, rng.random((steps, 5)))
+        probes = feature_matrix(bank, rng.random((n_probes, 5)))
+        traces = probe_weight_traces(train, probes, eta)
+        assert len(traces) == n_probes
+        for probe, via_probe in zip(probes, traces):
+            stacked = similarity_matrix(np.vstack([train, probe]), eta)
+            via_matrix = contribution_weights(stacked, target=steps + 1)
+            assert via_probe.target == via_matrix.target == steps + 1
+            assert via_probe.weights == pytest.approx(via_matrix.weights, abs=1e-12)
+            assert np.array_equal(via_probe.alpha_valid, via_matrix.alpha_valid)
+            # the vectorised conformity factors against a scalar loop
+            for i, (w, b) in enumerate(zip(via_probe.weights, via_probe.similarities)):
+                gap = steps - i
+                usable = gap >= 2 and b != 0.0 and w / b > 0.0
+                assert via_probe.alpha_valid[i] == usable
+                if usable:
+                    assert via_probe.alpha[i] == pytest.approx(1.0 - (w / b) ** (1.0 / (gap - 1)),
+                                                               rel=1e-12, abs=1e-15)
+                else:
+                    assert np.isnan(via_probe.alpha[i])
+
+    @pytest.mark.parametrize("train, probes, eta", [
+        (np.zeros((0, 4)), np.ones((1, 4)), 0.1),
+        (np.ones((3, 4)), np.ones((1, 5)), 0.1),
+        (np.ones(4), np.ones((1, 4)), 0.1),
+        (np.ones((3, 4)), np.ones((1, 4)), 0.0),
+    ])
+    def test_probe_trace_input_validation(self, train, probes, eta):
+        with pytest.raises(ArgumentError):
+            probe_weight_traces(train, probes, eta)
+
+    def test_probe_weights_reproduce_trained_predictions(self):
+        # y[order] @ F toward a probe is the trained model's prediction for it
+        rng = np.random.default_rng(14)
+        ts = TrainingSet(rng.random((30, 5)), rng.standard_normal(30))
+        model = SkgModel(bank=sample_bank(2.0, 64, 5, seed=4), eta=0.1)
+        run = model.train(ts, epochs=3, seed=8)
+        probes = rng.random((6, 5))
+        ordered = feature_matrix(model.bank, ts.vectors)[run.order]
+        traces = probe_weight_traces(ordered, feature_matrix(model.bank, probes), 0.1)
+        via_weights = np.array([ts.values[run.order] @ trace.weights for trace in traces])
+        direct = model.predict_batch(probes)
+        assert np.abs(via_weights - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 class TestPredictionOracle:
