@@ -4,7 +4,10 @@
 Generates the dataset, selects the kernel variance, sweeps a log grid
 around it, and exports the diagnostic tables (sweep curve, weight traces
 at one variance per regime, distance/value scatter) into an output
-directory. Everything is seeded and reproducible.
+directory. Selection, traces and scatter share one prepared split of the
+run seed. Everything is seeded and reproducible.
+
+    PYTHONPATH=src python scripts/run_synthetic_experiment.py --out synthetic_experiment
 """
 
 import argparse
@@ -25,7 +28,7 @@ def write_dataset_csvs(dataset, out_dir: Path) -> None:
             handle.write(f"{node},{value!r}\n")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="synthetic_experiment", help="output directory")
     parser.add_argument("--nodes", type=int, default=200)
@@ -41,7 +44,7 @@ def main() -> int:
     parser.add_argument("--grid-points", type=int, default=25)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -54,7 +57,8 @@ def main() -> int:
 
     config = skg.RunConfig(eta=args.eta, n_features=args.features, epochs=args.epochs,
                            sample_fraction=args.fraction)
-    report = skg.resolve_sigma_sq(dataset, config, seed=args.seed)
+    prepared = skg.prepare(dataset, config, seed=args.seed)
+    report = skg.select_prepared(prepared, config, seed=args.seed)
     with open(out_dir / "selection_report.json", "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
@@ -77,12 +81,11 @@ def main() -> int:
         "averaging": report.sigma_sq_da * 10,
     }
     for name, sigma_sq in regimes.items():
-        result = skg.run_once(dataset, config, sigma_sq, seed=args.seed, keep_trace=True)
+        result = skg.fit_prepared(prepared, config, sigma_sq, seed=args.seed, keep_trace=True)
         write_bf_trace_csv(out_dir / f"trace_{name}.csv", skg.export_bf_trace(result))
         print(f"trace[{name}] sigma_sq={sigma_sq:.4f} gnmse={result.gnmse:.4f} "
               f"probe={result.probe_node}")
 
-    prepared = skg.prepare(dataset, config, seed=args.seed)
     rows = skg.export_scatter(skg.TrainingSet(prepared.vectors, prepared.train_values))
     write_scatter_csv(out_dir / "scatter.csv", rows)
     print(f"wrote {out_dir}/: edges, values, selection_report, sweep, traces, scatter")

@@ -23,12 +23,13 @@ from .graph_data import (TrainingSet, build_adjacency_vectors, drop_isolated, lo
                          load_graph, load_values, pairwise_stats, read_split_manifest,
                          split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
-                      gnmse, prepare, resolve_sigma_sq, run_once, sweep, write_bf_trace_csv,
-                      write_scatter_csv, write_sweep_csv)
+                      fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
+                      write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
 
-CONFIG_KEYS = ("eta", "features", "epochs", "fraction", "closeness", "seed",
-               "normalization", "refine", "first_order_da")
+CONFIG_KEYS = {"eta": float, "features": int, "epochs": int, "fraction": float,
+               "closeness": float, "seed": int, "normalization": str, "refine": bool,
+               "first_order_da": bool}
 
 
 def _add_dataset_flags(parser, values_required=True):
@@ -78,9 +79,15 @@ def _merged_options(args) -> dict:
                 file_conf = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(file_conf, dict):
+            raise ArgumentError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_conf) - set(CONFIG_KEYS)
         if unknown:
             raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_conf.items():
+            kind = CONFIG_KEYS[key]
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise ArgumentError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
         merged.update(file_conf)
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -113,16 +120,22 @@ def _emit(payload: dict, out_path=None) -> None:
             handle.write(text)
 
 
-def _parse_sigma(raw: str) -> float | str:
-    if raw == "auto":
-        return "auto"
+def _prepare_at_sigma(args):
+    """Options, config, the seed's prepared split and ``--sigma-sq``; ``auto`` selects on it."""
+    opts = _merged_options(args)
+    dataset = _load_dataset(args)
+    config = _run_config(opts)
+    prepared = prepare(dataset, config, opts["seed"])
+    if args.sigma_sq == "auto":
+        return opts, config, prepared, select_prepared(prepared, config, opts["seed"]).sigma_sq_ed
     try:
-        value = float(raw)
+        sigma_sq = float(args.sigma_sq)
     except ValueError:
-        raise ArgumentError(f"--sigma-sq must be a number or 'auto', got {raw!r}") from None
-    if value <= 0:
-        raise ArgumentError(f"--sigma-sq must be positive, got {value}")
-    return value
+        raise ArgumentError(
+            f"--sigma-sq must be a number or 'auto', got {args.sigma_sq!r}") from None
+    if sigma_sq <= 0:
+        raise ArgumentError(f"--sigma-sq must be positive, got {sigma_sq}")
+    return opts, config, prepared, sigma_sq
 
 
 def cmd_stats(args) -> int:
@@ -158,13 +171,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _merged_options(args)
-    dataset = _load_dataset(args)
-    config = _run_config(opts)
-    sigma_sq = _parse_sigma(args.sigma_sq)
-    if sigma_sq == "auto":
-        sigma_sq = resolve_sigma_sq(dataset, config, opts["seed"]).sigma_sq_ed
-    result = run_once(dataset, config, sigma_sq, opts["seed"])
+    opts, config, prepared, sigma_sq = _prepare_at_sigma(args)
+    result = fit_prepared(prepared, config, sigma_sq, opts["seed"])
     save_model(args.model_out, result.model, referencing=result.sampled,
                value_scale=result.value_scale)
     if args.split_out:
@@ -220,6 +228,8 @@ def cmd_sweep(args) -> int:
     if args.grid_min is not None or args.grid_max is not None:
         if args.grid_min is None or args.grid_max is None:
             raise ArgumentError("--grid-min and --grid-max must be given together")
+        if not 0.0 < args.grid_min <= args.grid_max < float("inf") or args.grid_points < 1:
+            raise ArgumentError("need 0 < --grid-min <= --grid-max < inf and --grid-points >= 1")
         values = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
         grid = SweepGrid(sigma_sq_values=tuple(values), config=config,
                          marked_sigma_sq=report.sigma_sq_ed)
@@ -241,28 +251,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    opts = _merged_options(args)
-    dataset = _load_dataset(args)
-    config = _run_config(opts)
     if not args.trace_out and not args.scatter_out:
         raise ArgumentError("nothing to do: pass --trace-out and/or --scatter-out")
-    sigma_sq = _parse_sigma(args.sigma_sq)
-    if sigma_sq == "auto":
-        sigma_sq = resolve_sigma_sq(dataset, config, opts["seed"]).sigma_sq_ed
+    if args.trace_out and not args.test_node:
+        raise ArgumentError("--trace-out needs --test-node")
+    opts, config, prepared, sigma_sq = _prepare_at_sigma(args)
     summary = {"sigma_sq": sigma_sq}
     if args.trace_out:
-        if not args.test_node:
-            raise ArgumentError("--trace-out needs --test-node")
-        result = run_once(dataset, config, sigma_sq, opts["seed"],
-                          keep_trace=True, probe_node=args.test_node)
+        result = fit_prepared(prepared, config, sigma_sq, opts["seed"],
+                              keep_trace=True, probe_node=args.test_node)
         write_bf_trace_csv(args.trace_out, export_bf_trace(result))
         summary["trace_out"] = args.trace_out
         summary["trace_rows"] = result.training_trace.duration
         summary["gnmse"] = result.gnmse
     if args.scatter_out:
-        prepared = prepare(dataset, config, opts["seed"])
-        rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values,
-                                          node_ids=prepared.sampled))
+        rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values))
         write_scatter_csv(args.scatter_out, rows)
         summary["scatter_out"] = args.scatter_out
         summary["scatter_rows"] = int(rows.shape[0])

@@ -19,7 +19,7 @@ from .graph_data import (Dataset, TrainingSet, apply_normalization,
 from .model import SkgModel, TrainingTrace
 from .rff import feature_matrix, sample_bank
 from .variance import SelectionReport, select
-from .weights import WeightTrace, probe_weight_traces
+from .weights import WeightTrace, probe_weight_traces, refined_noise_from_traces
 
 
 @dataclass(frozen=True)
@@ -152,53 +152,54 @@ def prepare(dataset: Dataset, config: RunConfig, seed: int, split=None) -> Prepa
 
 
 def resolve_sigma_sq(dataset: Dataset, config: RunConfig, seed: int) -> SelectionReport:
-    """Run variance selection on the seed's sampled split of ``dataset``."""
-    prepared = prepare(dataset, config, seed)
-    return select(
-        prepared.vectors, config.eta, config.n_features,
-        values=prepared.train_values, refine=config.refine_noise, closeness=config.closeness,
-        epochs=config.epochs, seed=seed,
-        probe_vectors=prepared.test_vectors if prepared.tested else None,
-        first_order_da=config.first_order_da,
-    )
+    """Variance selection on the seed's split of ``dataset``; see :func:`select_prepared`."""
+    return select_prepared(prepare(dataset, config, seed), config, seed)
 
 
-def run_once(dataset: Dataset, config: RunConfig, sigma_sq: float, seed: int, *,
-             keep_trace: bool = False, probe_node=None, split=None) -> RunResult:
-    """One full train-and-score pass, deterministic per seed.
+def run_once(dataset: Dataset, config: RunConfig, sigma_sq: float, seed: int) -> RunResult:
+    """One full train-and-score pass, deterministic per seed; see :func:`fit_prepared`."""
+    return fit_prepared(prepare(dataset, config, seed), config, sigma_sq, seed)
 
-    ``split`` fixes the (sampled, tested) lists instead of drawing them
-    from the seed. With ``keep_trace`` the contribution-weight trace of
-    ``probe_node`` (default: first tested node) is retained.
+
+def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> SelectionReport:
+    """Closed-form variance selection on the prepared split's sampled vectors.
+
+    With ``config.refine_noise`` one run at the closed-form variance
+    re-measures the noise ceiling: the largest minimum weight over the
+    tested nodes, or over the sampled ones when none is tested.
     """
-    return _fit_and_score(prepare(dataset, config, seed, split), config, sigma_sq, seed,
-                          keep_trace=keep_trace, probe_node=probe_node)
+    report = select(prepared.vectors, config.eta, config.n_features,
+                    closeness=config.closeness, first_order_da=config.first_order_da)
+    if not config.refine_noise:
+        return report
+    skg, training_trace = _train(prepared, config, report.sigma_sq_ed, seed)
+    probes = prepared.test_vectors if prepared.tested else prepared.vectors
+    ordered = feature_matrix(skg.bank, prepared.vectors)[training_trace.order]
+    traces = probe_weight_traces(ordered, feature_matrix(skg.bank, probes), config.eta)
+    return report.refined(refined_noise_from_traces(traces))
 
 
-def _fit_and_score(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
-                   keep_trace: bool = False, probe_node=None) -> RunResult:
-    """Sample the bank, train on the prepared split and score its tested nodes."""
+def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
+                 keep_trace: bool = False, probe_node=None) -> RunResult:
+    """Sample the bank, train on the prepared split and score its tested nodes.
+
+    ``keep_trace`` keeps the weight trace of ``probe_node`` (default: first tested node).
+    """
     tested = prepared.tested
     if not tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
-    skg = SkgModel(bank=bank, eta=config.eta)
-    training_trace = skg.train(
-        TrainingSet(prepared.vectors, prepared.train_values, node_ids=prepared.sampled),
-        config.epochs, seed,
-    )
+    skg, training_trace = _train(prepared, config, sigma_sq, seed)
     predictions = skg.predict_batch(prepared.test_vectors)
     score = gnmse(prepared.test_values, predictions)
 
     trace = None
     if keep_trace:
-        probe = tested[0] if probe_node is None else probe_node
-        if probe not in tested:
-            raise DataError(f"probe node {probe!r} is not among the tested nodes")
-        ordered = feature_matrix(bank, prepared.vectors)[training_trace.order]
-        probe_vec = prepared.test_vectors[tested.index(probe)][None, :]
-        trace = probe_weight_traces(ordered, feature_matrix(bank, probe_vec), config.eta)[0]
-        probe_node = probe
+        probe_node = tested[0] if probe_node is None else probe_node
+        if probe_node not in tested:
+            raise DataError(f"probe node {probe_node!r} is not among the tested nodes")
+        ordered = feature_matrix(skg.bank, prepared.vectors)[training_trace.order]
+        probe_vec = prepared.test_vectors[tested.index(probe_node)][None, :]
+        trace = probe_weight_traces(ordered, feature_matrix(skg.bank, probe_vec), config.eta)[0]
 
     return RunResult(
         gnmse=score, sampled=prepared.sampled, tested=tested,
@@ -206,6 +207,14 @@ def _fit_and_score(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, 
         test_values=prepared.test_values, model=skg, training_trace=training_trace,
         trace=trace, probe_node=probe_node,
     )
+
+
+def _train(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int):
+    """Sample the seed's bank at ``sigma_sq`` and train it on the sampled nodes."""
+    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
+    skg = SkgModel(bank=bank, eta=config.eta)
+    training_set = TrainingSet(prepared.vectors, prepared.train_values)
+    return skg, skg.train(training_set, config.epochs, seed)
 
 
 def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -> SweepGrid:
@@ -226,7 +235,7 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
 def _sweep_seed(args) -> list[float]:
     dataset, config, sigma_sq_values, seed, split = args
     prepared = prepare(dataset, config, seed, split)
-    return [_fit_and_score(prepared, config, sigma_sq, seed).gnmse
+    return [fit_prepared(prepared, config, sigma_sq, seed).gnmse
             for sigma_sq in sigma_sq_values]
 
 

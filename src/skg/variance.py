@@ -6,22 +6,21 @@ from the pairwise-distance statistics of the training vectors and the
 noise-range ceiling. The extending/disturbing boundary is the variance at
 which the similarity of the farthest pair just clears the noise ceiling;
 it is the recommended operating point.
+
+Only the closed form lives here. A ceiling measured by a training run
+(``harness.select_prepared``) enters through :meth:`SelectionReport.refined`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, NumericError, StateError
-from .graph_data import TrainingSet, pairwise_stats
-from .model import SkgModel
-from .rff import feature_matrix, sample_bank
-from .weights import noise_up_theoretical, probe_weight_traces, refined_noise_from_traces
-
-NOISE_SOURCES = ("theoretical", "refined")
+from .graph_data import pairwise_stats
+from .weights import noise_up_theoretical
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,17 @@ class SelectionReport:
     eta: float
     n_features: int
     da_first_order: bool = False
+
+    def refined(self, noise_up: float) -> SelectionReport:
+        """This report with a run-measured ceiling; a ceiling of 0 keeps the theoretical one."""
+        if noise_up >= 2.0 * self.eta:
+            raise NumericError(f"refined noise ceiling {noise_up} reached 2*eta; run diverged, "
+                               "check eta and epochs")
+        if not noise_up > 0.0:
+            return self
+        return replace(self, noise_up=noise_up, noise_up_source="refined",
+                       sigma_sq_ed=sigma_ed(self.d_sq_max, noise_up, self.eta),
+                       sigma_sq_ce=sigma_ce(self.d_sq_min_nonzero, noise_up, self.eta))
 
     def to_dict(self) -> dict:
         def entry(value, source):
@@ -169,60 +179,26 @@ def pairwise_l1_max(vectors) -> float:
     return best
 
 
-def select(vectors, eta: float, n_features: int, *, values=None, refine: bool = False,
-           closeness: float = 0.1, epochs: int = 3, seed: int = 0, probe_vectors=None,
+def select(vectors, eta: float, n_features: int, *, closeness: float = 0.1,
            first_order_da: bool = False) -> SelectionReport:
-    """Select the kernel variance for a training set of adjacency vectors.
+    """Closed-form variance selection for a training set of adjacency vectors.
 
-    The pipeline scans all pairwise squared distances, fixes the noise
-    ceiling (closed form, or refined by one training pass when ``refine``
-    is set), and evaluates the three regime boundaries.
-
-    Parameters
-    ----------
-    vectors : array-like, shape (n, m)
-        Adjacency vectors of the sampled nodes.
-    eta, n_features : float, int
-        Learning rate and bank size the model will be run with.
-    values : array-like, optional
-        Nodal values of the sampled nodes; required when ``refine`` is set
-        (the refinement pass actually trains).
-    refine : bool
-        Re-estimate the noise ceiling from the contribution weights of a
-        run at the closed-form variance, then recompute the boundaries.
-    probe_vectors : array-like, optional
-        Held-out vectors probed for the refined estimate (the conservative
-        maximum over probes is used); defaults to the training vectors.
+    Scans all pairwise squared distances of the sampled nodes' ``vectors``
+    (shape (n, m)), takes the theoretical noise ceiling of the learning rate
+    ``eta`` and bank size ``n_features`` the model will run with, and
+    evaluates the three regime boundaries; ``closeness`` and
+    ``first_order_da`` shape the disturbing/averaging one (see :func:`sigma_da`).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     stats = pairwise_stats(vectors)
     if stats.d_sq_max == 0.0:
         raise DegenerateInputError("all adjacency vectors are identical; no nonzero distance")
-    noise_theory = noise_up_theoretical(eta, n_features)
-    noise, source = noise_theory, "theoretical"
-    if refine:
-        if values is None:
-            raise ArgumentError("refinement needs the nodal values of the sampled nodes")
-        sigma0 = sigma_ed(stats.d_sq_max, noise_theory, eta)
-        bank = sample_bank(sigma0, n_features, vectors.shape[1], seed)
-        skg = SkgModel(bank=bank, eta=eta)
-        trace = skg.train(TrainingSet(vectors, values), epochs=epochs, seed=seed)
-        ordered = feature_matrix(bank, vectors)[trace.order]
-        probes = vectors if probe_vectors is None else np.asarray(probe_vectors, np.float64)
-        probe_traces = probe_weight_traces(ordered, feature_matrix(bank, probes), eta)
-        refined = refined_noise_from_traces(probe_traces)
-        if refined >= 2.0 * eta:
-            raise NumericError(
-                f"refined noise ceiling {refined} reached 2*eta; run diverged, "
-                "check eta and epochs"
-            )
-        if refined > 0.0:
-            noise, source = refined, "refined"
+    noise = noise_up_theoretical(eta, n_features)
     return SelectionReport(
         d_sq_max=stats.d_sq_max,
         d_sq_min_nonzero=stats.d_sq_min_nonzero,
         noise_up=noise,
-        noise_up_source=source,
+        noise_up_source="theoretical",
         sigma_sq_ed=sigma_ed(stats.d_sq_max, noise, eta),
         sigma_sq_ce=sigma_ce(stats.d_sq_min_nonzero, noise, eta),
         sigma_sq_da=sigma_da(stats.d_sq_max, closeness, first_order_da),

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import skg
-from skg.graph_data import TrainingSet, apply_normalization, build_adjacency_vectors, split_sample
+from skg.graph_data import TrainingSet
 from skg.model import SkgModel
 from skg.rff import feature_map, feature_matrix, kernel_exact, sample_bank
-from skg.variance import select, sigma_ed
+from skg.variance import sigma_ed
 from skg.weights import (contribution_weights, noise_up_theoretical, probe_weight_traces,
                          similarity, similarity_matrix)
 
@@ -199,17 +199,8 @@ def test_criterion_9b_temperature_refined_noise(acceptance):
         dataset = _load_temperature_jan()
     except pytest.skip.Exception:
         acceptance.skip("9b temperature-jan refined noise", "dataset files not installed")
-    estimates = []
-    for seed in (0, 1, 2):
-        sampled, tested = split_sample(dataset.node_ids, 0.4, seed)
-        vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
-        probes = build_adjacency_vectors(dataset.graph, tested, sampled)
-        _, values, _ = apply_normalization(
-            "max-abs", dataset.value_array(sampled), dataset.value_array(tested)
-        )
-        report = select(vectors, 0.1, 200, values=values, refine=True,
-                        seed=seed, probe_vectors=probes)
-        estimates.append(report.noise_up)
+    config = skg.RunConfig(eta=0.1, n_features=200, refine_noise=True)
+    estimates = [skg.resolve_sigma_sq(dataset, config, seed).noise_up for seed in (0, 1, 2)]
     estimate = float(np.mean(estimates))
     acceptance.check("9b temperature-jan refined noise", 0.012 <= estimate <= 0.03,
                      f"mean refined ceiling {estimate:.4f} over seeds 0-2")

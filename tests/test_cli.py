@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
+import skg
 from skg.cli import main
 from skg.model import SkgModel, save_model
 from skg.rff import sample_bank
@@ -16,6 +18,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def adjacency_builds(monkeypatch):
+    """Records every adjacency-vector build the CLI makes, through any skg module."""
+    calls = []
+    original = skg.graph_data.build_adjacency_vectors
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    for module in (skg.graph_data, skg.harness, skg.cli):
+        monkeypatch.setattr(module, "build_adjacency_vectors", counted)
+    return calls
 
 
 class TestSelect:
@@ -69,6 +86,21 @@ class TestSelect:
         code, stdout, _ = run_cli(capsys, "select", "--graph", str(edges), "--values",
                                   str(values), "--config", str(config), "--eta", "0.3")
         assert json.loads(stdout)["inputs"]["eta"] == 0.3
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"eta": "0.1"}', "'eta'"), ('{"epochs": "3"}', "'epochs'"),
+        ('{"fraction": null}', "'fraction'"), ('{"features": 2.5}', "'features'"),
+        ('{"refine": "no"}', "'refine'"), ("3", "JSON object"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tiny_dataset_files, tmp_path, capsys,
+                                           text, named):
+        edges, values = tiny_dataset_files
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        code, stdout, err = run_cli(capsys, "select", "--graph", str(edges), "--values",
+                                    str(values), "--config", str(config))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and named in err
 
     def test_unknown_config_key_exits_2(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
@@ -256,10 +288,18 @@ class TestSweepCommand:
 
     def test_manual_grid_needs_both_bounds(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
-        code, _, _ = run_cli(capsys, "sweep", "--graph", str(edges), "--values",
-                             str(values), "--grid-min", "0.5",
-                             "--out", str(tmp_path / "s.csv"))
-        assert code == 2
+        # one bound alone, bounds that are not positive and finite, or no points:
+        # exit 2 without a numpy warning
+        for bounds in (["--grid-min", "0.5"], ["--grid-min", "0", "--grid-max", "5"],
+                       ["--grid-min", "-1", "--grid-max", "5"],
+                       ["--grid-min", "1", "--grid-max", "inf"],
+                       ["--grid-min", "1", "--grid-max", "5", "--grid-points", "-2"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_cli(capsys, "sweep", "--graph", str(edges), "--values",
+                                       str(values), *bounds, "--out", str(tmp_path / "s.csv"))
+            assert code == 2 and err.startswith("error:")
+            assert not (tmp_path / "s.csv").exists()
 
 
 class TestAnalyze:
@@ -293,11 +333,35 @@ class TestAnalyze:
                                "--trace-out", str(tmp_path / "t.csv"))
         assert code == 3 and "error:" in err
 
-    def test_no_outputs_requested_exits_2(self, tiny_dataset_files, capsys):
+    def test_no_outputs_requested_exits_2(self, tiny_dataset_files, tmp_path, capsys,
+                                          adjacency_builds):
         edges, values = tiny_dataset_files
-        code, _, _ = run_cli(capsys, "analyze", "--graph", str(edges), "--values",
-                             str(values), "--seed", "1")
-        assert code == 2
+        # nothing to write, or a trace without its node: refused before any split is prepared
+        for outputs in ([], ["--trace-out", str(tmp_path / "t.csv")]):
+            code, _, _ = run_cli(capsys, "analyze", "--graph", str(edges), "--values",
+                                 str(values), "--seed", "1", *outputs)
+            assert code == 2
+        assert adjacency_builds == []
+
+
+class TestPrepareOnce:
+    @pytest.mark.parametrize("command, output_flags", [
+        ("analyze", ("--trace-out", "--scatter-out")),
+        ("train", ("--model-out",)),
+    ])
+    def test_auto_sigma_builds_adjacency_once(self, tiny_dataset_files, tmp_path, capsys,
+                                              adjacency_builds, command, output_flags):
+        # selection and the run share one split: sampled and tested vectors, built once each
+        edges, values = tiny_dataset_files
+        dataset = skg.load_dataset(edges, values)
+        tested = skg.split_sample(dataset.node_ids, 0.4, 1)[1]
+        argv = ["--test-node", tested[0]] if command == "analyze" else []
+        for flag in output_flags:
+            argv += [flag, str(tmp_path / flag.lstrip("-"))]
+        code, _, _ = run_cli(capsys, command, "--graph", str(edges), "--values", str(values),
+                             "--features", "64", "--seed", "1", "--sigma-sq", "auto", *argv)
+        assert code == 0
+        assert len(adjacency_builds) == 2
 
 
 class TestParser:

@@ -9,8 +9,8 @@ import skg
 from skg.errors import ArgumentError, DataError, DegenerateInputError, StateError
 from skg.graph_data import TrainingSet, apply_normalization
 from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
-                         export_scatter, gnmse, prepare, run_once, sweep, write_bf_trace_csv,
-                         write_sweep_csv)
+                         export_scatter, fit_prepared, gnmse, prepare, run_once, sweep,
+                         write_bf_trace_csv, write_sweep_csv)
 from skg.synthetic import planted_community_dataset
 
 from conftest import require_data
@@ -91,13 +91,14 @@ class TestRunOnce:
 
     def test_trace_retention_and_probe_checks(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
-        result = run_once(planted_small_dataset, cfg, 5.0, seed=3, keep_trace=True)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        result = fit_prepared(prepared, cfg, 5.0, seed=3, keep_trace=True)
         assert result.trace is not None
         assert result.trace.weights.size == result.training_trace.duration
         assert result.probe_node == result.tested[0]
         with pytest.raises(DataError):
-            run_once(planted_small_dataset, cfg, 5.0, seed=3, keep_trace=True,
-                     probe_node=result.sampled[0])
+            fit_prepared(prepared, cfg, 5.0, seed=3, keep_trace=True,
+                         probe_node=result.sampled[0])
 
     def test_needs_tested_nodes(self, planted_small_dataset):
         with pytest.raises(DegenerateInputError):
@@ -119,8 +120,8 @@ class TestRunOnce:
     def test_fixed_split_override(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
         base = run_once(planted_small_dataset, cfg, 5.0, seed=3)
-        moved = run_once(planted_small_dataset, cfg, 5.0, seed=4,
-                         split=(base.sampled, base.tested))
+        pinned = prepare(planted_small_dataset, cfg, seed=4, split=(base.sampled, base.tested))
+        moved = fit_prepared(pinned, cfg, 5.0, seed=4)
         assert moved.sampled == base.sampled
         assert moved.gnmse != base.gnmse  # bank/order randomness still moves
 
@@ -153,7 +154,8 @@ class TestSweep:
         grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
         results = sweep(small_ds, grid, repeats=2, base_seed=7, fixed_split=True)
         split = skg.split_sample(small_ds.node_ids, cfg.sample_fraction, 7)
-        manual = [run_once(small_ds, cfg, 2.0, seed=7 + r, split=split).gnmse for r in range(2)]
+        manual = [fit_prepared(prepare(small_ds, cfg, 7 + r, split), cfg, 2.0, 7 + r).gnmse
+                  for r in range(2)]
         assert results[0].gnmse_mean == pytest.approx(np.mean(manual), rel=1e-12)
 
     def test_cells_equal_run_once_bitwise(self, small_ds):
@@ -232,14 +234,16 @@ class TestExports:
         plain = run_once(planted_small_dataset, cfg, 5.0, seed=3)
         with pytest.raises(StateError):
             export_bf_trace(plain)
-        kept = run_once(planted_small_dataset, cfg, 5.0, seed=3, keep_trace=True)
+        kept = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg, 5.0, seed=3,
+                            keep_trace=True)
         rows = export_bf_trace(kept)
         assert len(rows) == kept.training_trace.duration
         assert rows[0][0] == 1 and rows[-1][0] == len(rows)
 
     def test_bf_trace_csv_layout(self, planted_small_dataset, tmp_path):
-        kept = run_once(planted_small_dataset, RunConfig(n_features=64), 5.0, seed=3,
-                        keep_trace=True)
+        cfg = RunConfig(n_features=64)
+        kept = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg, 5.0, seed=3,
+                            keep_trace=True)
         path = tmp_path / "bf.csv"
         write_bf_trace_csv(path, export_bf_trace(kept))
         lines = path.read_text().strip().splitlines()
@@ -253,8 +257,8 @@ class TestExports:
         # inside the run's own noise estimate
         cfg = RunConfig(eta=0.1, n_features=200, epochs=3)
         report = skg.resolve_sigma_sq(planted_small_dataset, cfg, seed=3)
-        result = run_once(planted_small_dataset, cfg, report.sigma_sq_ce / 10, seed=3,
-                          keep_trace=True)
+        result = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg,
+                              report.sigma_sq_ce / 10, seed=3, keep_trace=True)
         trace = result.trace
         fraction = np.mean(np.abs(trace.weights) <= trace.noise_up)
         assert fraction >= 0.90
@@ -264,8 +268,8 @@ class TestExports:
         # 2*eta*(1-2*eta)^(T-i); check the last 20 steps within 20%
         cfg = RunConfig(eta=0.1, n_features=200, epochs=3)
         report = skg.resolve_sigma_sq(planted_small_dataset, cfg, seed=3)
-        result = run_once(planted_small_dataset, cfg, 100 * report.d_sq_max, seed=3,
-                          keep_trace=True)
+        result = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg,
+                              100 * report.d_sq_max, seed=3, keep_trace=True)
         duration = result.trace.weights.size
         steps = np.arange(1, duration + 1)
         profile = 2 * 0.1 * (1 - 2 * 0.1) ** (duration - steps)

@@ -1,5 +1,6 @@
 """Closed-form boundaries, the selection pipeline, and its report."""
 
+import dataclasses
 import math
 
 import jsonschema
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 import skg
 from skg.errors import ArgumentError, DegenerateInputError, NumericError, StateError
-from skg.graph_data import apply_normalization, build_adjacency_vectors, split_sample
+from skg.graph_data import TrainingSet
+from skg.harness import RunConfig, prepare, select_prepared
+from skg.model import SkgModel
+from skg.rff import feature_matrix, sample_bank
 from skg.variance import (SELECTION_REPORT_SCHEMA, laplacian_diversity, pairwise_l1_max,
                           select, sigma_ce, sigma_da, sigma_ed)
-from skg.weights import noise_up_theoretical
+from skg.weights import noise_up_theoretical, probe_weight_traces, refined_noise_from_traces
 
 
 class TestSigmaEd:
@@ -121,17 +125,37 @@ class TestSelect:
         with pytest.raises(DegenerateInputError):
             select(np.ones((5, 3)), eta=0.1, n_features=100)
 
-    def test_refine_needs_values(self):
-        with pytest.raises(ArgumentError):
-            select(self.make_vectors(), eta=0.1, n_features=100, refine=True)
+    def test_refined_source_and_range(self, planted_small_dataset):
+        # one refining run composed by hand: train at the closed-form variance,
+        # probe the tested nodes (the sampled ones when none is tested)
+        for fraction in (0.4, 1.0):
+            config = RunConfig(n_features=100, sample_fraction=fraction, refine_noise=True)
+            prepared = prepare(planted_small_dataset, config, seed=2)
+            plain = select(prepared.vectors, eta=0.1, n_features=100)
+            bank = sample_bank(plain.sigma_sq_ed, 100, prepared.vectors.shape[1], seed=2)
+            run = SkgModel(bank=bank, eta=0.1).train(
+                TrainingSet(prepared.vectors, prepared.train_values), epochs=3, seed=2)
+            probes = prepared.test_vectors if prepared.tested else prepared.vectors
+            traces = probe_weight_traces(feature_matrix(bank, prepared.vectors)[run.order],
+                                         feature_matrix(bank, probes), 0.1)
+            noise = refined_noise_from_traces(traces)
+            expected = dataclasses.replace(
+                plain, noise_up=noise, noise_up_source="refined",
+                sigma_sq_ed=sigma_ed(plain.d_sq_max, noise, 0.1),
+                sigma_sq_ce=sigma_ce(plain.d_sq_min_nonzero, noise, 0.1))
+            report = select_prepared(prepared, config, seed=2)
+            assert report == expected
+            assert report.noise_up_source == "refined"
+            assert 0.0 < report.noise_up < 0.2
+            assert report.sigma_sq_ed > 0
 
-    def test_refined_source_and_range(self):
-        vectors = self.make_vectors(seed=3)
-        values = np.random.default_rng(4).standard_normal(20)
-        report = select(vectors, eta=0.1, n_features=100, values=values, refine=True, seed=2)
-        assert report.noise_up_source == "refined"
-        assert 0.0 < report.noise_up < 0.2
-        assert report.sigma_sq_ed > 0
+    def test_refined_ceiling_domain(self):
+        # a zero ceiling keeps the theoretical report; one at 2*eta means the run diverged
+        report = select(self.make_vectors(), eta=0.1, n_features=200)
+        assert report.refined(0.0) is report
+        with pytest.raises(NumericError, match="diverged"):
+            report.refined(0.2)
+        assert report.refined(0.005).sigma_sq_ed < report.sigma_sq_ed
 
     def test_first_order_flag_propagates(self):
         report = select(self.make_vectors(), eta=0.1, n_features=200, first_order_da=True)
@@ -173,29 +197,19 @@ class TestSelect:
 
     def test_refinement_is_nearly_idempotent(self, planted_small_dataset):
         # a second refining pass moves the boundary by well under 20% on average
-        ds = planted_small_dataset
+        config = RunConfig(eta=0.1, n_features=200, refine_noise=True)
         changes = []
         for seed in range(10):
-            sampled, tested = split_sample(ds.node_ids, 0.4, seed)
-            vectors = build_adjacency_vectors(ds.graph, sampled, sampled)
-            probes = build_adjacency_vectors(ds.graph, tested, sampled)
-            _, values, _ = apply_normalization(
-                "max-abs", ds.value_array(sampled), ds.value_array(tested)
-            )
-            first = select(vectors, 0.1, 200, values=values, refine=True,
-                           seed=seed, probe_vectors=probes)
-            second = _refine_once_more(first, vectors, values, probes, seed)
+            prepared = prepare(planted_small_dataset, config, seed)
+            first = select_prepared(prepared, config, seed)
+            second = _refine_once_more(first, prepared.vectors, prepared.train_values,
+                                       prepared.test_vectors, seed)
             changes.append(abs(second - first.sigma_sq_ed) / first.sigma_sq_ed)
         assert np.mean(changes) < 0.20
 
 
 def _refine_once_more(report, vectors, values, probes, seed):
     """One extra noise-refinement pass starting from an already refined boundary."""
-    from skg.graph_data import TrainingSet
-    from skg.model import SkgModel
-    from skg.rff import feature_matrix, sample_bank
-    from skg.weights import probe_weight_traces, refined_noise_from_traces
-
     bank = sample_bank(report.sigma_sq_ed, report.n_features, vectors.shape[1], seed)
     model = SkgModel(bank=bank, eta=report.eta)
     run = model.train(TrainingSet(vectors, values), epochs=3, seed=seed)

@@ -244,8 +244,8 @@ class TestExpectedWeightSum:
         report = skg.resolve_sigma_sq(planted_small_dataset, cfg, seed=0)
         sums = []
         for seed in range(20):
-            result = skg.run_once(planted_small_dataset, cfg, report.sigma_sq_ed,
-                                  seed=seed, keep_trace=True)
+            prepared = skg.prepare(planted_small_dataset, cfg, seed)
+            result = skg.fit_prepared(prepared, cfg, report.sigma_sq_ed, seed, keep_trace=True)
             assert result.trace.weights.size == 99
             sums.append(result.trace.weights.sum())
         assert abs(np.mean(sums) - 1.0) <= 0.1
