@@ -15,8 +15,9 @@ from .errors import (ArgumentError, DataError, DegenerateInputError, NumericErro
                      SkgError, StateError)
 from .graph_data import (Dataset, Graph, PairwiseStats, TrainingSet,
                          build_adjacency_vectors, drop_isolated, load_dataset,
-                         load_graph, load_values, normalize_values, pairwise_stats,
-                         read_split_manifest, split_sample, write_split_manifest)
+                         load_graph, load_values, normalize_values, pairwise_histogram,
+                         pairwise_stats, read_split_manifest, split_sample,
+                         write_split_manifest)
 from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGrid,
                       default_grid, export_bf_trace, export_scatter, fit_prepared, gnmse,
                       prepare, resolve_sigma_sq, run_once, select_prepared, sweep,
@@ -24,10 +25,10 @@ from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGri
 from .model import SkgModel, TrainingTrace, load_model, save_model
 from .rff import RandomFeatureBank, feature_map, feature_matrix, kernel_exact, sample_bank
 from .synthetic import planted_community_dataset
-from .variance import (SELECTION_REPORT_SCHEMA, SelectionReport, laplacian_diversity,
-                       pairwise_l1_max, select, sigma_ce, sigma_da, sigma_ed)
+from .variance import (SELECTION_REPORT_SCHEMA, SelectionReport, select, sigma_ce, sigma_da,
+                       sigma_ed)
 from .weights import (SimilarityMatrix, WeightTrace, conformity_alpha,
-                      contribution_weights, expected_weight_sum, noise_up_refined,
-                      noise_up_theoretical, probe_weight_traces, refined_noise_from_traces,
-                      similarity, similarity_approx, similarity_conditional_variance,
+                      contribution_weights, expected_weight_sum, noise_up_from_run,
+                      noise_up_theoretical, probe_weight_traces, similarity,
+                      similarity_approx, similarity_conditional_variance,
                       similarity_matrix, weighted_prediction_oracle)

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError, DataError, SkgError
 from .graph_data import (TrainingSet, build_adjacency_vectors, drop_isolated, load_dataset,
-                         load_graph, load_values, pairwise_stats, read_split_manifest,
-                         split_sample, write_csv, write_split_manifest)
+                         load_graph, load_values, pairwise_histogram, pairwise_stats,
+                         read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
@@ -146,18 +146,19 @@ def cmd_stats(args) -> int:
     sampled, _ = split_sample(graph.nodes, opts["fraction"], opts["seed"])
     vectors = build_adjacency_vectors(graph, sampled, sampled)
     stats = pairwise_stats(vectors)
+    histogram = pairwise_histogram(vectors)
     payload = {
         "n_sampled": len(sampled),
         "n_pairs": stats.n_pairs,
         "d_sq_max": stats.d_sq_max,
         "d_sq_min_nonzero": stats.d_sq_min_nonzero,
-        "n_distinct_d_sq": len(stats.histogram),
+        "n_distinct_d_sq": len(histogram),
         "seed": opts["seed"],
         "fraction": opts["fraction"],
     }
     _emit(payload, args.out)
     if args.hist_out:
-        write_csv(args.hist_out, ("d_sq", "count"), stats.histogram)
+        write_csv(args.hist_out, ("d_sq", "count"), histogram)
     return 0
 
 
@@ -224,7 +225,8 @@ def cmd_sweep(args) -> int:
     opts = _merged_options(args)
     dataset = _load_dataset(args)
     config = _run_config(opts)
-    report = resolve_sigma_sq(dataset, config, opts["seed"])
+    prepared = prepare(dataset, config, opts["seed"])
+    report = select_prepared(prepared, config, opts["seed"])
     if args.grid_min is not None or args.grid_max is not None:
         if args.grid_min is None or args.grid_max is None:
             raise ArgumentError("--grid-min and --grid-max must be given together")
@@ -236,7 +238,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = default_grid(report, config, points=args.grid_points)
     results = sweep(dataset, grid, repeats=args.repeats, base_seed=opts["seed"],
-                    jobs=args.jobs, fixed_split=args.fixed_split)
+                    jobs=args.jobs, fixed_split=args.fixed_split, _base_prepared=prepared)
     write_sweep_csv(args.out, results, marked_sigma_sq=grid.marked_sigma_sq)
     best = min(results, key=lambda r: r.gnmse_mean)
     _emit({

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,7 @@ class Graph:
         for edge in edges:
             src, dst = edge[0], edge[1]
             weight = float(edge[2]) if len(edge) > 2 else 1.0
-            if not np.isfinite(weight) or weight < 0:
+            if not math.isfinite(weight) or weight < 0:
                 raise DataError(
                     f"edge weight must be finite and nonnegative, got {weight!r} on ({src!r}, {dst!r})"
                 )
@@ -134,7 +135,6 @@ class PairwiseStats:
 
     d_sq_max: float
     d_sq_min_nonzero: float | None
-    histogram: tuple[tuple[float, int], ...]
     n_pairs: int
 
 
@@ -222,7 +222,7 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
                 weight = float(fields[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: weight {fields[2]!r} is not a number") from None
-        if not np.isfinite(weight) or weight < 0:
+        if not math.isfinite(weight) or weight < 0:
             raise DataError(f"{path}:{lineno}: weight must be finite and nonnegative, got {weight}")
         edges.append((src, dst, weight))
     return Graph(edges, directed=directed)
@@ -242,7 +242,7 @@ def load_values(path) -> dict:
             value = float(fields[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: value {fields[1]!r} is not a number") from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"{path}:{lineno}: value must be finite, got {value}")
         values[node] = value
     return values
@@ -300,29 +300,73 @@ def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
     return vectors
 
 
-def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
-    """Exact squared Euclidean distances over all unordered pairs.
+# Rows per Gram block of the pairwise scan; its memory is O(_SCAN_CHUNK * n).
+_SCAN_CHUNK = 256
 
-    ``d_sq_min_nonzero`` is ``None`` when every pair coincides. The
-    histogram lists distinct squared distances with their pair counts.
+
+def _pair_d_sq(vectors: np.ndarray, first, second) -> np.ndarray:
+    """Squared distances of the pairs (``first``, ``second``) from their differences.
+
+    This is the definitional value every pairwise output reports; the
+    Gram scan only decides which pairs need it.
     """
+    diff = vectors[second] - vectors[first]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _pair_input(vectors) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 2:
         raise ArgumentError("pairwise statistics need at least two vectors")
-    n = vectors.shape[0]
-    blocks = []
-    for i in range(n - 1):
-        diff = vectors[i + 1:] - vectors[i]
-        blocks.append(np.einsum("ij,ij->i", diff, diff))
-    d_sq = np.concatenate(blocks)
-    nonzero = d_sq[d_sq > 0.0]
+    return vectors
+
+
+def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
+    """Largest and smallest nonzero squared Euclidean distance over all unordered pairs.
+
+    Distances are scanned as ||a||^2 + ||b||^2 - 2 a.b, one Gram block of
+    ``_SCAN_CHUNK`` rows at a time, so memory stays O(_SCAN_CHUNK * n).
+    A Gram value differs from the difference-based value by at most
+    8 (m + 2) eps max||a||^2 for m-long vectors. Every pair whose Gram
+    value lies within twice that bound of its block's maximum, of zero or
+    of the block's smallest value above the bound is recomputed from its
+    difference, so both reported distances are exactly those of the
+    definitional pair-by-pair scan, on weighted as on 0/1 vectors.
+    ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
+    """
+    vectors = _pair_input(vectors)
+    n, m = vectors.shape
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    tol = 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
+    batch = max(_SCAN_CHUNK, _SCAN_CHUNK * n // max(m, 1))
+    d_max, d_min = 0.0, math.inf
+    for start in range(0, n - 1, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, n - 1)
+        gram = vectors[start:stop] @ vectors[start:].T
+        d_sq = norms[start:stop, None] + norms[start:] - 2.0 * gram
+        upper = np.arange(n - start) > np.arange(stop - start)[:, None]
+        high = d_sq.max(where=upper, initial=-math.inf)
+        low = d_sq.min(where=upper & (d_sq > tol), initial=math.inf)
+        rows, cols = np.nonzero(upper & ((d_sq >= high - 2.0 * tol) | (d_sq <= low + 2.0 * tol)))
+        for at in range(0, rows.size, batch):
+            exact = _pair_d_sq(vectors, rows[at:at + batch] + start, cols[at:at + batch] + start)
+            d_max = max(d_max, float(exact.max()))
+            d_min = min(d_min, float(exact.min(where=exact > 0.0, initial=math.inf)))
+    return PairwiseStats(d_sq_max=d_max, d_sq_min_nonzero=None if d_min == math.inf else d_min,
+                         n_pairs=n * (n - 1) // 2)
+
+
+def pairwise_histogram(vectors: np.ndarray) -> tuple[tuple[float, int], ...]:
+    """Distinct squared distances over all unordered pairs with their pair counts.
+
+    Every pair is computed from its difference, one row at a time, so the
+    values are exact in the sense of :func:`pairwise_stats`.
+    """
+    vectors = _pair_input(vectors)
+    d_sq = np.concatenate([_pair_d_sq(vectors, i, slice(i + 1, None))
+                           for i in range(vectors.shape[0] - 1)])
     unique, counts = np.unique(d_sq, return_counts=True)
-    return PairwiseStats(
-        d_sq_max=float(d_sq.max()),
-        d_sq_min_nonzero=float(nonzero.min()) if nonzero.size else None,
-        histogram=tuple((float(v), int(c)) for v, c in zip(unique, counts)),
-        n_pairs=int(d_sq.size),
-    )
+    return tuple((float(v), int(c)) for v, c in zip(unique, counts))
 
 
 def normalize_values(train_values, other_values=()):

@@ -8,7 +8,6 @@ error. Sweeps repeat runs over a variance grid with independent seeds.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +15,10 @@ import numpy as np
 from .errors import ArgumentError, DataError, DegenerateInputError, StateError
 from .graph_data import (Dataset, TrainingSet, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
-from .model import SkgModel, TrainingTrace
+from .model import SkgModel, TrainingTrace, training_order
 from .rff import feature_matrix, sample_bank
 from .variance import SelectionReport, select
-from .weights import WeightTrace, probe_weight_traces, refined_noise_from_traces
+from .weights import WeightTrace, noise_up_from_run, probe_weight_traces
 
 
 @dataclass(frozen=True)
@@ -165,18 +164,20 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
     """Closed-form variance selection on the prepared split's sampled vectors.
 
     With ``config.refine_noise`` one run at the closed-form variance
-    re-measures the noise ceiling: the largest minimum weight over the
+    re-measures the noise ceiling: the largest |minimum weight| over the
     tested nodes, or over the sampled ones when none is tested.
     """
     report = select(prepared.vectors, config.eta, config.n_features,
                     closeness=config.closeness, first_order_da=config.first_order_da)
     if not config.refine_noise:
         return report
-    skg, training_trace = _train(prepared, config, report.sigma_sq_ed, seed)
-    probes = prepared.test_vectors if prepared.tested else prepared.vectors
-    ordered = feature_matrix(skg.bank, prepared.vectors)[training_trace.order]
-    traces = probe_weight_traces(ordered, feature_matrix(skg.bank, probes), config.eta)
-    return report.refined(refined_noise_from_traces(traces))
+    # the weights depend on the run's bank and order only, not on its targets,
+    # so the forward pass is not needed
+    bank = sample_bank(report.sigma_sq_ed, config.n_features, len(prepared.sampled), seed)
+    features = feature_matrix(bank, prepared.vectors)
+    probes = feature_matrix(bank, prepared.test_vectors) if prepared.tested else features
+    order = training_order(len(prepared.sampled), config.epochs, seed)
+    return report.refined(noise_up_from_run(features, order, probes, config.eta))
 
 
 def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
@@ -224,6 +225,9 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
     if points < 2:
         raise ArgumentError(f"grid needs at least 2 points, got {points}")
     lo, hi = report.sigma_sq_ce / 10.0, report.sigma_sq_da * 10.0
+    if not lo < hi:
+        raise ArgumentError(f"default grid is empty: sigma_sq_ce/10 = {lo} is not below "
+                            f"10*sigma_sq_da = {hi}; pass a manual grid")
     values = list(np.geomspace(lo, hi, points))
     ed = report.sigma_sq_ed
     if not any(np.isclose(v, ed, rtol=1e-9, atol=0.0) for v in values):
@@ -233,24 +237,27 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
 
 
 def _sweep_seed(args) -> list[float]:
-    dataset, config, sigma_sq_values, seed, split = args
-    prepared = prepare(dataset, config, seed, split)
+    dataset, config, sigma_sq_values, seed, prepared = args
+    if prepared is None:
+        prepared = prepare(dataset, config, seed)
     return [fit_prepared(prepared, config, sigma_sq, seed).gnmse
             for sigma_sq in sigma_sq_values]
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,
-          seeds=None, jobs: int = 1, fixed_split: bool = False) -> list[GnmseResult]:
+          seeds=None, jobs: int = 1, fixed_split: bool = False,
+          _base_prepared: PreparedSplit | None = None) -> list[GnmseResult]:
     """Repeated seeded runs over the variance grid.
 
     Each repeat uses a fresh split, bank and order (seed ``base_seed + r``)
     unless ``fixed_split`` pins the split of ``base_seed`` for all runs,
     isolating bank/order randomness. A seed's split is prepared once and
-    shared by all grid variances; every cell equals :func:`run_once` at
-    the same variance and seed. Seeds are independent; ``jobs`` > 1 runs
-    them in processes, and aggregation does not depend on completion
-    order.
+    shared by all grid variances (a pinned split once for all seeds);
+    every cell equals :func:`run_once` at the same variance and seed.
+    Seeds are independent; ``jobs`` > 1 runs them in processes, and
+    aggregation does not depend on completion order.
     """
+    # _base_prepared is base_seed's split as the caller already prepared it for selection
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
     if seeds is None:
@@ -260,11 +267,14 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("need at least one seed")
-    split = None
-    if fixed_split:
-        split = split_sample(dataset.node_ids, grid.config.sample_fraction, base_seed)
-    tasks = [(dataset, grid.config, grid.sigma_sq_values, seed, split) for seed in seeds]
+    if fixed_split and _base_prepared is None:
+        # the pinned split is base_seed's own draw
+        _base_prepared = prepare(dataset, grid.config, base_seed)
+    tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
+              _base_prepared if fixed_split or seed == base_seed else None) for seed in seeds]
     if jobs > 1:
+        import concurrent.futures  # only parallel sweeps pay for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_sweep_seed, tasks,
                                      chunksize=max(1, len(tasks) // (4 * jobs))))

@@ -111,14 +111,19 @@ class SkgModel:
             raise ArgumentError(
                 f"training vectors have length {training_set.m}, bank expects {self.bank.input_dim}"
             )
-        rng = streams.stream(seed, streams.ORDER)
         features = feature_matrix(self.bank, training_set.vectors)
         if not np.all(np.isfinite(features)) or not np.all(np.isfinite(training_set.values)):
             raise NumericError("non-finite features or values in training set")
-        order = np.concatenate([rng.permutation(training_set.n) for _ in range(epochs)])
+        order = training_order(training_set.n, epochs, seed)
         predictions = sgd_pass(features, order, training_set.values, self.theta, self.eta)
         errors = training_set.values[order] - predictions
         return TrainingTrace(order=order, predictions=predictions, errors=errors)
+
+
+def training_order(n: int, epochs: int, seed: int) -> np.ndarray:
+    """Visit order of a run over ``n`` nodes: one ORDER-stream permutation per epoch."""
+    rng = streams.stream(seed, streams.ORDER)
+    return np.concatenate([rng.permutation(n) for _ in range(epochs)])
 
 
 def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:

@@ -156,29 +156,6 @@ def sigma_da(d_sq_max: float, closeness: float, first_order: bool = False) -> fl
     return -d_sq_max / (2.0 * math.log1p(-closeness))
 
 
-def laplacian_diversity(d_l1_max: float, noise_up: float, eta: float) -> float:
-    """Diversity for a Laplacian kernel: -d_l1_max / ln(noise_up / (2*eta)).
-
-    Same construction as the extending/disturbing boundary, but the
-    Laplacian kernel decays with the l1-norm distance so the selected
-    parameter is the kernel's diversity rather than a variance.
-    """
-    if not d_l1_max > 0:
-        raise ArgumentError(f"d_l1_max must be positive, got {d_l1_max}")
-    return -d_l1_max / _log_noise_ratio(noise_up, eta)
-
-
-def pairwise_l1_max(vectors) -> float:
-    """Largest l1-norm difference over all unordered pairs of vectors."""
-    a = np.asarray(vectors, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise ArgumentError("need at least two vectors")
-    best = 0.0
-    for i in range(a.shape[0] - 1):
-        best = max(best, float(np.abs(a[i + 1:] - a[i]).sum(axis=1).max()))
-    return best
-
-
 def select(vectors, eta: float, n_features: int, *, closeness: float = 0.1,
            first_order_da: bool = False) -> SelectionReport:
     """Closed-form variance selection for a training set of adjacency vectors.

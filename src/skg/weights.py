@@ -11,9 +11,17 @@ backward recursion:
 
 In residual form F[i, j] = 2*eta * z_i . r_i, with r_{j-1} = z_j and
 r_{i-1} = r_i - F[i, j] * z_i: the SGD update run backward with zero
-targets. :func:`probe_weight_traces` runs it for P probes at once in
-O(T*D*P) time and O(D*P) state; :func:`contribution_weights` is the dense
-reference.
+targets. The pass here runs it for P probes at once, b = 64 steps per
+block from the last step back. With Z_b the block's features (in step
+order) and R the residual entering the block, the block's weights solve
+
+    (I + 2*eta * triu(Z_b Z_b^T, 1)) F_b = 2*eta * Z_b R
+
+and R then drops by Z_b^T F_b, one rank-b update. That is O(T*D*P) time
+and O(D*P) state; :func:`probe_weight_traces` gathers the blocks into
+full traces, :func:`noise_up_from_run` keeps only a running per-probe
+minimum in O(D*P + b*P) memory, and :func:`contribution_weights` is the
+dense reference.
 
 Conformity factors relate the two via F = B * (1 - alpha)^(gap - 1) and
 the noise-range estimates bound which weights count as insignificant.
@@ -27,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError, StateError
-from .model import sgd_pass
 from .rff import RandomFeatureBank, feature_map
+
+# Steps per block of the backward pass.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -169,30 +179,73 @@ def contribution_weights(matrix: SimilarityMatrix, target: int) -> WeightTrace:
                        alpha=alpha, alpha_valid=valid, noise_up=float(abs(weights.min())))
 
 
+def _pass_inputs(features, probe_features, eta):
+    z = np.asarray(features, dtype=np.float64)
+    p = np.asarray(probe_features, dtype=np.float64)
+    if z.ndim != 2 or p.ndim != 2 or z.shape[1] != p.shape[1] or z.shape[0] < 1:
+        raise ArgumentError("need nonempty 2-d training features and 2-d probes of equal width")
+    if not eta > 0:
+        raise ArgumentError(f"eta must be positive, got {eta}")
+    return z, p
+
+
+def _backward_blocks(features: np.ndarray, order: np.ndarray, probes: np.ndarray, eta: float):
+    """Yield ``(start, F)`` per block of steps, last block first (see the module docstring).
+
+    Step t of the run visits ``features[order[t]]``; F has one row per step
+    ``start, start + 1, ...`` of the block and one column per probe row.
+    """
+    gain = 2.0 * eta
+    residual = probes.T.copy()
+    for stop in range(order.size, 0, -_BLOCK):
+        start = max(0, stop - _BLOCK)
+        z = features[order[start:stop]]
+        system = np.triu(gain * (z @ z.T), 1)
+        np.fill_diagonal(system, 1.0)
+        weights = np.linalg.solve(system, gain * (z @ residual))
+        residual -= z.T @ weights
+        yield start, weights
+
+
 def probe_weight_traces(train_features: np.ndarray, probe_features: np.ndarray,
                         eta: float) -> list[WeightTrace]:
     """Weight traces for held-out probes appended after a training sequence.
 
     ``train_features`` holds the T training steps in processing order;
     each probe row is treated as the node at time T+1. All probes share
-    one backward SGD pass from the probe features with zero targets; its
-    predictions are F / (2*eta).
+    one blocked backward pass.
     """
-    z = np.asarray(train_features, dtype=np.float64)
-    p = np.asarray(probe_features, dtype=np.float64)
-    if z.ndim != 2 or p.ndim != 2 or z.shape[1] != p.shape[1] or z.shape[0] < 1:
-        raise ArgumentError("need nonempty 2-d training features and 2-d probes of equal width")
-    if not eta > 0:
-        raise ArgumentError(f"eta must be positive, got {eta}")
+    z, p = _pass_inputs(train_features, probe_features, eta)
     steps = z.shape[0]
-    weights = 2.0 * eta * sgd_pass(z, np.arange(steps - 1, -1, -1), np.zeros(steps),
-                                   p.T.copy(), eta)[::-1]
+    weights = np.empty((steps, p.shape[0]), dtype=np.float64)
+    for start, block in _backward_blocks(z, np.arange(steps), p, eta):
+        weights[start:start + block.shape[0]] = block
     similarities = 2.0 * eta * (z @ p.T)
     alpha, valid = _alphas(weights, similarities)
     return [WeightTrace(target=steps + 1, weights=weights[:, k], similarities=similarities[:, k],
                         alpha=alpha[:, k], alpha_valid=valid[:, k],
                         noise_up=float(abs(weights[:, k].min())))
             for k in range(p.shape[0])]
+
+
+def noise_up_from_run(features: np.ndarray, order, probe_features: np.ndarray,
+                      eta: float) -> float:
+    """Noise ceiling measured from a run: the largest |min weight| over the probes.
+
+    Step t of the run visits ``features[order[t]]``; each probe row is the
+    node after the last step. Equals the maximum of ``noise_up`` over
+    :func:`probe_weight_traces` of the ordered features, bit for bit, but
+    keeps only a running per-probe minimum. Zero is a degenerate outcome
+    (no negative weight); callers fall back to the theoretical ceiling.
+    """
+    z, p = _pass_inputs(features, probe_features, eta)
+    order = np.asarray(order, dtype=np.int64)
+    if order.ndim != 1 or order.size == 0 or p.shape[0] == 0:
+        raise StateError("need at least one run step and one probe to measure the noise ceiling")
+    lowest = np.full(p.shape[0], np.inf)
+    for _, block in _backward_blocks(z, order, p, eta):
+        np.minimum(lowest, block.min(axis=0), out=lowest)
+    return float(np.abs(lowest).max())
 
 
 def weighted_prediction_oracle(values, trace: WeightTrace) -> float:
@@ -241,22 +294,3 @@ def noise_up_theoretical(eta: float, n_features: int) -> float:
     if n_features < 1:
         raise ArgumentError(f"n_features must be at least 1, got {n_features}")
     return 2.0 * eta / math.sqrt(2.0 * n_features)
-
-
-def noise_up_refined(trace: WeightTrace) -> float:
-    """Noise ceiling measured from a trained run: |min weight| of the trace.
-
-    Zero is a degenerate outcome (all weights nonnegative with minimum 0);
-    callers should fall back to the theoretical ceiling in that case.
-    """
-    if trace.weights.size == 0:
-        raise StateError("weight trace is empty; train before refining the noise range")
-    return float(abs(trace.weights.min()))
-
-
-def refined_noise_from_traces(traces) -> float:
-    """Conservative noise ceiling over several probe traces (max of per-probe values)."""
-    traces = list(traces)
-    if not traces:
-        raise StateError("no probe traces supplied")
-    return max(noise_up_refined(trace) for trace in traces)

@@ -363,6 +363,18 @@ class TestPrepareOnce:
         assert code == 0
         assert len(adjacency_builds) == 2
 
+    @pytest.mark.parametrize("extra, builds", [((), 4), (("--fixed-split",), 2)])
+    def test_sweep_reuses_the_selection_split(self, tiny_dataset_files, tmp_path, capsys,
+                                              adjacency_builds, extra, builds):
+        # the base seed's task runs on the split selection prepared; a pinned split
+        # is that same split for every seed
+        edges, values = tiny_dataset_files
+        code, _, _ = run_cli(capsys, "sweep", "--graph", str(edges), "--values", str(values),
+                             "--features", "16", "--seed", "1", "--repeats", "2",
+                             "--grid-points", "3", "--out", str(tmp_path / "s.csv"), *extra)
+        assert code == 0
+        assert len(adjacency_builds) == builds
+
 
 class TestParser:
     def test_unknown_flag_exits_2(self, capsys):

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skg.errors import ArgumentError, DataError, DegenerateInputError
-from skg.graph_data import (Dataset, Graph, TrainingSet, apply_normalization,
+from skg.graph_data import (Dataset, Graph, PairwiseStats, TrainingSet, apply_normalization,
                             build_adjacency_vectors, drop_isolated, load_dataset,
-                            load_graph, load_values, normalize_values, pairwise_stats,
-                            read_split_manifest, split_sample, write_csv,
+                            load_graph, load_values, normalize_values, pairwise_histogram,
+                            pairwise_stats, read_split_manifest, split_sample, write_csv,
                             write_split_manifest)
 
 from conftest import require_data
@@ -37,6 +37,14 @@ class TestLoadGraph:
         path = _write(tmp_path, "g.csv", "1,2,-1\n")
         with pytest.raises(DataError):
             load_graph(path, weighted=True)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = _write(tmp_path, "g.csv", f"1,2,1\n2,3,{weight}\n")
+        with pytest.raises(DataError, match=":2:"):
+            load_graph(path, weighted=True)
+        with pytest.raises(DataError, match="finite"):
+            Graph([(1, 2, 1.0), (2, 3, float(weight))])
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "g.csv", "# header\n1,2\nbogus\n")
@@ -138,10 +146,11 @@ class TestAdjacencyVectors:
 
 class TestPairwiseStats:
     def test_hand_example(self):
-        stats = pairwise_stats(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        stats = pairwise_stats(vectors)
         assert stats.d_sq_max == 2.0
         assert stats.d_sq_min_nonzero == 1.0
-        assert dict(stats.histogram) == {2.0: 1, 1.0: 2}
+        assert dict(pairwise_histogram(vectors)) == {2.0: 1, 1.0: 2}
         assert stats.n_pairs == 3
 
     def test_identical_vectors_have_no_nonzero_min(self):
@@ -152,6 +161,8 @@ class TestPairwiseStats:
     def test_needs_two_vectors(self):
         with pytest.raises(ArgumentError):
             pairwise_stats(np.ones((1, 4)))
+        with pytest.raises(ArgumentError):
+            pairwise_histogram(np.ones((1, 4)))
 
     @given(st.lists(st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
                     min_size=2, max_size=8))
@@ -162,12 +173,66 @@ class TestPairwiseStats:
         shuffled = pairwise_stats(vectors[rng.permutation(len(rows))])
         assert shuffled.d_sq_max == base.d_sq_max
         assert shuffled.d_sq_min_nonzero == base.d_sq_min_nonzero
-        assert shuffled.histogram == base.histogram
+        assert pairwise_histogram(vectors[rng.permutation(len(rows))]) == \
+            pairwise_histogram(vectors)
 
     def test_histogram_counts_cover_all_pairs(self):
-        rng = np.random.default_rng(1)
-        stats = pairwise_stats(rng.random((7, 3)))
-        assert sum(c for _, c in stats.histogram) == stats.n_pairs == 21
+        vectors = np.random.default_rng(1).random((7, 3))
+        histogram = pairwise_histogram(vectors)
+        assert sum(c for _, c in histogram) == pairwise_stats(vectors).n_pairs == 21
+
+    @given(n=st.integers(2, 600), m=st.integers(1, 40), binary=st.booleans(),
+           duplicates=st.integers(0, 20), zero_rows=st.integers(0, 5),
+           near_duplicates=st.integers(0, 5), shifted_copy=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_scan_equals_loop_scan(self, n, m, binary, duplicates, zero_rows,
+                                        near_duplicates, shifted_copy, seed):
+        # chunked Gram scan against the pair-by-pair difference loop, exactly; a
+        # shifted copy of the first half ties every distance up to rounding
+        rng = np.random.default_rng(seed)
+        if binary:
+            vectors = (rng.random((n, m)) < 0.2).astype(np.float64)
+        else:
+            vectors = rng.random((n, m)) * rng.lognormal(0.0, 2.0, (n, 1))
+        for _ in range(duplicates):
+            i, j = rng.integers(0, n, 2)
+            vectors[j] = vectors[i]
+        vectors[rng.integers(0, n, zero_rows)] = 0.0
+        for _ in range(near_duplicates):
+            i, j = rng.integers(0, n, 2)
+            vectors[j] = vectors[i] * (1.0 + 1e-9 * rng.standard_normal(m))
+        if shifted_copy:
+            half = n // 2
+            vectors[half:2 * half] = vectors[:half] + rng.random(m) * rng.lognormal(0.0, 2.0)
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+    def test_rounding_ties_resolve_like_the_loop(self):
+        # a weighted shifted copy ties each distance with its twin up to the last
+        # bits, where Gram and difference values may rank the twins differently
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = rng.integers(4, 300), rng.integers(1, 40)
+            vectors = rng.random((n, m)) * rng.lognormal(0.0, 2.0, (n, 1))
+            half = n // 2
+            vectors[half:2 * half] = vectors[:half] + rng.random(m) * rng.lognormal(0.0, 2.0)
+            assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+    def test_single_nonzero_pair(self):
+        vectors = np.array([[0.1, 3.0], [0.7, 3.0]])
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
+        assert pairwise_stats(vectors).d_sq_min_nonzero == pairwise_stats(vectors).d_sq_max > 0
+
+
+def _loop_stats(vectors):
+    """The definitional scan: every pair from its difference, one row at a time."""
+    d_sq = np.concatenate([np.einsum("ij,ij->i", vectors[i + 1:] - vectors[i],
+                                     vectors[i + 1:] - vectors[i])
+                           for i in range(vectors.shape[0] - 1)])
+    nonzero = d_sq[d_sq > 0.0]
+    return PairwiseStats(d_sq_max=float(d_sq.max()),
+                         d_sq_min_nonzero=float(nonzero.min()) if nonzero.size else None,
+                         n_pairs=int(d_sq.size))
 
 
 class TestNormalizeValues:

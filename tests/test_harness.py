@@ -200,6 +200,16 @@ class TestSweep:
         assert any(v == report.sigma_sq_ed for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_default_grid_rejects_an_inverted_range(self):
+        # a refined ceiling near 2*eta can push sigma_ce/10 above 10*sigma_da
+        report = skg.SelectionReport(
+            d_sq_max=4.0, d_sq_min_nonzero=1.0, noise_up=0.19, noise_up_source="refined",
+            sigma_sq_ed=40.0, sigma_sq_ce=300.0, sigma_sq_da=2.0, closeness=0.1, eta=0.1,
+            n_features=200)
+        with pytest.raises(ArgumentError, match="manual grid") as caught:
+            default_grid(report, RunConfig(), points=5)
+        assert caught.value.exit_code == 2
+
 
 class TestRunConfig:
     def test_validation(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skg.errors import ArgumentError, NumericError
 from skg.graph_data import TrainingSet
@@ -45,6 +47,25 @@ class TestTrainStep:
         assert model.predict(a) == 0.0
         model.train_step(a, 1.0)
         assert model.predict(a) == pytest.approx(0.2, rel=1e-12)
+
+    @given(eta=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_consistent_targets_never_move_away(self, eta, seed):
+        # with unit-norm features one step maps the error e to (I - 2*eta*z z^T) e,
+        # eigenvalues 1 and 1 - 2*eta: a relaxed Kaczmarz step (Strohmer & Vershynin
+        # 2009) that cannot grow the error for eta in (0, 1), up to rounding
+        rng = np.random.default_rng(seed)
+        model = make_model(eta=eta, n_features=16, seed=seed % 97)
+        vectors = rng.random((12, 4))
+        target = rng.standard_normal(32)
+        values = feature_matrix(model.bank, vectors) @ target
+        slack = 1e-13 * np.linalg.norm(target)
+        error = np.linalg.norm(model.theta - target)
+        for idx in rng.integers(0, 12, 200):
+            model.train_step(vectors[idx], values[idx])
+            moved = np.linalg.norm(model.theta - target)
+            assert moved <= error + slack
+            error = moved
 
     def test_non_finite_rejected(self):
         model = make_model()

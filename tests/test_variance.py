@@ -15,9 +15,8 @@ from skg.graph_data import TrainingSet
 from skg.harness import RunConfig, prepare, select_prepared
 from skg.model import SkgModel
 from skg.rff import feature_matrix, sample_bank
-from skg.variance import (SELECTION_REPORT_SCHEMA, laplacian_diversity, pairwise_l1_max,
-                          select, sigma_ce, sigma_da, sigma_ed)
-from skg.weights import noise_up_theoretical, probe_weight_traces, refined_noise_from_traces
+from skg.variance import SELECTION_REPORT_SCHEMA, select, sigma_ce, sigma_da, sigma_ed
+from skg.weights import noise_up_theoretical, probe_weight_traces
 
 
 class TestSigmaEd:
@@ -85,26 +84,6 @@ class TestSigmaDa:
                 sigma_da(27.0, bad)
 
 
-class TestLaplacianDiversity:
-    def test_exponent_arranged_to_one(self):
-        eta = 0.1
-        assert laplacian_diversity(1.0, 2 * eta / math.e, eta) == pytest.approx(1.0, rel=1e-12)
-
-    def test_monotone_in_distance(self):
-        noise = noise_up_theoretical(0.1, 200)
-        values = [laplacian_diversity(d, noise, 0.1) for d in (1.0, 9.0, 27.0)]
-        assert values == sorted(values)
-
-    def test_reference_evaluation(self):
-        value = laplacian_diversity(27.0, noise_up_theoretical(0.1, 200), 0.1)
-        assert value == pytest.approx(27.0 / math.log(20.0), rel=1e-12)
-        assert value == pytest.approx(9.012821418774020, rel=1e-12)
-
-    def test_l1_scan(self):
-        vectors = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 0.0]])
-        assert pairwise_l1_max(vectors) == 3.0
-
-
 class TestSelect:
     def make_vectors(self, seed=0, n=20, m=8):
         rng = np.random.default_rng(seed)
@@ -138,7 +117,8 @@ class TestSelect:
             probes = prepared.test_vectors if prepared.tested else prepared.vectors
             traces = probe_weight_traces(feature_matrix(bank, prepared.vectors)[run.order],
                                          feature_matrix(bank, probes), 0.1)
-            noise = refined_noise_from_traces(traces)
+            # the largest |min F| over the probes, from the full traces
+            noise = max(abs(trace.weights.min()) for trace in traces)
             expected = dataclasses.replace(
                 plain, noise_up=noise, noise_up_source="refined",
                 sigma_sq_ed=sigma_ed(plain.d_sq_max, noise, 0.1),
@@ -215,5 +195,5 @@ def _refine_once_more(report, vectors, values, probes, seed):
     run = model.train(TrainingSet(vectors, values), epochs=3, seed=seed)
     ordered = feature_matrix(bank, vectors)[run.order]
     traces = probe_weight_traces(ordered, feature_matrix(bank, probes), report.eta)
-    noise = refined_noise_from_traces(traces)
+    noise = max(abs(trace.weights.min()) for trace in traces)
     return sigma_ed(report.d_sq_max, noise, report.eta)

@@ -13,10 +13,10 @@ from skg.graph_data import TrainingSet
 from skg.model import SkgModel
 from skg.rff import feature_matrix, sample_bank
 from skg.weights import (WeightTrace, conformity_alpha, contribution_weights,
-                         expected_weight_sum, noise_up_refined, noise_up_theoretical,
-                         probe_weight_traces, refined_noise_from_traces, similarity,
-                         similarity_approx, similarity_conditional_variance,
-                         similarity_matrix, weighted_prediction_oracle)
+                         expected_weight_sum, noise_up_from_run, noise_up_theoretical,
+                         probe_weight_traces, similarity, similarity_approx,
+                         similarity_conditional_variance, similarity_matrix,
+                         weighted_prediction_oracle)
 
 
 def traces_for_identical_vectors(eta, duration, n_features=64, seed=3):
@@ -166,6 +166,20 @@ class TestContributionWeights:
                 else:
                     assert np.isnan(via_probe.alpha[i])
 
+    @given(steps=st.sampled_from([1, 2, 63, 64, 65, 128, 129, 150]), n_probes=st.integers(1, 3),
+           eta=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_pass_matches_dense_oracle(self, steps, n_probes, eta, seed):
+        # runs shorter than one 64-step block, exactly one or two, and ragged ones
+        rng = np.random.default_rng(seed)
+        bank = sample_bank(1.0, 16, 4, seed=3)
+        train = feature_matrix(bank, rng.random((steps, 4)))
+        probes = feature_matrix(bank, rng.random((n_probes, 4)))
+        for probe, trace in zip(probes, probe_weight_traces(train, probes, eta)):
+            dense = contribution_weights(similarity_matrix(np.vstack([train, probe]), eta),
+                                         target=steps + 1)
+            assert np.abs(trace.weights - dense.weights).max() <= 1e-12
+
     @pytest.mark.parametrize("train, probes, eta", [
         (np.zeros((0, 4)), np.ones((1, 4)), 0.1),
         (np.ones((3, 4)), np.ones((1, 5)), 0.1),
@@ -298,32 +312,40 @@ class TestNoiseCeilings:
             noise_up_theoretical(0.1, 0)
 
     def test_refined_is_absolute_minimum_weight(self):
-        trace = WeightTrace(target=4, weights=np.array([-0.02, 0.05, 0.1]),
-                            similarities=np.zeros(3), alpha=np.full(3, np.nan),
-                            alpha_valid=np.zeros(3, bool), noise_up=0.02)
-        assert noise_up_refined(trace) == 0.02
+        # the ceiling of one probe is |min F| of its trace, here a negative weight
+        rng = np.random.default_rng(5)
+        bank = sample_bank(0.5, 16, 3, seed=5)
+        features = feature_matrix(bank, rng.random((12, 3)))
+        (trace,) = probe_weight_traces(features[:11], features[11:], 0.3)
+        assert trace.weights.min() < 0
+        assert noise_up_from_run(features[:11], np.arange(11), features[11:], 0.3) == \
+            abs(trace.weights.min())
 
     def test_refined_zero_minimum_is_degenerate_zero(self):
-        trace = WeightTrace(target=3, weights=np.array([0.0, 0.1]),
-                            similarities=np.zeros(2), alpha=np.full(2, np.nan),
-                            alpha_valid=np.zeros(2, bool), noise_up=0.0)
-        assert noise_up_refined(trace) == 0.0
+        # steps orthogonal to the probe carry no weight at all
+        eye = np.eye(3)
+        assert noise_up_from_run(eye[:2], np.array([0, 1, 0]), eye[2:], 0.1) == 0.0
 
     def test_refined_requires_a_trace(self):
-        empty = WeightTrace(target=1, weights=np.zeros(0), similarities=np.zeros(0),
-                            alpha=np.zeros(0), alpha_valid=np.zeros(0, bool), noise_up=0.0)
+        features = np.eye(3)
         with pytest.raises(StateError):
-            noise_up_refined(empty)
+            noise_up_from_run(features, np.zeros(0, np.int64), features[:1], 0.1)
         with pytest.raises(StateError):
-            refined_noise_from_traces([])
+            noise_up_from_run(features, np.arange(3), np.zeros((0, 3)), 0.1)
 
-    def test_aggregation_takes_the_maximum(self):
-        def trace_with_min(m):
-            w = np.array([m, 0.1])
-            return WeightTrace(target=3, weights=w, similarities=np.zeros(2),
-                               alpha=np.full(2, np.nan), alpha_valid=np.zeros(2, bool),
-                               noise_up=abs(m))
-        assert refined_noise_from_traces([trace_with_min(-0.01), trace_with_min(-0.03)]) == 0.03
+    @given(steps=st.integers(1, 200), n_probes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_aggregation_takes_the_maximum(self, steps, n_probes, seed):
+        # the streamed minimum over unordered features equals the largest
+        # |min F| of the full traces of the ordered run, bit for bit
+        rng = np.random.default_rng(seed)
+        bank = sample_bank(2.0, 24, 5, seed=6)
+        features = feature_matrix(bank, rng.random((30, 5)))
+        probes = feature_matrix(bank, rng.random((n_probes, 5)))
+        order = rng.integers(0, 30, steps)
+        traces = probe_weight_traces(features[order], probes, 0.2)
+        assert noise_up_from_run(features, order, probes, 0.2) == \
+            max(trace.noise_up for trace in traces)
 
 
 class TestPositiveAverage:
