@@ -23,7 +23,8 @@ from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGri
                       prepare, resolve_sigma_sq, run_once, select_prepared, sweep,
                       write_sweep_csv)
 from .model import SkgModel, TrainingTrace, load_model, save_model
-from .rff import RandomFeatureBank, feature_map, feature_matrix, kernel_exact, sample_bank
+from .rff import (RandomFeatureBank, feature_map, feature_matrix, kernel_exact, sample_bank,
+                  sample_banks)
 from .synthetic import planted_community_dataset
 from .variance import (SELECTION_REPORT_SCHEMA, SelectionReport, select, sigma_ce, sigma_da,
                        sigma_ed)

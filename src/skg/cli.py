@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -122,19 +123,21 @@ def _emit(payload: dict, out_path=None) -> None:
 
 def _prepare_at_sigma(args):
     """Options, config, the seed's prepared split and ``--sigma-sq``; ``auto`` selects on it."""
+    sigma_sq = None
+    if args.sigma_sq != "auto":
+        try:
+            sigma_sq = float(args.sigma_sq)
+        except ValueError:
+            raise ArgumentError(
+                f"--sigma-sq must be a number or 'auto', got {args.sigma_sq!r}") from None
+        if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
+            raise ArgumentError(f"--sigma-sq must be positive and finite, got {sigma_sq}")
     opts = _merged_options(args)
     dataset = _load_dataset(args)
     config = _run_config(opts)
     prepared = prepare(dataset, config, opts["seed"])
-    if args.sigma_sq == "auto":
-        return opts, config, prepared, select_prepared(prepared, config, opts["seed"]).sigma_sq_ed
-    try:
-        sigma_sq = float(args.sigma_sq)
-    except ValueError:
-        raise ArgumentError(
-            f"--sigma-sq must be a number or 'auto', got {args.sigma_sq!r}") from None
-    if sigma_sq <= 0:
-        raise ArgumentError(f"--sigma-sq must be positive, got {sigma_sq}")
+    if sigma_sq is None:
+        sigma_sq = select_prepared(prepared, config, opts["seed"]).sigma_sq_ed
     return opts, config, prepared, sigma_sq
 
 
@@ -238,7 +241,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = default_grid(report, config, points=args.grid_points)
     results = sweep(dataset, grid, repeats=args.repeats, base_seed=opts["seed"],
-                    jobs=args.jobs, fixed_split=args.fixed_split, _base_prepared=prepared)
+                    jobs=args.jobs, fixed_split=args.fixed_split, base_prepared=prepared)
     write_sweep_csv(args.out, results, marked_sigma_sq=grid.marked_sigma_sq)
     best = min(results, key=lambda r: r.gnmse_mean)
     _emit({

@@ -4,19 +4,25 @@ A run is: split the nodes, build adjacency vectors against the sampled
 (referencing) set, normalize values, sample a feature bank, train, and
 score the tested nodes with the generalization normalized mean squared
 error. Sweeps repeat runs over a variance grid with independent seeds.
+A sweep prepares each seed's split once and trains the seed's grid
+variances in lockstep, in chunks whose stacked training features stay
+under a fixed byte budget: one bank draw per chunk, scaled to each
+variance, and one SGD step loop over the chunk's stacked features. Each
+sweep cell equals the single run at its variance and seed bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, DegenerateInputError, StateError
+from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
 from .graph_data import (Dataset, TrainingSet, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
-from .model import SkgModel, TrainingTrace, training_order
-from .rff import feature_matrix, sample_bank
+from .model import SkgModel, TrainingTrace, sgd_pass, training_order
+from .rff import feature_matrix, sample_bank, sample_banks
 from .variance import SelectionReport, select
 from .weights import WeightTrace, noise_up_from_run, probe_weight_traces
 
@@ -58,8 +64,8 @@ class SweepGrid:
         values = tuple(float(v) for v in self.sigma_sq_values)
         if len(values) == 0:
             raise ArgumentError("grid must contain at least one variance")
-        if any(v <= 0 for v in values):
-            raise ArgumentError("grid variances must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in values):
+            raise ArgumentError("grid variances must be positive and finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ArgumentError("grid variances must be strictly increasing")
         object.__setattr__(self, "sigma_sq_values", values)
@@ -236,28 +242,65 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
     return SweepGrid(sigma_sq_values=tuple(values), config=config, marked_sigma_sq=ed)
 
 
+# stacked training features of one chunk of grid variances stay under this size
+_GRID_BYTES = 4 << 20
+
+
+def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values,
+              seed: int) -> list[float]:
+    """The error of :func:`fit_prepared` at each variance, trained in lockstep.
+
+    The variances share the seed's bank draw and visit order, so one step
+    loop trains them together over features stacked (n, S, D); chunks of
+    variances keep the stack under ``_GRID_BYTES``. Each score equals
+    ``fit_prepared(prepared, config, sigma_sq, seed).gnmse`` bit for bit.
+    """
+    if not prepared.tested:
+        raise DegenerateInputError("no tested nodes; lower the sample fraction")
+    n, m = prepared.vectors.shape
+    width = 2 * config.n_features
+    # with no sampled node, sample_banks raises the error the single run raises
+    per_chunk = max(1, _GRID_BYTES // (max(n, 1) * width * 8))
+    order = training_order(n, config.epochs, seed)
+    scores = []
+    for start in range(0, len(sigma_sq_values), per_chunk):
+        banks = sample_banks(sigma_sq_values[start:start + per_chunk], config.n_features, m, seed)
+        features = np.empty((n, len(banks), width), dtype=np.float64)
+        for s, bank in enumerate(banks):
+            features[:, s] = feature_matrix(bank, prepared.vectors)
+        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(prepared.train_values)):
+            raise NumericError("non-finite features or values in training set")
+        state = np.zeros((len(banks), width), dtype=np.float64)
+        sgd_pass(features, order, prepared.train_values, state, config.eta)
+        # predict_batch's product: stacking the test features would raise peak memory
+        scores += [gnmse(prepared.test_values,
+                         feature_matrix(bank, prepared.test_vectors) @ theta)
+                   for bank, theta in zip(banks, state)]
+    return scores
+
+
 def _sweep_seed(args) -> list[float]:
     dataset, config, sigma_sq_values, seed, prepared = args
     if prepared is None:
         prepared = prepare(dataset, config, seed)
-    return [fit_prepared(prepared, config, sigma_sq, seed).gnmse
-            for sigma_sq in sigma_sq_values]
+    return _fit_grid(prepared, config, sigma_sq_values, seed)
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,
           seeds=None, jobs: int = 1, fixed_split: bool = False,
-          _base_prepared: PreparedSplit | None = None) -> list[GnmseResult]:
+          base_prepared: PreparedSplit | None = None) -> list[GnmseResult]:
     """Repeated seeded runs over the variance grid.
 
     Each repeat uses a fresh split, bank and order (seed ``base_seed + r``)
     unless ``fixed_split`` pins the split of ``base_seed`` for all runs,
     isolating bank/order randomness. A seed's split is prepared once and
-    shared by all grid variances (a pinned split once for all seeds);
-    every cell equals :func:`run_once` at the same variance and seed.
-    Seeds are independent; ``jobs`` > 1 runs them in processes, and
-    aggregation does not depend on completion order.
+    all grid variances of the seed train together (a pinned split is
+    prepared once for all seeds); every cell equals :func:`run_once` at
+    the same variance and seed. ``base_prepared`` is ``base_seed``'s split
+    as the caller already prepared it (for selection, say), so it is not
+    prepared again. Seeds are independent; ``jobs`` > 1 runs them in
+    processes, and aggregation does not depend on completion order.
     """
-    # _base_prepared is base_seed's split as the caller already prepared it for selection
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
     if seeds is None:
@@ -267,11 +310,11 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("need at least one seed")
-    if fixed_split and _base_prepared is None:
+    if fixed_split and base_prepared is None:
         # the pinned split is base_seed's own draw
-        _base_prepared = prepare(dataset, grid.config, base_seed)
+        base_prepared = prepare(dataset, grid.config, base_seed)
     tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
-              _base_prepared if fixed_split or seed == base_seed else None) for seed in seeds]
+              base_prepared if fixed_split or seed == base_seed else None) for seed in seeds]
     if jobs > 1:
         import concurrent.futures  # only parallel sweeps pay for the import
 

@@ -129,17 +129,31 @@ def training_order(n: int, epochs: int, seed: int) -> np.ndarray:
 def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
     """Least-squares SGD over ``order``; returns the pre-update predictions.
 
-    Step t takes z = ``features[order[t]]``, predicts ``z @ state`` and moves
-    ``state`` in place by 2*eta*(``targets[order[t]]`` - prediction) along z.
-    ``state`` is one coefficient vector (D,) or P of them side by side (D, P).
+    Step t takes z = ``features[order[t]]``, predicts with the current
+    ``state`` and moves ``state`` in place by 2*eta*(``targets[order[t]]`` -
+    prediction) along z. ``state`` is one coefficient vector (D,) over
+    features (n, D), or S of them (S, D) trained side by side over
+    features (n, S, D), row s on ``features[:, s]``, with predictions
+    (T, S). Each row of the (S, D) form steps bit for bit as the (D,) form
+    would on its own: its dot is a batched ``matmul`` of 1-D rows, which
+    numpy evaluates as the same dot product as the (D,) form's ``z @ state``.
     """
-    predictions = np.empty(order.shape + state.shape[1:], dtype=np.float64)
+    predictions = np.empty(order.shape + state.shape[:-1], dtype=np.float64)
     gain = 2.0 * eta
     step = np.empty_like(state)
+    if state.ndim == 1:
+        for t, idx in enumerate(order.tolist()):
+            z = features[idx]
+            pred = z @ state
+            np.multiply(z, gain * (targets[idx] - pred), out=step)
+            state += step
+            predictions[t] = pred
+        return predictions
+    column = state[:, :, None]
     for t, idx in enumerate(order.tolist()):
         z = features[idx]
-        pred = z @ state
-        np.multiply.outer(z, gain * (targets[idx] - pred), out=step)
+        pred = np.matmul(z[:, None, :], column)[:, 0, 0]
+        np.multiply(z, (gain * (targets[idx] - pred))[:, None], out=step)
         state += step
         predictions[t] = pred
     return predictions
@@ -181,14 +195,14 @@ def load_model(path):
         payload = json.load(handle)
     if payload.get("format") != "skg-model-v1":
         raise DataError(f"{path}: not a model file")
-    bank = sample_bank(
-        sigma_sq=float.fromhex(payload["sigma_sq"]),
-        n_features=int(payload["n_features"]),
-        input_dim=int(payload["input_dim"]),
-        seed=int(payload["bank_seed"]),
-    )
     theta = np.array([float.fromhex(x) for x in payload["theta"]], dtype=np.float64)
     try:
+        bank = sample_bank(
+            sigma_sq=float.fromhex(payload["sigma_sq"]),
+            n_features=int(payload["n_features"]),
+            input_dim=int(payload["input_dim"]),
+            seed=int(payload["bank_seed"]),
+        )
         model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
     except ArgumentError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -1,7 +1,8 @@
 """Random Fourier features for the Gaussian kernel.
 
 A bank of frequency rows drawn from N(0, I/sigma_sq) defines the sin/cos
-feature map; inner products of mapped vectors approximate the Gaussian
+feature map; all variances of one seed scale the same standard normal
+draw. Inner products of mapped vectors approximate the Gaussian
 kernel exp(-||a1 - a2||^2 / (2 sigma_sq)) once the bank is large enough.
 All arithmetic is float64: downstream weight recursions are sensitive to
 cancellation.
@@ -46,19 +47,33 @@ class RandomFeatureBank:
         return self.frequencies.shape[1]
 
 
-def sample_bank(sigma_sq: float, n_features: int, input_dim: int, seed: int) -> RandomFeatureBank:
-    """Draw a frequency bank for a Gaussian kernel of variance ``sigma_sq``.
+def sample_banks(sigma_sq_values, n_features: int, input_dim: int, seed: int) -> list:
+    """Frequency banks of one seed for each Gaussian kernel variance in ``sigma_sq_values``.
 
-    Entries are i.i.d. N(0, 1/sigma_sq), deterministic per seed (BANK
-    stream, so bank sampling never shares a stream with order shuffling).
+    The seed's BANK stream (never shared with order shuffling) is drawn
+    once as a standard normal matrix G; the bank at variance sigma_sq is
+    G / sqrt(sigma_sq), i.i.d. N(0, 1/sigma_sq), and does not depend on
+    which other variances are requested.
     """
-    if not sigma_sq > 0:
-        raise ArgumentError(f"sigma_sq must be positive, got {sigma_sq}")
+    values = [float(v) for v in sigma_sq_values]
+    for sigma_sq in values:
+        if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
+            raise ArgumentError(f"sigma_sq must be positive and finite, got {sigma_sq}")
     if n_features < 1 or input_dim < 1:
         raise ArgumentError("n_features and input_dim must be at least 1")
-    rng = streams.stream(seed, streams.BANK)
-    frequencies = rng.standard_normal((n_features, input_dim)) / math.sqrt(sigma_sq)
-    return RandomFeatureBank(frequencies=frequencies, sigma_sq=float(sigma_sq), seed=int(seed))
+    draw = streams.stream(seed, streams.BANK).standard_normal((n_features, input_dim))
+    banks = []
+    for i, sigma_sq in enumerate(values):
+        # the last bank takes the draw's own buffer, so one bank costs one array
+        out = draw if i == len(values) - 1 else None
+        banks.append(RandomFeatureBank(frequencies=np.divide(draw, math.sqrt(sigma_sq), out=out),
+                                       sigma_sq=sigma_sq, seed=int(seed)))
+    return banks
+
+
+def sample_bank(sigma_sq: float, n_features: int, input_dim: int, seed: int) -> RandomFeatureBank:
+    """The frequency bank of one variance; see :func:`sample_banks`."""
+    return sample_banks((sigma_sq,), n_features, input_dim, seed)[0]
 
 
 def feature_map(bank: RandomFeatureBank, vector) -> np.ndarray:

@@ -245,6 +245,38 @@ class TestTrainPredict:
                              "--model-out", str(tmp_path / "m.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("command, output_flags", [
+        ("train", ("--model-out", "--split-out", "--trace-out")),
+        ("analyze", ("--trace-out", "--scatter-out")),
+    ])
+    @pytest.mark.parametrize("sigma_sq", ["inf", "nan"])
+    def test_non_finite_sigma_exits_2_and_writes_nothing(self, tiny_dataset_files, tmp_path,
+                                                          capsys, command, output_flags,
+                                                          sigma_sq):
+        edges, values = tiny_dataset_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["--test-node", "5"] if command == "analyze" else []
+        for flag in output_flags:
+            argv += [flag, str(out_dir / flag.lstrip("-"))]
+        code, stdout, err = run_cli(capsys, command, "--graph", str(edges), "--values",
+                                    str(values), "--sigma-sq", sigma_sq, *argv)
+        assert code == 2 and "finite" in err and stdout == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_non_finite_sigma_in_model_file_exits_3(self, tiny_dataset_files, tmp_path,
+                                                    capsys):
+        edges, values = tiny_dataset_files
+        model = tmp_path / "m.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--seed", "1", "--model-out", str(model))
+        payload = json.loads(model.read_text())
+        payload["sigma_sq"] = float("inf").hex()
+        model.write_text(json.dumps(payload))
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
+                                    str(edges), "--nodes", "5,6")
+        assert code == 3 and str(model) in err and stdout == ""
+
 
 class TestSweepCommand:
     def test_csv_and_summary(self, tiny_dataset_files, tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Pipeline runs, sweeps, synthetic data, and diagnostic exports."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skg
-from skg.errors import ArgumentError, DataError, DegenerateInputError, StateError
+from skg import harness
+from skg.errors import (ArgumentError, DataError, DegenerateInputError, NumericError, SkgError,
+                        StateError)
 from skg.graph_data import TrainingSet, apply_normalization
 from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
                          export_scatter, fit_prepared, gnmse, prepare, run_once, sweep,
@@ -189,6 +194,9 @@ class TestSweep:
             SweepGrid(sigma_sq_values=(-1.0,), config=RunConfig())
         with pytest.raises(ArgumentError):
             SweepGrid(sigma_sq_values=(), config=RunConfig())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ArgumentError, match="finite"):
+                SweepGrid(sigma_sq_values=(1.0, bad, 2.0), config=RunConfig())
 
     def test_default_grid_spans_all_regimes(self, small_ds):
         cfg = RunConfig(n_features=32)
@@ -209,6 +217,84 @@ class TestSweep:
         with pytest.raises(ArgumentError, match="manual grid") as caught:
             default_grid(report, RunConfig(), points=5)
         assert caught.value.exit_code == 2
+
+
+def _cells(dataset, cfg, values, seeds, pinned=None):
+    """Reference cells, one fit_prepared per (variance, seed)."""
+    return np.array([[fit_prepared(pinned or prepare(dataset, cfg, seed), cfg, v, seed).gnmse
+                      for seed in seeds] for v in values])
+
+
+class TestLockstepGrid:
+    """The lockstep grid path against fit_prepared, cell by cell, compared with ==."""
+
+    @given(values=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=5, unique=True),
+           seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
+           per_chunk=st.sampled_from((1, 2, 3)))
+    @settings(max_examples=15, deadline=None)
+    def test_cells_equal_fit_prepared_in_any_chunking(self, small_ds, values, seeds,
+                                                      per_chunk):
+        cfg = RunConfig(n_features=16)
+        values = tuple(sorted(values))
+        prepared = {seed: prepare(small_ds, cfg, seed) for seed in seeds}
+        per_variance = {len(p.sampled) * 2 * cfg.n_features * 8 for p in prepared.values()}
+        assert len(per_variance) == 1  # every seed samples as many nodes
+        chunks, original = [], harness.sgd_pass
+
+        def spy(features, order, targets, state, eta):
+            chunks.append(state.shape[0])
+            return original(features, order, targets, state, eta)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_GRID_BYTES", per_chunk * per_variance.pop())
+            patch.setattr(harness, "sgd_pass", spy)
+            grid = [harness._fit_grid(prepared[seed], cfg, values, seed) for seed in seeds]
+            results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg),
+                            seeds=seeds)
+        cells = _cells(small_ds, cfg, values, seeds)
+        assert np.array_equal(np.array(grid).T, cells)
+        expected = [min(per_chunk, len(values) - start)
+                    for start in range(0, len(values), per_chunk)]
+        assert chunks == 2 * len(seeds) * expected
+        for res, row in zip(results, cells):
+            assert res.gnmse_mean == row.mean()
+            assert res.gnmse_std == (row.std(ddof=1) if row.size > 1 else 0.0)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_parallel_pinned_split_cells_equal_fit_prepared(self, small_ds, monkeypatch,
+                                                            per_chunk):
+        cfg = RunConfig(n_features=16)
+        values, seeds = (0.5, 2.0, 8.0), [4, 5, 6]
+        pinned = prepare(small_ds, cfg, 4)
+        monkeypatch.setattr(harness, "_GRID_BYTES",
+                            per_chunk * len(pinned.sampled) * 2 * cfg.n_features * 8)
+        results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg), seeds=seeds,
+                        base_seed=4, jobs=2, fixed_split=True)
+        cells = _cells(small_ds, cfg, values, seeds, pinned=pinned)
+        assert [r.gnmse_mean for r in results] == [row.mean() for row in cells]
+        assert [r.gnmse_std for r in results] == [row.std(ddof=1) for row in cells]
+
+    @pytest.mark.parametrize("case", ["no tested nodes", "non-finite value",
+                                      "non-finite vector", "infinite variance"])
+    def test_errors_match_fit_prepared(self, small_ds, case):
+        cfg = RunConfig(n_features=16, sample_fraction=1.0 if case == "no tested nodes" else 0.4)
+        prepared = prepare(small_ds, cfg, 0)
+        if case == "non-finite value":
+            values = prepared.train_values.copy()
+            values[3] = math.nan
+            prepared = dataclasses.replace(prepared, train_values=values)
+        elif case == "non-finite vector":
+            vectors = prepared.vectors.copy()
+            vectors[2, 1] = math.inf
+            prepared = dataclasses.replace(prepared, vectors=vectors)
+        sigma_sq = math.inf if case == "infinite variance" else 2.0
+        with np.errstate(invalid="ignore"):  # sin/cos of an infinite phase
+            with pytest.raises(SkgError) as single:
+                fit_prepared(prepared, cfg, sigma_sq, 0)
+            with pytest.raises(type(single.value)):
+                harness._fit_grid(prepared, cfg, (1.0, sigma_sq), 0)
+        assert type(single.value) is {"no tested nodes": DegenerateInputError,
+                                      "infinite variance": ArgumentError}.get(case, NumericError)
 
 
 class TestRunConfig:

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skg.errors import ArgumentError, NumericError
 from skg.graph_data import TrainingSet
-from skg.model import SkgModel, load_model, save_model, write_training_trace_csv
+from skg.model import SkgModel, load_model, save_model, sgd_pass, write_training_trace_csv
 from skg.rff import feature_matrix, sample_bank
 
 
@@ -150,6 +150,36 @@ class TestTrain:
         assert np.array_equal(model.theta, theta)
         assert np.array_equal(trace.predictions, predictions)
         assert np.array_equal(trace.errors, errors)
+
+    @given(rows=st.integers(1, 40), width=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    @example(rows=26, width=400, seed=0)
+    @example(rows=1, width=400, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_row_dot_equals_the_1d_dot(self, rows, width, seed):
+        # the lockstep sweep is bit-identical to single runs only while numpy evaluates
+        # each (1, D) @ (D, 1) block of a batched matmul as the 1-D z @ theta dot
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((rows, width))
+        state = rng.standard_normal((rows, width))
+        batched = np.matmul(z[:, None, :], state[:, :, None])[:, 0, 0]
+        assert np.array_equal(batched, [z[s] @ state[s] for s in range(rows)])
+
+    @given(rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_pass_equals_one_pass_per_row(self, rows, seed):
+        # state (S, D) over features (n, S, D) trains row s as the (D,) form on features[:, s]
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((9, rows, 16))
+        targets = rng.standard_normal(9)
+        order = rng.integers(0, 9, 30)
+        state = np.zeros((rows, 16))
+        predictions = sgd_pass(features, order, targets, state, 0.1)
+        assert predictions.shape == (30, rows)
+        for s in range(rows):
+            theta = np.zeros(16)
+            single = sgd_pass(np.ascontiguousarray(features[:, s]), order, targets, theta, 0.1)
+            assert np.array_equal(predictions[:, s], single)
+            assert np.array_equal(state[s], theta)
 
     def test_epoch_and_dimension_validation(self):
         ts = TrainingSet(np.ones((2, 4)), np.ones(2))

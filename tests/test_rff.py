@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from skg import streams
 from skg.errors import ArgumentError
-from skg.rff import feature_map, feature_matrix, kernel_exact, sample_bank
+from skg.rff import feature_map, feature_matrix, kernel_exact, sample_bank, sample_banks
 
 
 class TestSampleBank:
@@ -39,6 +40,30 @@ class TestSampleBank:
             sample_bank(1.0, 0, 3, seed=0)
         with pytest.raises(ArgumentError):
             sample_bank(1.0, 10, 3, seed=-1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_variance_rejected(self, bad):
+        # an infinite variance would give all-zero frequencies, a constant feature map
+        with pytest.raises(ArgumentError, match="finite"):
+            sample_bank(bad, 10, 3, seed=0)
+        with pytest.raises(ArgumentError, match="finite"):
+            sample_banks((1.0, bad, 2.0), 10, 3, seed=0)
+
+    @given(values=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+           n_features=st.integers(1, 12), input_dim=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_banks_equal_single_draws(self, values, n_features, input_dim, seed):
+        # one draw serves every variance: each bank is the one sample_bank gives alone,
+        # the seed's BANK-stream draw divided by sqrt(sigma_sq)
+        draw = streams.stream(seed, streams.BANK).standard_normal((n_features, input_dim))
+        banks = sample_banks(values, n_features, input_dim, seed)
+        assert len(banks) == len(values)
+        for sigma_sq, bank in zip(values, banks):
+            single = sample_bank(sigma_sq, n_features, input_dim, seed)
+            assert np.array_equal(bank.frequencies, draw / math.sqrt(sigma_sq))
+            assert np.array_equal(bank.frequencies, single.frequencies)
+            assert (bank.sigma_sq, bank.seed) == (single.sigma_sq, single.seed)
 
 
 class TestFeatureMap:

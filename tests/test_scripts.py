@@ -11,10 +11,15 @@ import skg
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthetic_experiment.py"
 
 
-def test_synthetic_experiment_writes_every_table(tmp_path, capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("run_synthetic_experiment", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_synthetic_experiment_writes_every_table(tmp_path, capsys):
+    script = load_script()
     out = tmp_path / "experiment"
     code = script.main(["--out", str(out), "--nodes", "30", "--communities", "2",
                         "--features", "16", "--repeats", "2", "--grid-points", "3", "--seed", "5"])
@@ -38,3 +43,21 @@ def test_synthetic_experiment_writes_every_table(tmp_path, capsys):
         assert trace[0] == "i,B,F,alpha,alpha_flag" and len(trace) == 1 + 3 * n
     scatter = (out / "scatter.csv").read_text().splitlines()
     assert scatter[0] == "d_sq,abs_dy" and len(scatter) == 1 + n * (n - 1) // 2
+
+
+def test_base_seed_split_is_prepared_once(tmp_path, monkeypatch, capsys):
+    # selection prepares the run seed (2 builds), the sweep reuses it and prepares
+    # only the second repeat's seed (2 more); traces and scatter build nothing
+    builds = []
+    original = skg.graph_data.build_adjacency_vectors
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:])
+        return original(*args, **kwargs)
+
+    for module in (skg.graph_data, skg.harness):
+        monkeypatch.setattr(module, "build_adjacency_vectors", counted)
+    code = load_script().main(["--out", str(tmp_path / "experiment"), "--nodes", "40",
+                               "--repeats", "2", "--grid-points", "3"])
+    assert code == 0 and "selected variance" in capsys.readouterr().out
+    assert len(builds) == 4
