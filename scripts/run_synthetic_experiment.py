@@ -81,7 +81,8 @@ def main(argv=None) -> int:
         "averaging": report.sigma_sq_da * 10,
     }
     for name, sigma_sq in regimes.items():
-        result = skg.fit_prepared(prepared, config, sigma_sq, seed=args.seed, keep_trace=True)
+        result = skg.fit_prepared(prepared, config, sigma_sq, seed=args.seed,
+                                  probe_node=prepared.tested[0])
         write_bf_trace_csv(out_dir / f"trace_{name}.csv", skg.export_bf_trace(result))
         print(f"trace[{name}] sigma_sq={sigma_sq:.4f} gnmse={result.gnmse:.4f} "
               f"probe={result.probe_node}")

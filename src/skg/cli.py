@@ -11,6 +11,7 @@ error, 3 data error, 4 numeric/degenerate error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,10 +29,6 @@ from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, expor
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
 
-CONFIG_KEYS = {"eta": float, "features": int, "epochs": int, "fraction": float,
-               "closeness": float, "seed": int, "normalization": str, "refine": bool,
-               "first_order_da": bool}
-
 
 def _add_dataset_flags(parser, values_required=True):
     parser.add_argument("--graph", required=True, help="edge-list CSV: src,dst[,weight]")
@@ -47,19 +44,22 @@ def _add_dataset_flags(parser, values_required=True):
 
 def _add_config_flags(parser, include_selection=True):
     parser.add_argument("--config", help="JSON file with defaults for the options below")
-    parser.add_argument("--eta", type=float, default=None, help="learning rate (default 0.1)")
+    parser.add_argument("--eta", type=float, default=None,
+                        help=f"learning rate (default {RunConfig.eta})")
     parser.add_argument("--features", type=int, default=None,
-                        help="number of random features (default 200)")
+                        help=f"number of random features (default {RunConfig.n_features})")
     parser.add_argument("--epochs", type=int, default=None,
-                        help="training passes over the sampled set (default 3)")
+                        help=f"training passes over the sampled set (default {RunConfig.epochs})")
     parser.add_argument("--fraction", type=float, default=None,
-                        help="sampled-node fraction of the graph (default 0.4)")
+                        help="sampled-node fraction of the graph "
+                             f"(default {RunConfig.sample_fraction})")
     parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     parser.add_argument("--normalization", choices=("max-abs", "none"), default=None,
-                        help="value normalization policy (default max-abs)")
+                        help=f"value normalization policy (default {RunConfig.normalization})")
     if include_selection:
         parser.add_argument("--closeness", type=float, default=None,
-                            help="ceiling-closeness parameter in (0, 0.5) (default 0.1)")
+                            help="ceiling-closeness parameter in (0, 0.5) "
+                                 f"(default {RunConfig.closeness})")
         parser.add_argument("--refine", action=argparse.BooleanOptionalAction, default=None,
                             help="refine the noise ceiling with one training pass")
         parser.add_argument("--first-order-da", action=argparse.BooleanOptionalAction,
@@ -67,12 +67,21 @@ def _add_config_flags(parser, include_selection=True):
                             help="use the first-order disturbing/averaging boundary")
 
 
-def _merged_options(args) -> dict:
-    """Config-file values overridden by explicit flags, with final defaults."""
-    merged = {
-        "eta": 0.1, "features": 200, "epochs": 3, "fraction": 0.4, "closeness": 0.1,
-        "seed": 0, "normalization": "max-abs", "refine": False, "first_order_da": False,
-    }
+# option name -> RunConfig field name; "seed" is the run seed, kept beside the config
+_FIELDS = {"eta": "eta", "features": "n_features", "epochs": "epochs",
+           "fraction": "sample_fraction", "closeness": "closeness",
+           "normalization": "normalization", "refine": "refine_noise",
+           "first_order_da": "first_order_da", "seed": "seed"}
+
+
+def _run_config(args) -> tuple[RunConfig, int]:
+    """The run's config and seed: config-file values overridden by explicit flags.
+
+    Defaults, and the type a config-file value must have, are those of the
+    ``RunConfig`` fields; the seed defaults to 0.
+    """
+    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)} | {"seed": 0}
+    merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -82,35 +91,30 @@ def _merged_options(args) -> dict:
             raise DataError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise ArgumentError(f"config file {config_path} must hold a JSON object")
-        unknown = set(file_conf) - set(CONFIG_KEYS)
+        unknown = set(file_conf) - set(_FIELDS)
         if unknown:
             raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_conf.items():
-            kind = CONFIG_KEYS[key]
+            kind = type(defaults[_FIELDS[key]])
             if type(value) is not kind and not (kind is float and type(value) is int):
                 raise ArgumentError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-        merged.update(file_conf)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _run_config(opts) -> RunConfig:
-    return RunConfig(
-        eta=opts["eta"], n_features=opts["features"], epochs=opts["epochs"],
-        sample_fraction=opts["fraction"], closeness=opts["closeness"],
-        refine_noise=bool(opts["refine"]), first_order_da=bool(opts["first_order_da"]),
-        normalization=opts["normalization"],
-    )
+            merged[_FIELDS[key]] = value
+    for key, field in _FIELDS.items():
+        if getattr(args, key, None) is not None:
+            merged[field] = getattr(args, key)
+    seed = merged.pop("seed", defaults["seed"])
+    return RunConfig(**merged), seed
 
 
 def _load_dataset(args):
-    return load_dataset(
-        args.graph, args.values, weighted=args.weighted, directed=args.directed,
-        drop_isolated_nodes=args.drop_isolated,
-    )
+    return load_dataset(args.graph, args.values, weighted=args.weighted,
+                        directed=args.directed, drop_isolated_nodes=args.drop_isolated)
+
+
+def _load_graph(args):
+    """The ``--graph`` edge list alone, for the commands that need no value file."""
+    graph = load_graph(args.graph, weighted=args.weighted, directed=args.directed)
+    return drop_isolated(graph) if args.drop_isolated else graph
 
 
 def _emit(payload: dict, out_path=None) -> None:
@@ -122,7 +126,7 @@ def _emit(payload: dict, out_path=None) -> None:
 
 
 def _prepare_at_sigma(args):
-    """Options, config, the seed's prepared split and ``--sigma-sq``; ``auto`` selects on it."""
+    """Config, seed, the seed's prepared split and ``--sigma-sq``; ``auto`` selects on it."""
     sigma_sq = None
     if args.sigma_sq != "auto":
         try:
@@ -132,56 +136,49 @@ def _prepare_at_sigma(args):
                 f"--sigma-sq must be a number or 'auto', got {args.sigma_sq!r}") from None
         if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
             raise ArgumentError(f"--sigma-sq must be positive and finite, got {sigma_sq}")
-    opts = _merged_options(args)
-    dataset = _load_dataset(args)
-    config = _run_config(opts)
-    prepared = prepare(dataset, config, opts["seed"])
+    config, seed = _run_config(args)
+    prepared = prepare(_load_dataset(args), config, seed)
     if sigma_sq is None:
-        sigma_sq = select_prepared(prepared, config, opts["seed"]).sigma_sq_ed
-    return opts, config, prepared, sigma_sq
+        sigma_sq = select_prepared(prepared, config, seed).sigma_sq_ed
+    return config, seed, prepared, sigma_sq
 
 
 def cmd_stats(args) -> int:
-    opts = _merged_options(args)
-    graph = load_graph(args.graph, weighted=args.weighted, directed=args.directed)
-    if args.drop_isolated:
-        graph = drop_isolated(graph)
-    sampled, _ = split_sample(graph.nodes, opts["fraction"], opts["seed"])
+    config, seed = _run_config(args)
+    graph = _load_graph(args)
+    sampled, _ = split_sample(graph.nodes, config.sample_fraction, seed)
     vectors = build_adjacency_vectors(graph, sampled, sampled)
     stats = pairwise_stats(vectors)
     histogram = pairwise_histogram(vectors)
-    payload = {
+    _emit({
         "n_sampled": len(sampled),
         "n_pairs": stats.n_pairs,
         "d_sq_max": stats.d_sq_max,
         "d_sq_min_nonzero": stats.d_sq_min_nonzero,
         "n_distinct_d_sq": len(histogram),
-        "seed": opts["seed"],
-        "fraction": opts["fraction"],
-    }
-    _emit(payload, args.out)
+        "seed": seed,
+        "fraction": config.sample_fraction,
+    }, args.out)
     if args.hist_out:
         write_csv(args.hist_out, ("d_sq", "count"), histogram)
     return 0
 
 
 def cmd_select(args) -> int:
-    opts = _merged_options(args)
-    dataset = _load_dataset(args)
-    config = _run_config(opts)
-    report = resolve_sigma_sq(dataset, config, opts["seed"])
+    config, seed = _run_config(args)
+    report = resolve_sigma_sq(_load_dataset(args), config, seed)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def cmd_train(args) -> int:
-    opts, config, prepared, sigma_sq = _prepare_at_sigma(args)
-    result = fit_prepared(prepared, config, sigma_sq, opts["seed"])
+    config, seed, prepared, sigma_sq = _prepare_at_sigma(args)
+    result = fit_prepared(prepared, config, sigma_sq, seed)
     save_model(args.model_out, result.model, referencing=result.sampled,
                value_scale=result.value_scale)
     if args.split_out:
         write_split_manifest(args.split_out, result.sampled, result.tested,
-                             opts["seed"], opts["fraction"])
+                             seed, config.sample_fraction)
     if args.trace_out:
         write_training_trace_csv(args.trace_out, result.training_trace)
     _emit({
@@ -202,9 +199,7 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.model}: model lacks a referencing node list")
     scale = meta.get("value_scale") or 1.0
     dataset_values = load_values(args.values) if args.values else None
-    graph = load_graph(args.graph, weighted=args.weighted, directed=args.directed)
-    if args.drop_isolated:
-        graph = drop_isolated(graph)
+    graph = _load_graph(args)
     if args.nodes:
         targets = [n.strip() for n in args.nodes.split(",") if n.strip()]
     elif args.split:
@@ -225,11 +220,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = _merged_options(args)
+    config, seed = _run_config(args)
     dataset = _load_dataset(args)
-    config = _run_config(opts)
-    prepared = prepare(dataset, config, opts["seed"])
-    report = select_prepared(prepared, config, opts["seed"])
+    prepared = prepare(dataset, config, seed)
+    report = select_prepared(prepared, config, seed)
     if args.grid_min is not None or args.grid_max is not None:
         if args.grid_min is None or args.grid_max is None:
             raise ArgumentError("--grid-min and --grid-max must be given together")
@@ -240,7 +234,7 @@ def cmd_sweep(args) -> int:
                          marked_sigma_sq=report.sigma_sq_ed)
     else:
         grid = default_grid(report, config, points=args.grid_points)
-    results = sweep(dataset, grid, repeats=args.repeats, base_seed=opts["seed"],
+    results = sweep(dataset, grid, repeats=args.repeats, base_seed=seed,
                     jobs=args.jobs, fixed_split=args.fixed_split, base_prepared=prepared)
     write_sweep_csv(args.out, results, marked_sigma_sq=grid.marked_sigma_sq)
     best = min(results, key=lambda r: r.gnmse_mean)
@@ -260,20 +254,17 @@ def cmd_analyze(args) -> int:
         raise ArgumentError("nothing to do: pass --trace-out and/or --scatter-out")
     if args.trace_out and not args.test_node:
         raise ArgumentError("--trace-out needs --test-node")
-    opts, config, prepared, sigma_sq = _prepare_at_sigma(args)
+    config, seed, prepared, sigma_sq = _prepare_at_sigma(args)
     summary = {"sigma_sq": sigma_sq}
     if args.trace_out:
-        result = fit_prepared(prepared, config, sigma_sq, opts["seed"],
-                              keep_trace=True, probe_node=args.test_node)
+        result = fit_prepared(prepared, config, sigma_sq, seed, probe_node=args.test_node)
         write_bf_trace_csv(args.trace_out, export_bf_trace(result))
-        summary["trace_out"] = args.trace_out
-        summary["trace_rows"] = result.training_trace.duration
-        summary["gnmse"] = result.gnmse
+        summary.update(trace_out=args.trace_out, trace_rows=result.training_trace.duration,
+                       gnmse=result.gnmse)
     if args.scatter_out:
         rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values))
         write_scatter_csv(args.scatter_out, rows)
-        summary["scatter_out"] = args.scatter_out
-        summary["scatter_rows"] = int(rows.shape[0])
+        summary.update(scatter_out=args.scatter_out, scatter_rows=int(rows.shape[0]))
     _emit(summary)
     return 0
 
@@ -317,13 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict nodal values with a trained model")
     p_predict.add_argument("--model", required=True, help="model JSON from 'train'")
-    p_predict.add_argument("--graph", required=True, help="edge-list CSV")
-    p_predict.add_argument("--weighted", action="store_true")
-    p_predict.add_argument("--directed", action="store_true")
-    p_predict.add_argument("--drop-isolated", action="store_true")
+    _add_dataset_flags(p_predict, values_required=False)
     p_predict.add_argument("--nodes", help="comma-separated target node ids")
     p_predict.add_argument("--split", help="split manifest; predict its tested nodes")
-    p_predict.add_argument("--values", help="value CSV; report the error metric on targets")
     p_predict.add_argument("--out", help="prediction CSV path (default: stdout)")
     p_predict.set_defaults(func=cmd_predict)
 

@@ -101,7 +101,6 @@ class TrainingSet:
 
     vectors: np.ndarray
     values: np.ndarray
-    node_ids: tuple = ()
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -114,11 +113,8 @@ class TrainingSet:
             )
         if vectors.shape[0] < 1:
             raise ArgumentError("a training set needs at least one sampled node")
-        if self.node_ids and len(self.node_ids) != vectors.shape[0]:
-            raise ArgumentError("node_ids length does not match the number of vectors")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "node_ids", tuple(self.node_ids))
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, TrainingSet, apply_normalization,
+from .graph_data import (Dataset, TrainingSet, _pair_d_sq, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, sgd_pass, training_order
 from .rff import feature_matrix, sample_bank, sample_banks
@@ -133,17 +133,9 @@ class PreparedSplit:
     value_scale: float
 
 
-def prepare(dataset: Dataset, config: RunConfig, seed: int, split=None) -> PreparedSplit:
-    """Split the nodes, build adjacency vectors and normalize the values.
-
-    ``split`` fixes the (sampled, tested) lists instead of drawing them
-    from the seed.
-    """
-    if split is None:
-        sampled, tested = split_sample(dataset.node_ids, config.sample_fraction, seed)
-    else:
-        sampled, tested = split
-    sampled, tested = tuple(sampled), tuple(tested)
+def prepare(dataset: Dataset, config: RunConfig, seed: int) -> PreparedSplit:
+    """Split the nodes by the seed, build adjacency vectors and normalize the values."""
+    sampled, tested = map(tuple, split_sample(dataset.node_ids, config.sample_fraction, seed))
     vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
     test_vectors = build_adjacency_vectors(dataset.graph, tested, sampled)
     scale, train_values, test_values = apply_normalization(
@@ -187,41 +179,34 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
 
 
 def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
-                 keep_trace: bool = False, probe_node=None) -> RunResult:
+                 probe_node=None) -> RunResult:
     """Sample the bank, train on the prepared split and score its tested nodes.
 
-    ``keep_trace`` keeps the weight trace of ``probe_node`` (default: first tested node).
+    Naming a tested ``probe_node`` keeps that node's weight trace.
     """
     tested = prepared.tested
     if not tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    skg, training_trace = _train(prepared, config, sigma_sq, seed)
+    if probe_node is not None and probe_node not in tested:
+        raise DataError(f"probe node {probe_node!r} is not among the tested nodes")
+    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
+    skg = SkgModel(bank=bank, eta=config.eta)
+    training_trace = skg.train(TrainingSet(prepared.vectors, prepared.train_values),
+                               config.epochs, seed)
     predictions = skg.predict_batch(prepared.test_vectors)
-    score = gnmse(prepared.test_values, predictions)
 
     trace = None
-    if keep_trace:
-        probe_node = tested[0] if probe_node is None else probe_node
-        if probe_node not in tested:
-            raise DataError(f"probe node {probe_node!r} is not among the tested nodes")
-        ordered = feature_matrix(skg.bank, prepared.vectors)[training_trace.order]
+    if probe_node is not None:
+        ordered = feature_matrix(bank, prepared.vectors)[training_trace.order]
         probe_vec = prepared.test_vectors[tested.index(probe_node)][None, :]
-        trace = probe_weight_traces(ordered, feature_matrix(skg.bank, probe_vec), config.eta)[0]
+        trace = probe_weight_traces(ordered, feature_matrix(bank, probe_vec), config.eta)[0]
 
     return RunResult(
-        gnmse=score, sampled=prepared.sampled, tested=tested,
+        gnmse=gnmse(prepared.test_values, predictions), sampled=prepared.sampled, tested=tested,
         value_scale=prepared.value_scale, predictions=predictions,
         test_values=prepared.test_values, model=skg, training_trace=training_trace,
         trace=trace, probe_node=probe_node,
     )
-
-
-def _train(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int):
-    """Sample the seed's bank at ``sigma_sq`` and train it on the sampled nodes."""
-    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
-    skg = SkgModel(bank=bank, eta=config.eta)
-    training_set = TrainingSet(prepared.vectors, prepared.train_values)
-    return skg, skg.train(training_set, config.epochs, seed)
 
 
 def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -> SweepGrid:
@@ -298,8 +283,9 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     prepared once for all seeds); every cell equals :func:`run_once` at
     the same variance and seed. ``base_prepared`` is ``base_seed``'s split
     as the caller already prepared it (for selection, say), so it is not
-    prepared again. Seeds are independent; ``jobs`` > 1 runs them in
-    processes, and aggregation does not depend on completion order.
+    prepared again; a split of another seed or fraction is refused. Seeds
+    are independent; ``jobs`` > 1 runs them in processes, and aggregation
+    does not depend on completion order.
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
@@ -310,7 +296,11 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("need at least one seed")
-    if fixed_split and base_prepared is None:
+    if base_prepared is not None:
+        split = split_sample(dataset.node_ids, grid.config.sample_fraction, base_seed)
+        if (base_prepared.sampled, base_prepared.tested) != tuple(map(tuple, split)):
+            raise ArgumentError(f"base_prepared is not the split of base seed {base_seed}")
+    elif fixed_split:
         # the pinned split is base_seed's own draw
         base_prepared = prepare(dataset, grid.config, base_seed)
     tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
@@ -352,14 +342,11 @@ def export_scatter(training_set: TrainingSet) -> np.ndarray:
     """Rows (squared distance, |value difference|) over all sampled pairs."""
     if training_set.n < 2:
         raise ArgumentError("scatter export needs at least two sampled nodes")
-    rows = []
     vectors, values = training_set.vectors, training_set.values
-    for i in range(training_set.n - 1):
-        diff = vectors[i + 1:] - vectors[i]
-        d_sq = np.einsum("ij,ij->i", diff, diff)
-        dy = np.abs(values[i + 1:] - values[i])
-        rows.append(np.column_stack([d_sq, dy]))
-    return np.concatenate(rows, axis=0)
+    # the exact row loop of pairwise_histogram, one row's pairs at a time
+    return np.concatenate([np.column_stack([_pair_d_sq(vectors, i, slice(i + 1, None)),
+                                            np.abs(values[i + 1:] - values[i])])
+                           for i in range(training_set.n - 1)])
 
 
 def write_scatter_csv(path, rows: np.ndarray) -> None:

@@ -95,7 +95,12 @@ def feature_matrix(bank: RandomFeatureBank, vectors) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != bank.input_dim:
         raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {a.shape}")
     phase = a @ bank.frequencies.T
-    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1) / math.sqrt(bank.n_features)
+    # sin and cos go straight into the two halves, scaled in place: no concatenated copy
+    out = np.empty((a.shape[0], 2 * bank.n_features), dtype=np.float64)
+    np.sin(phase, out=out[:, :bank.n_features])
+    np.cos(phase, out=out[:, bank.n_features:])
+    out /= math.sqrt(bank.n_features)
+    return out
 
 
 def kernel_exact(a1, a2, sigma_sq: float) -> float:

@@ -130,6 +130,16 @@ class TestStats:
         assert lines[0] == "d_sq,count"
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 120
 
+    def test_invalid_config_exits_2_and_writes_nothing(self, tiny_dataset_files, tmp_path,
+                                                       capsys):
+        # stats builds a RunConfig like every other subcommand, so it validates it too
+        edges, _ = tiny_dataset_files
+        out, hist = tmp_path / "stats.json", tmp_path / "hist.csv"
+        code, stdout, err = run_cli(capsys, "stats", "--graph", str(edges), "--eta", "2",
+                                    "--out", str(out), "--hist-out", str(hist))
+        assert code == 2 and stdout == "" and err.startswith("error:") and "eta" in err
+        assert not out.exists() and not hist.exists()
+
 
 class TestTrainPredict:
     def test_round_trip(self, tiny_dataset_files, tmp_path, capsys):
@@ -415,6 +425,18 @@ class TestParser:
     def test_version(self, capsys):
         code, stdout, _ = run_cli(capsys, "--version")
         assert code == 0 and stdout.startswith("skg ")
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--graph", "g"],
+        ["select", "--graph", "g", "--values", "v"],
+        ["train", "--graph", "g", "--values", "v", "--model-out", "m"],
+        ["predict", "--model", "m", "--graph", "g"],
+        ["sweep", "--graph", "g", "--values", "v", "--out", "s"],
+        ["analyze", "--graph", "g", "--values", "v"],
+    ])
+    def test_defaults_are_the_library_defaults(self, argv):
+        from skg.cli import _run_config, build_parser
+        assert _run_config(build_parser().parse_args(argv)) == (skg.RunConfig(), 0)
 
     def test_jobs_default_mirrors_environment(self, monkeypatch):
         from skg.cli import build_parser

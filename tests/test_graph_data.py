@@ -334,7 +334,7 @@ class TestDataset:
     def test_training_set_validation(self):
         with pytest.raises(ArgumentError):
             TrainingSet(np.ones((2, 3)), np.ones(3))
-        ts = TrainingSet(np.ones((2, 3)), np.ones(2), node_ids=("a", "b"))
+        ts = TrainingSet(np.ones((2, 3)), np.ones(2))
         assert ts.n == 2 and ts.m == 3
 
 

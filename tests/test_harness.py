@@ -97,13 +97,16 @@ class TestRunOnce:
     def test_trace_retention_and_probe_checks(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
-        result = fit_prepared(prepared, cfg, 5.0, seed=3, keep_trace=True)
-        assert result.trace is not None
+        plain = fit_prepared(prepared, cfg, 5.0, seed=3)
+        assert plain.trace is None and plain.probe_node is None
+        probe = prepared.tested[1]
+        result = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=probe)
+        assert result.trace is not None and result.probe_node == probe
         assert result.trace.weights.size == result.training_trace.duration
-        assert result.probe_node == result.tested[0]
-        with pytest.raises(DataError):
-            fit_prepared(prepared, cfg, 5.0, seed=3, keep_trace=True,
-                         probe_node=result.sampled[0])
+        assert result.gnmse == plain.gnmse
+        for not_tested in (prepared.sampled[0], "no-such-node"):
+            with pytest.raises(DataError):
+                fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=not_tested)
 
     def test_needs_tested_nodes(self, planted_small_dataset):
         with pytest.raises(DegenerateInputError):
@@ -119,13 +122,14 @@ class TestRunOnce:
         assert np.abs(prepared.train_values).max() == 1.0
         with pytest.raises(ValueError):
             prepared.vectors[0, 0] = 5.0  # shared across a seed's grid cells
-        pinned = prepare(planted_small_dataset, cfg, seed=4, split=(sampled, tested))
-        assert np.array_equal(pinned.test_vectors, prepared.test_vectors)
+        again = prepare(planted_small_dataset, cfg, seed=3)  # a pinned split is its seed's
+        assert again.sampled == prepared.sampled
+        assert np.array_equal(again.test_vectors, prepared.test_vectors)
 
     def test_fixed_split_override(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
         base = run_once(planted_small_dataset, cfg, 5.0, seed=3)
-        pinned = prepare(planted_small_dataset, cfg, seed=4, split=(base.sampled, base.tested))
+        pinned = prepare(planted_small_dataset, cfg, seed=3)  # the split of seed 3
         moved = fit_prepared(pinned, cfg, 5.0, seed=4)
         assert moved.sampled == base.sampled
         assert moved.gnmse != base.gnmse  # bank/order randomness still moves
@@ -158,10 +162,22 @@ class TestSweep:
         cfg = RunConfig(n_features=32)
         grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
         results = sweep(small_ds, grid, repeats=2, base_seed=7, fixed_split=True)
-        split = skg.split_sample(small_ds.node_ids, cfg.sample_fraction, 7)
-        manual = [fit_prepared(prepare(small_ds, cfg, 7 + r, split), cfg, 2.0, 7 + r).gnmse
-                  for r in range(2)]
+        pinned = prepare(small_ds, cfg, 7)
+        manual = [fit_prepared(pinned, cfg, 2.0, 7 + r).gnmse for r in range(2)]
         assert results[0].gnmse_mean == pytest.approx(np.mean(manual), rel=1e-12)
+
+    def test_base_prepared_must_be_the_base_seed_split(self, small_ds):
+        cfg = RunConfig(n_features=32)
+        grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
+        own = sweep(small_ds, grid, seeds=[0], base_seed=0,
+                    base_prepared=prepare(small_ds, cfg, 0))
+        assert own[0].gnmse_mean == run_once(small_ds, cfg, 2.0, 0).gnmse
+        other_fraction = dataclasses.replace(cfg, sample_fraction=0.6)
+        for wrong in (prepare(small_ds, cfg, 5), prepare(small_ds, other_fraction, 0)):
+            for fixed_split in (False, True):
+                with pytest.raises(ArgumentError, match="base seed 0"):
+                    sweep(small_ds, grid, seeds=[0], base_seed=0, fixed_split=fixed_split,
+                          base_prepared=wrong)
 
     def test_cells_equal_run_once_bitwise(self, small_ds):
         cfg = RunConfig(n_features=32)
@@ -314,32 +330,50 @@ class TestRunConfig:
                 skg.SkgModel(bank=bank, eta=eta)
 
 
+def _scatter_rows(vectors, values):
+    """Reference scatter: each row's later pairs from their differences, row by row."""
+    rows = []
+    for i in range(len(vectors) - 1):
+        diff = vectors[i + 1:] - vectors[i]
+        rows.append(np.column_stack([np.einsum("ij,ij->i", diff, diff),
+                                     np.abs(values[i + 1:] - values[i])]))
+    return np.concatenate(rows)
+
+
 class TestExports:
     def test_scatter_single_pair(self):
         ts = TrainingSet(np.ones((2, 3)), np.array([0.0, 1.0]))
         rows = export_scatter(ts)
         assert rows.tolist() == [[0.0, 1.0]]
+        with pytest.raises(ArgumentError):
+            export_scatter(TrainingSet(np.ones((1, 3)), np.ones(1)))
 
     def test_scatter_counts_all_pairs(self):
         rng = np.random.default_rng(0)
         ts = TrainingSet(rng.random((9, 3)), rng.standard_normal(9))
         assert export_scatter(ts).shape == (36, 2)
+        # every row equals the row-loop reference, on 0/1 and on weighted vectors
+        binary = (rng.random((30, 45)) < 0.3).astype(np.float64)
+        values = rng.standard_normal(30)
+        for vectors in (binary, binary * rng.uniform(0.5, 2.0, binary.shape)):
+            rows = export_scatter(TrainingSet(vectors, values))
+            assert np.array_equal(rows, _scatter_rows(vectors, values))
 
     def test_bf_trace_rows_and_state_error(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
         plain = run_once(planted_small_dataset, cfg, 5.0, seed=3)
         with pytest.raises(StateError):
             export_bf_trace(plain)
-        kept = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg, 5.0, seed=3,
-                            keep_trace=True)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        kept = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
         rows = export_bf_trace(kept)
         assert len(rows) == kept.training_trace.duration
         assert rows[0][0] == 1 and rows[-1][0] == len(rows)
 
     def test_bf_trace_csv_layout(self, planted_small_dataset, tmp_path):
         cfg = RunConfig(n_features=64)
-        kept = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg, 5.0, seed=3,
-                            keep_trace=True)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        kept = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
         path = tmp_path / "bf.csv"
         write_bf_trace_csv(path, export_bf_trace(kept))
         lines = path.read_text().strip().splitlines()
@@ -353,8 +387,9 @@ class TestExports:
         # inside the run's own noise estimate
         cfg = RunConfig(eta=0.1, n_features=200, epochs=3)
         report = skg.resolve_sigma_sq(planted_small_dataset, cfg, seed=3)
-        result = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg,
-                              report.sigma_sq_ce / 10, seed=3, keep_trace=True)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        result = fit_prepared(prepared, cfg, report.sigma_sq_ce / 10, seed=3,
+                              probe_node=prepared.tested[0])
         trace = result.trace
         fraction = np.mean(np.abs(trace.weights) <= trace.noise_up)
         assert fraction >= 0.90
@@ -364,8 +399,9 @@ class TestExports:
         # 2*eta*(1-2*eta)^(T-i); check the last 20 steps within 20%
         cfg = RunConfig(eta=0.1, n_features=200, epochs=3)
         report = skg.resolve_sigma_sq(planted_small_dataset, cfg, seed=3)
-        result = fit_prepared(prepare(planted_small_dataset, cfg, seed=3), cfg,
-                              100 * report.d_sq_max, seed=3, keep_trace=True)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        result = fit_prepared(prepared, cfg, 100 * report.d_sq_max, seed=3,
+                              probe_node=prepared.tested[0])
         duration = result.trace.weights.size
         steps = np.arange(1, duration + 1)
         profile = 2 * 0.1 * (1 - 2 * 0.1) ** (duration - steps)

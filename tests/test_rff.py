@@ -66,6 +66,12 @@ class TestSampleBank:
             assert (bank.sigma_sq, bank.seed) == (single.sigma_sq, single.seed)
 
 
+def _concatenated(bank, vectors):
+    """Reference feature matrix: sin and cos blocks concatenated, then divided."""
+    phase = vectors @ bank.frequencies.T
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1) / math.sqrt(bank.n_features)
+
+
 class TestFeatureMap:
     def test_zero_vector_layout(self):
         # sin block then cos block: phases are all zero
@@ -93,6 +99,25 @@ class TestFeatureMap:
         batch = feature_matrix(bank, vectors)
         singles = np.stack([feature_map(bank, v) for v in vectors])
         assert np.allclose(batch, singles, atol=1e-15)
+
+    @given(n=st.integers(1, 40), input_dim=st.integers(1, 30), n_features=st.integers(1, 60),
+           sigma_sq=st.floats(1e-2, 1e2), weighted=st.booleans(), seed=st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_equals_the_concatenated_form(self, n, input_dim, n_features, sigma_sq,
+                                                 weighted, seed):
+        rng = np.random.default_rng(seed)
+        vectors = (rng.random((n, input_dim)) < 0.3).astype(np.float64)
+        if weighted:
+            vectors *= rng.uniform(0.5, 2.0, vectors.shape)
+        bank = sample_bank(sigma_sq, n_features, input_dim, seed)
+        assert np.array_equal(feature_matrix(bank, vectors), _concatenated(bank, vectors))
+
+    @pytest.mark.parametrize("n, input_dim", [(80, 80), (400, 400), (1080, 1080), (1620, 1080)])
+    def test_matrix_equals_the_concatenated_form_at_workload_shapes(self, n, input_dim):
+        rng = np.random.default_rng(n)
+        vectors = (rng.random((n, input_dim)) < 0.05) * rng.uniform(0.5, 2.0, (n, input_dim))
+        bank = sample_bank(2.0, 200, input_dim, seed=1)
+        assert np.array_equal(feature_matrix(bank, vectors), _concatenated(bank, vectors))
 
     def test_dimension_mismatch(self):
         bank = sample_bank(1.0, 4, 3, seed=0)

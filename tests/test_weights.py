@@ -259,7 +259,8 @@ class TestExpectedWeightSum:
         sums = []
         for seed in range(20):
             prepared = skg.prepare(planted_small_dataset, cfg, seed)
-            result = skg.fit_prepared(prepared, cfg, report.sigma_sq_ed, seed, keep_trace=True)
+            result = skg.fit_prepared(prepared, cfg, report.sigma_sq_ed, seed,
+                                      probe_node=prepared.tested[0])
             assert result.trace.weights.size == 99
             sums.append(result.trace.weights.sum())
         assert abs(np.mean(sums) - 1.0) <= 0.1
