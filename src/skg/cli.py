@@ -87,7 +87,7 @@ def _run_config(args) -> tuple[RunConfig, int]:
         try:
             with open(config_path, "r", encoding="utf-8") as handle:
                 file_conf = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: JSON syntax or UTF-8 decoding
             raise DataError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise ArgumentError(f"config file {config_path} must hold a JSON object")

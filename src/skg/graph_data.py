@@ -9,6 +9,7 @@ set pairs adjacency vectors of sampled nodes with their known nodal values.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -41,48 +42,57 @@ class Graph:
         directed: bool = False,
         nodes: Iterable[NodeId] = (),
     ):
-        self.directed = bool(directed)
-        self._order: list[NodeId] = []
-        self._out: dict[NodeId, dict[NodeId, float]] = {}
-        for node in nodes:
-            self._register(node)
-        collected = []
+        src, dst, weights = [], [], []
         for edge in edges:
-            src, dst = edge[0], edge[1]
-            weight = float(edge[2]) if len(edge) > 2 else 1.0
-            if not math.isfinite(weight) or weight < 0:
-                raise DataError(
-                    f"edge weight must be finite and nonnegative, got {weight!r} on ({src!r}, {dst!r})"
-                )
-            self._register(src)
-            self._register(dst)
-            # duplicate edges: last occurrence wins
-            self._out[src][dst] = weight
-            if not self.directed:
-                self._out[dst][src] = weight
-            collected.append((src, dst, weight))
-        self._edges = tuple(collected)
+            src.append(edge[0])
+            dst.append(edge[1])
+            weights.append(float(edge[2]) if len(edge) > 2 else 1.0)
+        bad = _first_out_of_range(weights, nonnegative=True)
+        if bad < len(weights):
+            raise DataError(f"edge weight must be finite and nonnegative, got {weights[bad]!r} "
+                            f"on ({src[bad]!r}, {dst[bad]!r})")
+        self._build(src, dst, weights, directed, nodes)
 
-    def _register(self, node: NodeId) -> None:
-        if node not in self._out:
-            self._out[node] = {}
-            self._order.append(node)
+    @classmethod
+    def _from_columns(cls, src: list, dst: list, weights: list, directed: bool) -> "Graph":
+        """A graph over edge columns whose weights are already checked."""
+        graph = cls.__new__(cls)
+        graph._build(src, dst, weights, directed, ())
+        return graph
+
+    def _build(self, src, dst, weights, directed, nodes) -> None:
+        # The one builder. Nodes register in first-seen order over src0, dst0,
+        # src1, ...; on undirected graphs each edge writes src->dst, then
+        # dst->src, so a duplicate edge, in either direction, wins last.
+        self.directed = bool(directed)
+        self._src, self._dst, self._weights = src, dst, weights
+        ends = _interleave(src, dst)
+        self._out: dict[NodeId, dict[NodeId, float]] = {
+            node: {} for node in dict.fromkeys(itertools.chain(nodes, ends))}
+        if self.directed:
+            heads, tails, values = src, dst, weights
+        else:
+            heads, tails, values = ends, _interleave(dst, src), _interleave(weights, weights)
+        out = self._out
+        for head, tail, weight in zip(heads, tails, values):
+            out[head][tail] = weight
 
     @property
     def nodes(self) -> tuple:
-        return tuple(self._order)
+        return tuple(self._out)
 
     @property
     def edges(self) -> tuple:
-        return self._edges
+        """``(src, dst, weight)`` per input edge, duplicates included; built on each access."""
+        return tuple(zip(self._src, self._dst, self._weights))
 
     @property
     def num_nodes(self) -> int:
-        return len(self._order)
+        return len(self._out)
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._src)
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._out
@@ -93,6 +103,14 @@ class Graph:
 
     def out_degree(self, node: NodeId) -> int:
         return len(self._out[node])
+
+
+def _interleave(first: list, second: list) -> list:
+    """``[first[0], second[0], first[1], second[1], ...]`` for equally long lists."""
+    both = [None] * (2 * len(first))
+    both[0::2] = first
+    both[1::2] = second
+    return both
 
 
 @dataclass(frozen=True)
@@ -162,14 +180,92 @@ class Dataset:
         return np.array([self.values[n] for n in node_ids], dtype=np.float64)
 
 
-def _parse_csv_rows(path: Path):
-    """Yield (line_number, fields) for non-comment, non-blank CSV lines."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, [part.strip() for part in line.split(",")]
+class _Table:
+    """A comma-separated text file parsed once, column by column.
+
+    The file is read and decoded whole and split into lines. Each line is
+    whitespace-stripped; blank lines and ``#`` comments are skipped, and
+    the rest are the file's data lines. Each must have one of ``widths``
+    fields: ``rows`` counts the lines before the first that does not. The
+    fields of those rows, each stripped, form one flat token list;
+    ``columns`` are its stride slices, as many as the widest row has
+    fields, a narrower row padded with ``fill`` fields. No per-line
+    container is built.
+    """
+
+    def __init__(self, path, widths: tuple[int, ...], fill: str = ""):
+        self.path = Path(path)
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                            ) from None
+        stripped = list(map(str.strip, text.split("\n")))
+        self._positions = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+        self._lines = list(map(stripped.__getitem__, self._positions))
+        commas = list(map(str.count, self._lines, itertools.repeat(",")))
+        self.rows = len(commas)
+        if sum(map(commas.count, [w - 1 for w in widths])) != self.rows:
+            self.rows = next(i for i, count in enumerate(commas) if count + 1 not in widths)
+            del commas[self.rows:]
+        width = max(commas, default=min(widths) - 1) + 1
+        good = self._lines[:self.rows]
+        if commas.count(width - 1) != self.rows:
+            good = [line + ("," + fill) * (width - 1 - count) for line, count in zip(good, commas)]
+        tokens = list(map(str.strip, ",".join(good).split(","))) if good else []
+        self.columns = [tokens[k::width] for k in range(width)]
+
+    def check(self, *checks) -> None:
+        """Raise :class:`DataError` at the first bad line in file order, if any.
+
+        Each check is (its first bad row, or ``rows`` if none; the message
+        for that line's stripped fields), given in the order the checks
+        apply within one line, the field-count check first.
+        """
+        row = min(index for index, _ in checks)
+        if row < len(self._lines):
+            fields = [part.strip() for part in self._lines[row].split(",")]
+            message = next(message for index, message in checks if index == row)
+            raise DataError(f"{self.path}:{self._positions[row] + 1}: {message(fields)}")
+
+
+def _index(column: list, token: str) -> int:
+    """Index of the first ``token`` in ``column``; ``len(column)`` if absent."""
+    return column.index(token) if token in column else len(column)
+
+
+def _first_repeat(keys: list) -> int:
+    """Index of the first key equal to an earlier one; ``len(keys)`` if all differ."""
+    if len(set(keys)) == len(keys):
+        return len(keys)
+    seen = set()
+    for index, key in enumerate(keys):
+        if key in seen:
+            return index
+        seen.add(key)
+
+
+def _floats(tokens: list) -> tuple[list, int]:
+    """``float`` of each token before the first that is not a number, and its index."""
+    try:
+        return list(map(float, tokens)), len(tokens)
+    except ValueError:
+        for index, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                return list(map(float, tokens[:index])), index
+
+
+def _first_out_of_range(numbers: list, nonnegative: bool) -> int:
+    """Index of the first number that is not finite, or negative when ``nonnegative``.
+
+    ``len(numbers)`` when every number is in range.
+    """
+    low = 0.0 if nonnegative else -math.inf
+    if all(map(math.isfinite, numbers)) and min(numbers, default=0.0) >= low:
+        return len(numbers)
+    return next(i for i, x in enumerate(numbers) if not (math.isfinite(x) and x >= low))
 
 
 def _csv_cell(value) -> str:
@@ -203,45 +299,44 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
     """Load an edge-list CSV (``src,dst[,weight]``, ``#`` comments ignored).
 
     With ``weighted`` the optional third column is used (default 1.0 when
-    absent); otherwise every edge gets weight 1.0. Malformed lines and
-    negative weights raise :class:`DataError` with the line number.
+    absent); otherwise every edge gets weight 1.0. The first malformed
+    line, or negative or non-finite weight, in file order raises
+    :class:`DataError` with its line number.
     """
-    path = Path(path)
-    edges = []
-    for lineno, fields in _parse_csv_rows(path):
-        if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
-            raise DataError(f"{path}:{lineno}: expected 'src,dst[,weight]', got {fields!r}")
-        src, dst = fields[0], fields[1]
-        weight = 1.0
-        if weighted and len(fields) == 3:
-            try:
-                weight = float(fields[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: weight {fields[2]!r} is not a number") from None
-        if not math.isfinite(weight) or weight < 0:
-            raise DataError(f"{path}:{lineno}: weight must be finite and nonnegative, got {weight}")
-        edges.append((src, dst, weight))
-    return Graph(edges, directed=directed)
+    table = _Table(path, widths=(2, 3), fill="1")
+    src, dst = table.columns[:2]
+    if weighted and len(table.columns) == 3:
+        weights, bad_number = _floats(table.columns[2])
+        bad_weight = _first_out_of_range(weights, nonnegative=True)
+    else:
+        weights = [1.0] * table.rows
+        bad_number = bad_weight = table.rows
+    table.check(
+        (min(table.rows, _index(src, ""), _index(dst, "")),
+         lambda fields: f"expected 'src,dst[,weight]', got {fields!r}"),
+        (bad_number, lambda fields: f"weight {fields[2]!r} is not a number"),
+        (bad_weight,
+         lambda fields: f"weight must be finite and nonnegative, got {float(fields[2])}"))
+    return Graph._from_columns(src, dst, weights, directed)
 
 
 def load_values(path) -> dict:
-    """Load a ``node_id,value`` CSV into an id->value mapping."""
-    path = Path(path)
-    values: dict = {}
-    for lineno, fields in _parse_csv_rows(path):
-        if len(fields) != 2 or not fields[0]:
-            raise DataError(f"{path}:{lineno}: expected 'node_id,value', got {fields!r}")
-        node = fields[0]
-        if node in values:
-            raise DataError(f"{path}:{lineno}: duplicate value for node {node!r}")
-        try:
-            value = float(fields[1])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: value {fields[1]!r} is not a number") from None
-        if not math.isfinite(value):
-            raise DataError(f"{path}:{lineno}: value must be finite, got {value}")
-        values[node] = value
-    return values
+    """Load a ``node_id,value`` CSV into an id->value mapping.
+
+    The first malformed line, duplicate node or non-finite value in file
+    order raises :class:`DataError` with its line number.
+    """
+    table = _Table(path, widths=(2,))
+    nodes, column = table.columns
+    values, bad_number = _floats(column)
+    table.check(
+        (min(table.rows, _index(nodes, "")),
+         lambda fields: f"expected 'node_id,value', got {fields!r}"),
+        (_first_repeat(nodes), lambda fields: f"duplicate value for node {fields[0]!r}"),
+        (bad_number, lambda fields: f"value {fields[1]!r} is not a number"),
+        (_first_out_of_range(values, nonnegative=False),
+         lambda fields: f"value must be finite, got {float(fields[1])}"))
+    return dict(zip(nodes, values))
 
 
 def load_dataset(graph_path, values_path, weighted=False, directed=False,
@@ -424,10 +519,34 @@ def write_split_manifest(path, sampled, tested, seed: int, fraction: float) -> N
         handle.write("\n")
 
 
+def _read_json(path, fmt: str, what: str) -> dict:
+    """The JSON object in ``path`` tagged ``"format": fmt``; DataError naming the file otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSON syntax and UTF-8 decoding errors
+        raise DataError(f"{path}: not {what} ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise DataError(f"{path}: not {what}")
+    return payload
+
+
+def _is_node_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(node, Hashable) for node in value)
+
+
 def read_split_manifest(path):
-    """Load a split manifest; returns (sampled, tested, seed, fraction)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "skg-split-v1":
-        raise DataError(f"{path}: not a split manifest")
-    return payload["sampled"], payload["tested"], payload["seed"], payload["fraction"]
+    """Load a split manifest; returns (sampled, tested, seed, fraction).
+
+    A file that is not JSON, lacks a key or holds node lists that are not
+    lists of node ids raises :class:`DataError` naming it.
+    """
+    payload = _read_json(path, "skg-split-v1", "a split manifest")
+    try:
+        sampled, tested, seed, fraction = [payload[key] for key in
+                                           ("sampled", "tested", "seed", "fraction")]
+    except KeyError as exc:
+        raise DataError(f"{path}: split manifest lacks the key {exc}") from None
+    if not (_is_node_list(sampled) and _is_node_list(tested)):
+        raise DataError(f"{path}: 'sampled' and 'tested' must be lists of node ids")
+    return sampled, tested, seed, fraction

@@ -10,13 +10,14 @@ visited in a fresh seeded shuffle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import streams
 from .errors import ArgumentError, DataError, NumericError
-from .graph_data import TrainingSet, write_csv
+from .graph_data import TrainingSet, _is_node_list, _read_json, write_csv
 from .rff import RandomFeatureBank, feature_map, feature_matrix, sample_bank
 
 
@@ -189,14 +190,15 @@ def load_model(path):
     """Load a model written by :func:`save_model`.
 
     Returns ``(model, metadata)`` where metadata carries the optional
-    ``referencing`` list and ``value_scale`` (None when absent).
+    ``referencing`` list and ``value_scale`` (None when absent). A file
+    that is not JSON, lacks a key or holds a bad hex, list or parameter
+    value raises :class:`DataError` naming it.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "skg-model-v1":
-        raise DataError(f"{path}: not a model file")
-    theta = np.array([float.fromhex(x) for x in payload["theta"]], dtype=np.float64)
+    payload = _read_json(path, "skg-model-v1", "a model file")
     try:
+        if not isinstance(payload["theta"], list):
+            raise DataError(f"{path}: theta must be a list of hex floats")
+        theta = np.array([float.fromhex(x) for x in payload["theta"]], dtype=np.float64)
         bank = sample_bank(
             sigma_sq=float.fromhex(payload["sigma_sq"]),
             n_features=int(payload["n_features"]),
@@ -204,14 +206,19 @@ def load_model(path):
             seed=int(payload["bank_seed"]),
         )
         model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
-    except ArgumentError as exc:
+        scale = payload.get("value_scale")
+        scale = float.fromhex(scale) if scale is not None else None
+    except KeyError as exc:
+        raise DataError(f"{path}: model lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # ArgumentError is a ValueError
         raise DataError(f"{path}: {exc}") from exc
-    scale = payload.get("value_scale")
-    metadata = {
-        "referencing": payload.get("referencing"),
-        "value_scale": float.fromhex(scale) if scale is not None else None,
-    }
-    return model, metadata
+    referencing = payload.get("referencing")
+    if referencing is not None and not (_is_node_list(referencing) and
+                                        len(set(referencing)) == len(referencing) == bank.input_dim):
+        raise DataError(f"{path}: referencing must list {bank.input_dim} distinct node ids")
+    if scale is not None and not (0.0 < scale < math.inf):
+        raise DataError(f"{path}: value_scale must be positive and finite, got {scale}")
+    return model, {"referencing": referencing, "value_scale": scale}
 
 
 def write_training_trace_csv(path, trace: TrainingTrace) -> None:

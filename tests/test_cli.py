@@ -288,6 +288,78 @@ class TestTrainPredict:
         assert code == 3 and str(model) in err and stdout == ""
 
 
+def _without(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _setting(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--graph"), ("select", "--graph"), ("select", "--values"),
+        ("select", "--config"),
+    ])
+    def test_undecodable_file_exits_3(self, tiny_dataset_files, tmp_path, capsys, command,
+                                      flag):
+        edges, values = tiny_dataset_files
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+        files = {"--graph": edges, "--values": values} if command == "select" else {
+            "--graph": edges}
+        files[flag] = bad
+        argv = [str(part) for item in files.items() for part in item]
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, edit", [
+        ("model", None),
+        ("model", _without("theta")),
+        ("model", _setting("theta", ["0x1.0p+0", "zz"])),
+        ("model", _setting("theta", "0x1.0p+0")),
+        ("model", _setting("sigma_sq", 2.0)),
+        ("model", _setting("referencing", "0,1")),
+        ("model", _setting("referencing", [["0"], ["1"]])),
+        ("model", _setting("value_scale", "inf")),
+        ("split", None),
+        ("split", _without("sampled")),
+        ("split", _without("tested")),
+        ("split", _setting("tested", {"5": 1})),
+        ("split", _setting("tested", [["5"]])),
+    ], ids=["model-not-json", "model-no-theta", "model-bad-hex", "model-theta-not-list",
+            "model-sigma-not-hex", "model-referencing-not-list",
+            "model-referencing-unhashable", "model-infinite-scale", "split-not-json",
+            "split-no-sampled", "split-no-tested", "split-tested-not-list",
+            "split-tested-unhashable"])
+    def test_malformed_model_or_split_exits_3(self, tiny_dataset_files, tmp_path, capsys,
+                                              target, edit):
+        edges, values = tiny_dataset_files
+        paths = {"model": tmp_path / "m.json", "split": tmp_path / "split.json"}
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--seed", "1", "--model-out", str(paths["model"]),
+                "--split-out", str(paths["split"]))
+        broken = paths[target]
+        if edit is None:
+            broken.write_text(broken.read_text()[:-10])
+        else:
+            payload = json.loads(broken.read_text())
+            edit(payload)
+            broken.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(paths["model"]),
+                                    "--graph", str(edges), "--split", str(paths["split"]),
+                                    "--out", str(preds))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and str(broken) in err
+        assert not preds.exists()
+
+
 class TestSweepCommand:
     def test_csv_and_summary(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files

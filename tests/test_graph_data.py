@@ -1,5 +1,7 @@
 """Graph loading, adjacency vectors, pairwise statistics, splits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,193 @@ class TestLoadValues:
         path = _write(tmp_path, "v.csv", "a,1\nb,oops\n")
         with pytest.raises(DataError, match=":2:"):
             load_values(path)
+
+
+def _oracle_rows(path):
+    """The definitional row parser: (line number, stripped fields) per data line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, [part.strip() for part in line.split(",")]
+
+
+def _oracle_graph(path, weighted, directed):
+    """Row-by-row edge-list loading and per-edge registration.
+
+    Returns (nodes, edges, out-maps in node order as item lists).
+    """
+    order, out, edges = [], {}, []
+    for lineno, fields in _oracle_rows(path):
+        if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
+            raise DataError(f"{path}:{lineno}: expected 'src,dst[,weight]', got {fields!r}")
+        src, dst = fields[0], fields[1]
+        weight = 1.0
+        if weighted and len(fields) == 3:
+            try:
+                weight = float(fields[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: weight {fields[2]!r} is not a number") from None
+        if not math.isfinite(weight) or weight < 0:
+            raise DataError(f"{path}:{lineno}: weight must be finite and nonnegative, got {weight}")
+        edges.append((src, dst, weight))
+    for src, dst, weight in edges:
+        for node in (src, dst):
+            if node not in out:
+                out[node] = {}
+                order.append(node)
+        out[src][dst] = weight
+        if not directed:
+            out[dst][src] = weight
+    return tuple(order), tuple(edges), [list(out[node].items()) for node in order]
+
+
+def _oracle_values(path):
+    values = {}
+    for lineno, fields in _oracle_rows(path):
+        if len(fields) != 2 or not fields[0]:
+            raise DataError(f"{path}:{lineno}: expected 'node_id,value', got {fields!r}")
+        node = fields[0]
+        if node in values:
+            raise DataError(f"{path}:{lineno}: duplicate value for node {node!r}")
+        try:
+            value = float(fields[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: value {fields[1]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: value must be finite, got {value}")
+        values[node] = value
+    return values
+
+
+def _graph_parts(graph):
+    return graph.nodes, graph.edges, [list(graph._out[node].items()) for node in graph.nodes]
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+def _field(tokens):
+    return st.builds(lambda left, token, right: left + token + right,
+                     _PAD, st.sampled_from(tokens), _PAD)
+
+
+@st.composite
+def _csv_text(draw, data_lines):
+    """``data_lines`` mixed with comments and blank lines, with LF, CRLF or CR endings."""
+    lines = list(data_lines)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# comment", "  # a,b,c", "#1,2"])))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        endings[-1] = ""
+    padded = [draw(_PAD) + line + draw(_PAD) for line in lines]
+    return "".join(line + end for line, end in zip(padded, endings))
+
+
+_GOOD_WEIGHTS = ["1", "0.5", "2.25", "0", "1e-3", "-0.0", "1_0"]
+_BAD_WEIGHTS = ["-1", "nan", "inf", "-inf", "x", ""]
+
+
+@st.composite
+def _edge_file(draw, malformed):
+    ids = _field(["a", "b", "c", "1", "10", "c#2"] + ([""] if malformed else []))
+    weights = _field(_GOOD_WEIGHTS + (_BAD_WEIGHTS if malformed else []))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.sampled_from([2, 3, 2, 3] + ([1, 4] if malformed else [])))
+        fields = [draw(ids) for _ in range(min(width, 2))]
+        lines.append(",".join(fields + [draw(weights) for _ in range(width - 2)]))
+    return draw(_csv_text(lines))
+
+
+@st.composite
+def _value_file(draw, malformed):
+    nodes = draw(st.lists(st.sampled_from([f"n{i}" for i in range(20)] + ["7", "x y", "n#1"]),
+                          unique=True, min_size=1, max_size=12))
+    values = _field(["1", "-2.5", "0", "1e3", "-0.0"] +
+                    (["nan", "inf", "x", ""] if malformed else []))
+    lines = [f"{node},{draw(values)}" for node in nodes]
+    if malformed:
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(lines)))
+            node = draw(st.sampled_from(nodes + [""]))
+            lines.insert(at, draw(st.sampled_from([f"{node},{draw(values)}", node,
+                                                   f"{node},1,2"])))
+    return draw(_csv_text(lines))
+
+
+class TestLoaderAgainstRowParser:
+    """The columnar loaders against the definitional row-by-row parser."""
+
+    @given(data=st.data(), malformed=st.booleans(), weighted=st.booleans(),
+           directed=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_load_graph(self, tmp_path_factory, data, malformed, weighted, directed):
+        text = data.draw(_edge_file(malformed))
+        path = tmp_path_factory.mktemp("oracle") / "g.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_oracle_graph, path, weighted, directed)
+        graph = _outcome(load_graph, path, weighted, directed)
+        if isinstance(expected, str):
+            assert graph == expected
+            return
+        assert _graph_parts(graph) == expected
+        assert graph.num_edges == len(expected[1])
+        # the public constructor builds the same graph from the same edges
+        assert _graph_parts(Graph(expected[1], directed=directed)) == expected
+
+    @given(data=st.data(), malformed=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_load_values(self, tmp_path_factory, data, malformed):
+        text = data.draw(_value_file(malformed))
+        path = tmp_path_factory.mktemp("oracle") / "v.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_oracle_values, path)
+        got = _outcome(load_values, path)
+        assert got == expected
+        if not isinstance(expected, str):
+            assert list(got) == list(expected)
+
+    def test_reverse_duplicate_with_another_weight(self, tmp_path):
+        path = _write(tmp_path, "g.csv", "a,b,1\nb,c,2\nb,a,3\n")
+        for directed in (False, True):
+            graph = load_graph(path, weighted=True, directed=directed)
+            assert _graph_parts(graph) == _oracle_graph(path, True, directed)
+        assert load_graph(path, weighted=True).weight("a", "b") == 3.0
+
+    def test_first_bad_line_wins_across_checks(self, tmp_path):
+        # a bad weight on line 2 comes before a bad field count on line 3
+        path = _write(tmp_path, "g.csv", "a,b,1\na,c,-2\nbogus\n")
+        with pytest.raises(DataError, match=r":2: weight must be finite"):
+            load_graph(path, weighted=True)
+        path = _write(tmp_path, "v.csv", "a,1\nb,x\na,2\n")
+        with pytest.raises(DataError, match=r":2: value 'x' is not a number"):
+            load_values(path)
+        # within one line the checks keep the row parser's order
+        path = _write(tmp_path, "v.csv", "a,1\na,x\n")
+        assert _outcome(load_values, path) == _outcome(_oracle_values, path)
+        with pytest.raises(DataError, match=r":2: duplicate value for node 'a'"):
+            load_values(path)
+        path = _write(tmp_path, "g.csv", "a,b,1\n,c,x\n")
+        assert _outcome(load_graph, path, True) == _outcome(_oracle_graph, path, True, False)
+
+    @pytest.mark.parametrize("loader", [load_graph, load_values])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, loader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(DataError, match="bad.csv: not UTF-8"):
+            loader(path)
 
 
 class TestAdjacencyVectors:
