@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError, DataError, SkgError
 from .graph_data import (TrainingSet, build_adjacency_vectors, drop_isolated, load_dataset,
-                         load_graph, load_values, pairwise_histogram, pairwise_stats,
-                         read_split_manifest, split_sample, write_csv, write_split_manifest)
+                         load_graph, load_values, pairwise_histogram, read_split_manifest,
+                         split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
@@ -147,14 +147,13 @@ def cmd_stats(args) -> int:
     config, seed = _run_config(args)
     graph = _load_graph(args)
     sampled, _ = split_sample(graph.nodes, config.sample_fraction, seed)
-    vectors = build_adjacency_vectors(graph, sampled, sampled)
-    stats = pairwise_stats(vectors)
-    histogram = pairwise_histogram(vectors)
+    # the histogram's values are exact, so its ends are pairwise_stats' extremes
+    histogram = pairwise_histogram(build_adjacency_vectors(graph, sampled, sampled))
     _emit({
         "n_sampled": len(sampled),
-        "n_pairs": stats.n_pairs,
-        "d_sq_max": stats.d_sq_max,
-        "d_sq_min_nonzero": stats.d_sq_min_nonzero,
+        "n_pairs": len(sampled) * (len(sampled) - 1) // 2,
+        "d_sq_max": histogram[-1][0],
+        "d_sq_min_nonzero": next((d_sq for d_sq, _ in histogram if d_sq > 0.0), None),
         "n_distinct_d_sq": len(histogram),
         "seed": seed,
         "fraction": config.sample_fraction,

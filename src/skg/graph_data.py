@@ -13,9 +13,9 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -393,6 +393,13 @@ def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
 
 # Rows per Gram block of the pairwise scan; its memory is O(_SCAN_CHUNK * n).
 _SCAN_CHUNK = 256
+# Cost of one co-occurrence product in BLAS multiply-adds: 13-26 ns against
+# about 48 ps with OpenBLAS 0.3.31 on one thread of a 2-vCPU Xeon, and the
+# scan time stayed within 10% of its best for ratios 200-500. A column with
+# d nonzeros adds about d^2/2 products to the scan and about n^2/2
+# multiply-adds through BLAS, so it is light, and skips BLAS, while
+# _SCAN_COST * d^2 <= n^2.
+_SCAN_COST = 300
 
 
 def _pair_d_sq(vectors: np.ndarray, first, second) -> np.ndarray:
@@ -412,35 +419,128 @@ def _pair_input(vectors) -> np.ndarray:
     return vectors
 
 
+def _light_entries(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The light-column mask and the flat indices, in row order, of the light nonzeros.
+
+    A column is light when its co-occurrence products cost less than its
+    BLAS multiply-adds (see ``_SCAN_COST``). Light columns are taken
+    sparsest first and hold at most ``_SCAN_CHUNK * n`` nonzeros, so no
+    entry list outgrows one Gram block; the rest go through BLAS.
+    """
+    n, m = vectors.shape
+    chunks = range(0, n, _SCAN_CHUNK)
+    counts = np.zeros(m, dtype=np.int64)
+    for start in chunks:
+        counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
+    order = np.argsort(counts, kind="stable")
+    sparsest = counts[order]
+    light = np.zeros(m, dtype=bool)
+    light[order[(_SCAN_COST * sparsest * sparsest <= n * n)
+                & (np.cumsum(sparsest) <= _SCAN_CHUNK * n)]] = True
+    flat = [np.flatnonzero((vectors[start:start + _SCAN_CHUNK] != 0.0) & light) + start * m
+            for start in chunks if light.any()]
+    return light, np.concatenate(flat) if flat else np.zeros(0, dtype=np.intp)
+
+
+class _CoOccurrence:
+    """The light-column part of -2 a.b, from products of nonzeros sharing a column.
+
+    Entries are kept in row order; ``partner[i] + done[i]`` is the
+    (column, row) position of the first entry below entry i in its column
+    and ``below[i]`` the number of such entries, so entry i pairs with the
+    ``below[i]`` entries from there on, and ``done[i]`` counts the pairs of
+    the entries before it.
+    """
+
+    def __init__(self, vectors: np.ndarray, flat: np.ndarray):
+        m = vectors.shape[1]
+        self.rows, cols = np.divmod(flat, m)
+        self.values = vectors[self.rows, cols]
+        by_column = np.argsort(cols, kind="stable")
+        position = np.empty_like(by_column)
+        position[by_column] = np.arange(by_column.size)
+        self.below = np.cumsum(np.bincount(cols, minlength=m))[cols] - position - 1
+        self.done = np.concatenate(([0], np.cumsum(self.below)))
+        self.partner = position + 1 - self.done[:-1]
+        self.column_rows, self.column_values = self.rows[by_column], self.values[by_column]
+
+    def block(self, start: int, stop: int, n: int) -> np.ndarray:
+        """Rows [start, stop) against rows [start, n), above the diagonal only.
+
+        Products are summed with ``np.bincount`` in runs whose index and
+        weight arrays are no longer than the block itself.
+        """
+        width = n - start
+        size = (stop - start) * width
+        total = None
+        lo, hi = np.searchsorted(self.rows, (start, stop))
+        while self.done[lo] < self.done[hi]:
+            end = min(hi, int(np.searchsorted(self.done, self.done[lo] + size, side="right")) - 1)
+            below = self.below[lo:end]
+            partner = (np.repeat(self.partner[lo:end], below)
+                       + np.arange(self.done[lo], self.done[end]))
+            index = np.repeat((self.rows[lo:end] - start) * width - start, below)
+            weight = np.repeat(-2.0 * self.values[lo:end], below)
+            part = np.bincount(index + self.column_rows[partner],
+                               weights=weight * self.column_values[partner], minlength=size)
+            if total is None:
+                total = part
+            else:
+                total += part
+            lo = end
+        return (np.zeros(size) if total is None else total).reshape(stop - start, width)
+
+
 def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
     """Largest and smallest nonzero squared Euclidean distance over all unordered pairs.
 
     Distances are scanned as ||a||^2 + ||b||^2 - 2 a.b, one Gram block of
     ``_SCAN_CHUNK`` rows at a time, so memory stays O(_SCAN_CHUNK * n).
+    Each block's Gram values come in two parts: the products of nonzeros
+    that share a light (sparse) column, added by co-occurrence, and a BLAS
+    product over the remaining heavy columns (see ``_light_entries``).
     A Gram value differs from the difference-based value by at most
-    8 (m + 2) eps max||a||^2 for m-long vectors. Every pair whose Gram
-    value lies within twice that bound of its block's maximum, of zero or
-    of the block's smallest value above the bound is recomputed from its
-    difference, so both reported distances are exactly those of the
-    definitional pair-by-pair scan, on weighted as on 0/1 vectors.
-    ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
+    8 (m + 2) eps max||a||^2 for m-long vectors, in any summation order.
+    Every pair whose Gram value lies within twice that bound of its block's
+    maximum, of zero or of the block's smallest value above the bound is
+    recomputed from its difference, so both reported distances are exactly
+    those of the definitional pair-by-pair scan, on weighted as on 0/1
+    vectors. ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
     """
     vectors = _pair_input(vectors)
     n, m = vectors.shape
     norms = np.einsum("ij,ij->i", vectors, vectors)
     tol = 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
     batch = max(_SCAN_CHUNK, _SCAN_CHUNK * n // max(m, 1))
+    light, flat = _light_entries(vectors)
+    heavy = np.flatnonzero(~light)
+    # BLAS gathers the heavy columns _SCAN_CHUNK at a time; when all are heavy it copies none
+    gathers = ([slice(None)] if heavy.size == m else
+               [heavy[at:at + _SCAN_CHUNK] for at in range(0, heavy.size, _SCAN_CHUNK)])
+    co_occurrence = _CoOccurrence(vectors, flat) if flat.size else None
+    on_or_below = np.tri(min(_SCAN_CHUNK, n - 1), dtype=bool)
     d_max, d_min = 0.0, math.inf
     for start in range(0, n - 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n - 1)
-        gram = vectors[start:stop] @ vectors[start:].T
-        d_sq = norms[start:stop, None] + norms[start:] - 2.0 * gram
-        upper = np.arange(n - start) > np.arange(stop - start)[:, None]
-        high = d_sq.max(where=upper, initial=-math.inf)
-        low = d_sq.min(where=upper & (d_sq > tol), initial=math.inf)
-        rows, cols = np.nonzero(upper & ((d_sq >= high - 2.0 * tol) | (d_sq <= low + 2.0 * tol)))
-        for at in range(0, rows.size, batch):
-            exact = _pair_d_sq(vectors, rows[at:at + batch] + start, cols[at:at + batch] + start)
+        rows = stop - start
+        d_sq = co_occurrence.block(start, stop, n) if co_occurrence else np.zeros((rows, n - start))
+        for columns in gathers:
+            part = vectors[start:, columns]
+            d_sq += (-2.0 * part[:rows]) @ part.T
+        d_sq += norms[start:stop, None]
+        d_sq += norms[start:]
+        # pairs on or below the diagonal read NaN, which the reductions and
+        # comparisons below skip; so do near-zero pairs once they are marked
+        d_sq[:, :rows][on_or_below[:rows, :rows]] = np.nan
+        high = np.fmax.reduce(d_sq, axis=None)
+        recompute = d_sq <= tol
+        d_sq[recompute] = np.nan
+        low = np.fmin.reduce(d_sq, axis=None)
+        recompute |= d_sq >= high - 2.0 * tol
+        recompute |= d_sq <= low + 2.0 * tol
+        first, second = np.divmod(np.flatnonzero(recompute), n - start)
+        for at in range(0, first.size, batch):
+            exact = _pair_d_sq(vectors, first[at:at + batch] + start, second[at:at + batch] + start)
             d_max = max(d_max, float(exact.max()))
             d_min = min(d_min, float(exact.min(where=exact > 0.0, initial=math.inf)))
     return PairwiseStats(d_sq_max=d_max, d_sq_min_nonzero=None if d_min == math.inf else d_min,

@@ -212,18 +212,25 @@ def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, se
 def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -> SweepGrid:
     """Log-spaced grid spanning a tenth of the chaos/extending boundary to
     ten times the disturbing/averaging one, with the selected variance
-    inserted and marked."""
+    inserted and marked.
+
+    The selected variance replaces the grid point nearest to it when that
+    point lies within a relative 1e-9 of it, so the marked value is always
+    exactly one of the grid's values.
+    """
     if points < 2:
         raise ArgumentError(f"grid needs at least 2 points, got {points}")
     lo, hi = report.sigma_sq_ce / 10.0, report.sigma_sq_da * 10.0
     if not lo < hi:
         raise ArgumentError(f"default grid is empty: sigma_sq_ce/10 = {lo} is not below "
                             f"10*sigma_sq_da = {hi}; pass a manual grid")
-    values = list(np.geomspace(lo, hi, points))
+    values = np.geomspace(lo, hi, points)
     ed = report.sigma_sq_ed
-    if not any(np.isclose(v, ed, rtol=1e-9, atol=0.0) for v in values):
-        values.append(ed)
-    values.sort()
+    nearest = int(np.argmin(np.abs(values - ed)))
+    if np.isclose(values[nearest], ed, rtol=1e-9, atol=0.0):
+        values[nearest] = ed
+    else:
+        values = np.sort(np.append(values, ed))
     return SweepGrid(sigma_sq_values=tuple(values), config=config, marked_sigma_sq=ed)
 
 
@@ -328,14 +335,13 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
 
 
 def write_sweep_csv(path, results, marked_sigma_sq=None) -> None:
-    """Write sweep results as ``sigma_sq,gnmse_mean,gnmse_std,repeats,is_theoretical_ed``."""
-    def marked(sigma_sq):
-        return (marked_sigma_sq is not None
-                and np.isclose(sigma_sq, marked_sigma_sq, rtol=1e-12, atol=0.0))
+    """Write sweep results as ``sigma_sq,gnmse_mean,gnmse_std,repeats,is_theoretical_ed``.
 
+    The row whose variance equals ``marked_sigma_sq`` exactly is marked.
+    """
     write_csv(path, ("sigma_sq", "gnmse_mean", "gnmse_std", "repeats", "is_theoretical_ed"),
               ((res.sigma_sq, res.gnmse_mean, res.gnmse_std, res.repeats,
-                "true" if marked(res.sigma_sq) else "false") for res in results))
+                "true" if res.sigma_sq == marked_sigma_sq else "false") for res in results))
 
 
 def export_scatter(training_set: TrainingSet) -> np.ndarray:

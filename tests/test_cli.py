@@ -120,6 +120,20 @@ class TestStats:
         assert payload["n_sampled"] == 16 and payload["n_pairs"] == 120
         assert payload["d_sq_max"] >= payload["d_sq_min_nonzero"] > 0
 
+    @pytest.mark.parametrize("text", ["a,b\nb,b\n", "a,b\nc,b\nd,e\nd,a\ne,e\nf,c\n"])
+    def test_summary_extremes_equal_the_scan(self, text, tmp_path, capsys):
+        # zero-distance pairs head the histogram; an all-zero one has no nonzero minimum
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text, encoding="utf-8")
+        code, stdout, _ = run_cli(capsys, "stats", "--graph", str(edges), "--directed",
+                                  "--fraction", "1.0")
+        assert code == 0
+        graph = skg.load_graph(edges, directed=True)
+        stats = skg.pairwise_stats(skg.build_adjacency_vectors(graph, graph.nodes, graph.nodes))
+        payload = json.loads(stdout)
+        assert (payload["n_pairs"], payload["d_sq_max"], payload["d_sq_min_nonzero"]) == \
+            (stats.n_pairs, stats.d_sq_max, stats.d_sq_min_nonzero)
+
     def test_histogram_export(self, tiny_dataset_files, tmp_path, capsys):
         edges, _ = tiny_dataset_files
         hist = tmp_path / "hist.csv"

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skg.errors import ArgumentError, DataError, DegenerateInputError
-from skg.graph_data import (Dataset, Graph, PairwiseStats, TrainingSet, apply_normalization,
-                            build_adjacency_vectors, drop_isolated, load_dataset,
-                            load_graph, load_values, normalize_values, pairwise_histogram,
-                            pairwise_stats, read_split_manifest, split_sample, write_csv,
-                            write_split_manifest)
+from skg.graph_data import (_SCAN_CHUNK, Dataset, Graph, PairwiseStats, TrainingSet,
+                            _CoOccurrence, _light_entries, apply_normalization,
+                            build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
+                            load_values, normalize_values, pairwise_histogram, pairwise_stats,
+                            read_split_manifest, split_sample, write_csv, write_split_manifest)
 
 from conftest import require_data
 
@@ -411,6 +411,88 @@ class TestPairwiseStats:
         vectors = np.array([[0.1, 3.0], [0.7, 3.0]])
         assert pairwise_stats(vectors) == _loop_stats(vectors)
         assert pairwise_stats(vectors).d_sq_min_nonzero == pairwise_stats(vectors).d_sq_max > 0
+
+    @given(n=st.integers(2, 700), m=st.integers(1, 120),
+           density=st.one_of(st.just(0.0), st.floats(0.002, 0.06)),
+           values=st.sampled_from(["binary", "lognormal", "signed"]), hubs=st.integers(0, 3),
+           duplicates=st.integers(0, 20), zero_rows=st.integers(0, 5),
+           zero_columns=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @example(n=300, m=1, density=0.05, values="binary", hubs=0, duplicates=3, zero_rows=2,
+             zero_columns=0, seed=1)
+    @example(n=520, m=40, density=0.0, values="binary", hubs=0, duplicates=0, zero_rows=0,
+             zero_columns=0, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_scan_equals_loop_scan(self, n, m, density, values, hubs, duplicates,
+                                          zero_rows, zero_columns, seed):
+        # sparse columns go through co-occurrence products, hub columns with at
+        # least n/5 nonzeros through BLAS; both parts must give the loop's values
+        rng = np.random.default_rng(seed)
+        nonzero = rng.random((n, m)) < density
+        for column in rng.choice(m, min(hubs, m), replace=False):
+            nonzero[rng.choice(n, rng.integers(-(-n // 5), n + 1), replace=False), column] = True
+        vectors = nonzero * {"binary": np.ones((n, m)),
+                             "lognormal": rng.lognormal(0.0, 2.0, (n, m)),
+                             "signed": rng.standard_normal((n, m))}[values]
+        for _ in range(duplicates):
+            i, j = rng.integers(0, n, 2)
+            vectors[j] = vectors[i]
+        vectors[rng.integers(0, n, zero_rows)] = 0.0
+        vectors[:, rng.integers(0, m, zero_columns)] = 0.0
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+    def test_column_split_puts_hubs_on_blas(self):
+        rng = np.random.default_rng(3)
+        n, m = 600, 200
+        vectors = (rng.random((n, m)) < 0.01) * rng.lognormal(0.0, 1.0, (n, m))
+        hubs = [7, 70, 150]
+        for column in hubs:
+            vectors[rng.choice(n, n // 5, replace=False), column] = 1.0
+        light, flat = _light_entries(vectors)
+        assert np.flatnonzero(~light).tolist() == hubs
+        expected = np.flatnonzero(vectors != 0.0)
+        assert flat.tolist() == expected[light[expected % m]].tolist()
+        assert flat.size > 0
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+    def test_light_entries_stay_within_one_gram_block(self):
+        # one nonzero per column, more columns than a Gram block has entries:
+        # the light columns stop at _SCAN_CHUNK * n nonzeros, the rest use BLAS
+        n, m = 20, _SCAN_CHUNK * 20 + 300
+        rng = np.random.default_rng(4)
+        vectors = np.zeros((n, m))
+        vectors[rng.integers(0, n, m), np.arange(m)] = rng.lognormal(0.0, 1.0, m)
+        light, flat = _light_entries(vectors)
+        assert flat.size == light.sum() == _SCAN_CHUNK * n
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+    def test_block_products_in_several_runs(self, monkeypatch):
+        # 600 light columns of 17 nonzeros give the first block more products
+        # than it has entries: they are summed in runs no longer than the
+        # block, and every block equals -2 times its dense Gram above the diagonal
+        n, m = 300, 600
+        rng = np.random.default_rng(5)
+        vectors = np.zeros((n, m))
+        for column in range(m):
+            vectors[rng.choice(n, 17, replace=False), column] = 1.0
+        light, flat = _light_entries(vectors)
+        assert light.all()
+        co_occurrence = _CoOccurrence(vectors, flat)
+        runs, bincount = [], np.bincount
+
+        def recorded(index, weights=None, minlength=0):
+            runs.append((index.size, minlength))
+            return bincount(index, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", recorded)
+        for start in range(0, n - 1, _SCAN_CHUNK):
+            stop = min(start + _SCAN_CHUNK, n - 1)
+            dense = -2.0 * vectors[start:stop] @ vectors[start:].T
+            assert np.array_equal(co_occurrence.block(start, stop, n), np.triu(dense, 1))
+        first_block = _SCAN_CHUNK * n
+        assert sum(size == first_block for _, size in runs) > 1
+        assert all(products <= size for products, size in runs)
+        monkeypatch.undo()
+        assert pairwise_stats(vectors) == _loop_stats(vectors)
 
 
 def _loop_stats(vectors):

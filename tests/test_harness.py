@@ -203,6 +203,22 @@ class TestSweep:
         assert lines[0] == "sigma_sq,gnmse_mean,gnmse_std,repeats,is_theoretical_ed"
         assert sum(line.endswith(",true") for line in lines[1:]) == 1
 
+    def test_selected_variance_next_to_a_grid_point_is_marked(self, tmp_path):
+        # within rtol 1e-9 of a grid point, but not within 1e-12
+        ed = float(np.geomspace(0.1, 500.0, 25)[12]) * (1.0 + 5e-10)
+        report = skg.SelectionReport(
+            d_sq_max=4.0, d_sq_min_nonzero=1.0, noise_up=0.01, noise_up_source="theoretical",
+            sigma_sq_ed=ed, sigma_sq_ce=1.0, sigma_sq_da=50.0, closeness=0.1, eta=0.1,
+            n_features=200)
+        grid = default_grid(report, RunConfig(), points=25)
+        assert len(grid.sigma_sq_values) == 25 and grid.sigma_sq_values[12] == ed
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, [harness.GnmseResult(v, 0.5, 0.0, 1, (0,))
+                               for v in grid.sigma_sq_values],
+                        marked_sigma_sq=grid.marked_sigma_sq)
+        marked = [line for line in path.read_text().splitlines() if line.endswith(",true")]
+        assert len(marked) == 1 and float(marked[0].split(",")[0]) == ed
+
     def test_grid_validation(self):
         with pytest.raises(ArgumentError):
             SweepGrid(sigma_sq_values=(2.0, 1.0), config=RunConfig())
