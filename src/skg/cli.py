@@ -14,16 +14,16 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, DataError, SkgError
-from .graph_data import (TrainingSet, build_adjacency_vectors, drop_isolated, load_dataset,
-                         load_graph, load_values, pairwise_histogram, read_split_manifest,
-                         split_sample, write_csv, write_split_manifest)
+from .errors import ArgumentError, DataError, NumericError, SkgError
+from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, build_adjacency_vectors,
+                         drop_isolated, load_dataset, load_graph, load_values,
+                         pairwise_histogram, read_split_manifest, split_sample, write_csv,
+                         write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
@@ -54,7 +54,7 @@ def _add_config_flags(parser, include_selection=True):
                         help="sampled-node fraction of the graph "
                              f"(default {RunConfig.sample_fraction})")
     parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    parser.add_argument("--normalization", choices=("max-abs", "none"), default=None,
+    parser.add_argument("--normalization", choices=NORMALIZATION_POLICIES, default=None,
                         help=f"value normalization policy (default {RunConfig.normalization})")
     if include_selection:
         parser.add_argument("--closeness", type=float, default=None,
@@ -117,8 +117,11 @@ def _load_graph(args):
     return drop_isolated(graph) if args.drop_isolated else graph
 
 
-def _emit(payload: dict, out_path=None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(payload: dict, out_path=None, indent=2) -> None:
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity: a numeric error, never a bare JSON token
+        raise NumericError(f"non-finite number in the output: {exc}") from None
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -214,7 +217,7 @@ def cmd_predict(args) -> int:
     write_csv(args.out or "-", ("node_id", "prediction"), zip(targets, predictions.tolist()))
     if dataset_values is not None:
         y_true = np.array([dataset_values[n] for n in targets], dtype=np.float64)
-        sys.stdout.write(f'{{"gnmse": {gnmse(y_true, predictions)!r}}}\n')
+        _emit({"gnmse": gnmse(y_true, predictions)}, indent=None)
     return 0
 
 
@@ -276,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"skg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    raw_jobs = os.environ.get("SKG_JOBS", "1")
-    try:
-        default_jobs = int(raw_jobs)
-    except ValueError:
-        raise ArgumentError(f"SKG_JOBS must be an integer, got {raw_jobs!r}") from None
 
     p_stats = sub.add_parser("stats", help="pairwise-distance statistics of a sampled split")
     _add_dataset_flags(p_stats, values_required=False)
@@ -322,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of grid points (default 25)")
     p_sweep.add_argument("--repeats", type=int, default=50,
                          help="seeded repetitions per grid point (default 50)")
-    p_sweep.add_argument("--jobs", type=int, default=default_jobs,
-                         help="parallel worker processes (default $SKG_JOBS or 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel worker processes (default 1)")
     p_sweep.add_argument("--fixed-split", action="store_true",
                          help="pin the split of the base seed for all repeats")
     p_sweep.add_argument("--out", required=True, help="sweep CSV path")

@@ -101,9 +101,6 @@ class Graph:
         """Weight of the edge src->dst (either direction when undirected); 0.0 if absent."""
         return self._out.get(src, {}).get(dst, 0.0)
 
-    def out_degree(self, node: NodeId) -> int:
-        return len(self._out[node])
-
 
 def _interleave(first: list, second: list) -> list:
     """``[first[0], second[0], first[1], second[1], ...]`` for equally long lists."""
@@ -357,10 +354,9 @@ def drop_isolated(graph: Graph) -> Graph:
     graphs, nodes with no incident edges. Edges touching dropped nodes are
     removed as well (single pass).
     """
-    keep = {n for n in graph.nodes if graph.out_degree(n) > 0}
+    keep = dict.fromkeys(n for n, out in graph._out.items() if out)  # ordered set
     edges = [(s, d, w) for s, d, w in graph.edges if s in keep and d in keep]
-    nodes = [n for n in graph.nodes if n in keep]
-    return Graph(edges, directed=graph.directed, nodes=nodes)
+    return Graph(edges, directed=graph.directed, nodes=keep)
 
 
 def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],

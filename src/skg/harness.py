@@ -106,11 +106,20 @@ def gnmse(y_true, y_pred) -> float:
         raise ArgumentError(f"value vectors must be 1-d and equally long, got {t.shape} vs {p.shape}")
     if t.size == 0:
         raise ArgumentError("value vectors are empty")
-    denom = float(t @ t)
-    if denom == 0.0:
-        raise DegenerateInputError("true values are all zero; the metric is undefined")
-    diff = t - p
-    return float(diff @ diff) / denom
+    with np.errstate(over="ignore"):  # an overflowed square is redone below
+        denom = float(t @ t)
+        if denom == 0.0:
+            raise DegenerateInputError("true values are all zero; the metric is undefined")
+        diff = t - p
+        score = float(diff @ diff) / denom
+        if not (math.isfinite(denom) and math.isfinite(score)):
+            # the same ratio over values divided by max|t|; finite scores keep their bits
+            top = np.max(np.abs(t))
+            t, diff = t / top, t / top - p / top
+            score = float(diff @ diff) / float(t @ t)
+    if not math.isfinite(score):
+        raise NumericError("the error metric is not finite: predictions overflow or are not finite")
+    return score
 
 
 @dataclass(frozen=True)
@@ -365,14 +374,9 @@ def export_bf_trace(result: RunResult) -> list[tuple]:
     if result.trace is None:
         raise StateError("run was executed without trace retention")
     trace = result.trace
-    rows = []
-    for i in range(trace.weights.size):
-        alpha = float(trace.alpha[i]) if trace.alpha_valid[i] else None
-        rows.append(
-            (i + 1, float(trace.similarities[i]), float(trace.weights[i]),
-             alpha, bool(trace.alpha_valid[i]))
-        )
-    return rows
+    valid = trace.alpha_valid.tolist()
+    return list(zip(range(1, len(valid) + 1), trace.similarities.tolist(), trace.weights.tolist(),
+                    [a if ok else None for a, ok in zip(trace.alpha.tolist(), valid)], valid))
 
 
 def write_bf_trace_csv(path, rows) -> None:

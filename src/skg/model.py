@@ -18,7 +18,7 @@ import numpy as np
 from . import streams
 from .errors import ArgumentError, DataError, NumericError
 from .graph_data import TrainingSet, _is_node_list, _read_json, write_csv
-from .rff import RandomFeatureBank, feature_map, feature_matrix, sample_bank
+from .rff import RandomFeatureBank, feature_matrix, sample_bank
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,9 @@ class TrainingTrace:
 class SkgModel:
     """Linear coefficients over a frozen feature bank.
 
-    ``theta`` starts at zero and has length 2*n_features. ``train_step``
-    mutates the model in place and returns the pre-update residual;
-    training is strictly sequential, but a trained model may be shared
-    read-only for batch prediction.
+    ``theta`` starts at zero and has length 2*n_features. ``train``
+    mutates the model in place; training is strictly sequential, but a
+    trained model may be shared read-only for batch prediction.
     """
 
     bank: RandomFeatureBank
@@ -76,26 +75,9 @@ class SkgModel:
                 f"theta must have length {2 * self.bank.n_features}, got {self.theta.shape}"
             )
 
-    def predict(self, vector) -> float:
-        """Predicted nodal value for one adjacency vector."""
-        return float(self.theta @ feature_map(self.bank, vector))
-
     def predict_batch(self, vectors) -> np.ndarray:
         """Predicted nodal values for the rows of ``vectors``."""
         return feature_matrix(self.bank, vectors) @ self.theta
-
-    def train_step(self, vector, value: float) -> float:
-        """One gradient step on a single (vector, value) pair.
-
-        Returns the residual computed with the coefficients *before* the
-        update.
-        """
-        z = feature_map(self.bank, vector)
-        if not np.isfinite(value) or not np.all(np.isfinite(z)):
-            raise NumericError("non-finite value or features in training step")
-        (pred,) = sgd_pass(z[None, :], np.zeros(1, np.int64), np.array([float(value)]),
-                           self.theta, self.eta)
-        return float(value) - float(pred)
 
     def train(self, training_set: TrainingSet, epochs: int, seed: int) -> TrainingTrace:
         """Run ``epochs`` passes over the set, reshuffling each epoch.
@@ -104,8 +86,6 @@ class SkgModel:
         unaffected by bank size or the split. Returns the full trace
         (duration = epochs * n).
         """
-        if training_set.n < 1:
-            raise ArgumentError("training set is empty")
         if epochs < 1:
             raise ArgumentError(f"epochs must be at least 1, got {epochs}")
         if training_set.m != self.bank.input_dim:

@@ -77,20 +77,16 @@ def sample_bank(sigma_sq: float, n_features: int, input_dim: int, seed: int) -> 
 
 
 def feature_map(bank: RandomFeatureBank, vector) -> np.ndarray:
-    """Map one adjacency vector to its 2*n_features sin/cos feature vector.
-
-    Layout is the sin block followed by the cos block, scaled by
-    1/sqrt(n_features); the result has unit squared norm up to rounding.
-    """
-    a = np.asarray(vector, dtype=np.float64)
-    if a.shape != (bank.input_dim,):
-        raise ArgumentError(f"expected a vector of length {bank.input_dim}, got shape {a.shape}")
-    phase = bank.frequencies @ a
-    return np.concatenate([np.sin(phase), np.cos(phase)]) / math.sqrt(bank.n_features)
+    """The feature vector of one adjacency vector: one row of :func:`feature_matrix`."""
+    return feature_matrix(bank, np.asarray(vector, dtype=np.float64)[None])[0]
 
 
 def feature_matrix(bank: RandomFeatureBank, vectors) -> np.ndarray:
-    """Feature vectors for the rows of ``vectors``, shape (n, 2*n_features)."""
+    """Feature vectors for the rows of ``vectors``, shape (n, 2*n_features).
+
+    Each row is the sin block followed by the cos block, scaled by
+    1/sqrt(n_features); it has unit squared norm up to rounding.
+    """
     a = np.asarray(vectors, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != bank.input_dim:
         raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {a.shape}")

@@ -19,12 +19,12 @@ from .graph_data import Dataset, Graph
 def planted_community_dataset(n_nodes: int = 200, n_communities: int = 4,
                               p_in: float = 0.8, p_out: float = 0.05,
                               value_noise: float = 0.02, seed: int = 0,
-                              community_values=None, name: str = "") -> Dataset:
+                              name: str = "") -> Dataset:
     """Build an undirected planted-community dataset.
 
-    Communities are contiguous blocks of near-equal size. ``community_values``
-    overrides the default means 1..n_communities; ``value_noise`` is the
-    standard deviation of the per-node perturbation.
+    Communities are contiguous blocks of near-equal size with means
+    1..n_communities; ``value_noise`` is the standard deviation of the
+    per-node perturbation.
     """
     if n_nodes < 2 or n_communities < 1 or n_communities > n_nodes:
         raise ArgumentError("need at least 2 nodes and 1 <= n_communities <= n_nodes")
@@ -32,10 +32,6 @@ def planted_community_dataset(n_nodes: int = 200, n_communities: int = 4,
         raise ArgumentError("probabilities must satisfy 0 <= p_out <= p_in <= 1")
     if value_noise < 0:
         raise ArgumentError(f"value_noise must be nonnegative, got {value_noise}")
-    if community_values is None:
-        community_values = [float(c + 1) for c in range(n_communities)]
-    if len(community_values) != n_communities:
-        raise ArgumentError("community_values must have one entry per community")
 
     community = np.array([min(i * n_communities // n_nodes, n_communities - 1)
                           for i in range(n_nodes)])
@@ -49,7 +45,7 @@ def planted_community_dataset(n_nodes: int = 200, n_communities: int = 4,
         edges.extend((i, i + 1 + int(j)) for j in hits)
 
     values = {
-        i: float(community_values[community[i]] + value_noise * value_rng.standard_normal())
+        i: float(community[i] + 1.0 + value_noise * value_rng.standard_normal())
         for i in range(n_nodes)
     }
     graph = Graph(edges, directed=False, nodes=range(n_nodes))

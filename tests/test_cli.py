@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
+import math
 import warnings
 
 import jsonschema
@@ -18,6 +19,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture
@@ -226,6 +234,27 @@ class TestTrainPredict:
             models.append(path.read_bytes())
         assert models[0] == models[1]
 
+    def test_overflowing_values_never_report_nan(self, tmp_path, capsys):
+        # squares of the values overflow float64: the score is rescaled, or the run exits 4
+        edges, values, model = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "m.json"
+        edges.write_text("a,b\nb,c\nc,a\nc,d\n")
+        values.write_text("a,1e200\nb,-1e200\nc,1e200\nd,1\n")
+        data = ["--graph", str(edges), "--values", str(values)]
+        code, stdout, err = run_cli(capsys, "train", *data, "--sigma-sq", "1.0",
+                                    "--normalization", "none", "--model-out", str(model))
+        assert (code, err) == (0, "") and math.isfinite(strict_json(stdout)["test_gnmse"])
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), *data)
+        assert code in (0, 4)
+        if code == 0:
+            assert err == "" and math.isfinite(strict_json(stdout.splitlines()[-1])["gnmse"])
+
+    def test_non_finite_summary_exits_4(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(skg.cli, "cmd_stats", lambda args: skg.cli._emit(
+            {"d_sq_max": math.inf}, tmp_path / "out.json"))
+        code, stdout, err = run_cli(capsys, "stats", "--graph", "g")
+        assert code == 4 and stdout == "" and "non-finite" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_unstable_learning_rate_exits_2(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
         code, _, err = run_cli(capsys, "train", "--graph", str(edges), "--values",
@@ -401,16 +430,13 @@ class TestSweepCommand:
         top = float(out.read_text().strip().splitlines()[-1].split(",")[0])
         assert top == pytest.approx(10 * d_sq_max / (2 * 0.1), rel=1e-12)
 
-    @pytest.mark.parametrize("jobs_flag, jobs_env", [(["--jobs", "-3"], None), ([], "0")])
-    def test_non_positive_jobs_exit_2(self, tiny_dataset_files, tmp_path, capsys, monkeypatch,
-                                      jobs_flag, jobs_env):
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_non_positive_jobs_exit_2(self, tiny_dataset_files, tmp_path, capsys, jobs):
         edges, values = tiny_dataset_files
-        if jobs_env is not None:
-            monkeypatch.setenv("SKG_JOBS", jobs_env)
         out = tmp_path / "sweep.csv"
         code, _, err = run_cli(capsys, "sweep", "--graph", str(edges), "--values",
                                str(values), "--features", "64", "--grid-points", "3",
-                               "--repeats", "1", *jobs_flag, "--out", str(out))
+                               "--repeats", "1", "--jobs", jobs, "--out", str(out))
         assert code == 2 and "jobs" in err
         assert not out.exists()
 
@@ -524,17 +550,18 @@ class TestParser:
         from skg.cli import _run_config, build_parser
         assert _run_config(build_parser().parse_args(argv)) == (skg.RunConfig(), 0)
 
-    def test_jobs_default_mirrors_environment(self, monkeypatch):
-        from skg.cli import build_parser
-        monkeypatch.setenv("SKG_JOBS", "3")
-        args = build_parser().parse_args(
-            ["sweep", "--graph", "g", "--values", "v", "--out", "s"])
-        assert args.jobs == 3
-
-    def test_non_integer_jobs_environment_exits_2(self, monkeypatch, capsys):
+    def test_jobs_environment_variable_is_not_read(self, tiny_dataset_files, monkeypatch,
+                                                   capsys):
+        # --jobs (default 1) is the only way to set the worker count
+        edges, _ = tiny_dataset_files
         monkeypatch.setenv("SKG_JOBS", "abc")
-        code, _, err = run_cli(capsys, "--version")
-        assert code == 2 and err.startswith("error:") and "SKG_JOBS" in err
+        code, stdout, err = run_cli(capsys, "--version")
+        assert code == 0 and stdout.startswith("skg ") and err == ""
+        code, stdout, err = run_cli(capsys, "stats", "--graph", str(edges))
+        assert code == 0 and err == "" and json.loads(stdout)["n_sampled"] > 0
+        args = skg.cli.build_parser().parse_args(
+            ["sweep", "--graph", "g", "--values", "v", "--out", "s"])
+        assert args.jobs == 1
 
     def test_first_order_da_flag(self, tiny_dataset_files, capsys):
         edges, values = tiny_dataset_files

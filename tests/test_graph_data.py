@@ -601,6 +601,9 @@ class TestDataset:
         pruned = drop_isolated(graph)
         assert set(pruned.nodes) == {1, 2}
         assert pruned.weight(1, 2) == 1.0 and pruned.weight(2, 3) == 0.0
+        # kept nodes stay in first-seen order, one whose only out-edge was dropped included
+        pruned = drop_isolated(Graph([(4, 3), (1, 2), (2, 1)], directed=True))
+        assert pruned.nodes == (4, 1, 2) and pruned.num_edges == 2
 
     def test_training_set_validation(self):
         with pytest.raises(ArgumentError):

@@ -39,6 +39,30 @@ class TestGnmse:
         with pytest.raises(ArgumentError):
             gnmse([], [])
 
+    def test_overflowing_squares_are_rescaled(self):
+        # t @ t and diff @ diff overflow: the score is that of the values over max|t|
+        t, p = np.array([1e200, -1e200, 1e200]), np.array([5e199, -1e200, 0.0])
+        assert gnmse(t, p) == gnmse(t / 1e200, p / 1e200) == pytest.approx(1.25 / 3, rel=1e-15)
+        # a signal square overflowing alone no longer reads 0.0
+        assert gnmse([1e154, 1e154], [0.0, 1e154]) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+    def test_non_finite_score_raises(self, bad):
+        with pytest.raises(NumericError):
+            gnmse([1e-10, 1.0], [bad, 1.0])
+
+    @given(st.lists(st.tuples(st.floats(-1e150, 1e150, allow_nan=False),
+                              st.floats(-1e150, 1e150, allow_nan=False)),
+                    min_size=1, max_size=12))
+    def test_finite_scores_are_the_plain_ratio(self, pairs):
+        # the rescaled form is taken only where the plain one is not finite
+        t, p = np.array(pairs).T.copy()
+        with np.errstate(over="ignore"):
+            denom = float(t @ t)
+            plain = float((t - p) @ (t - p)) / denom if denom else math.nan
+        if 0.0 < denom < math.inf and math.isfinite(plain):
+            assert gnmse(t, p) == plain
+
     @given(st.lists(st.tuples(st.floats(-10, 10, allow_nan=False),
                               st.floats(-10, 10, allow_nan=False)),
                     min_size=2, max_size=12))
@@ -72,7 +96,7 @@ class TestSynthetic:
         with pytest.raises(ArgumentError):
             planted_community_dataset(p_in=0.2, p_out=0.5)
         with pytest.raises(ArgumentError):
-            planted_community_dataset(community_values=[1.0])
+            planted_community_dataset(value_noise=-0.1)
 
 
 class TestRunOnce:
@@ -88,7 +112,7 @@ class TestRunOnce:
         # constant nodal values: far above the selected variance the model
         # predicts the shared value almost exactly
         ds = planted_community_dataset(n_nodes=20, n_communities=1, p_in=0.4, p_out=0.4,
-                                       value_noise=0.0, community_values=[3.0], seed=5)
+                                       value_noise=0.0, seed=5)
         cfg = RunConfig(eta=0.1, n_features=100, epochs=3, sample_fraction=0.4)
         report = skg.resolve_sigma_sq(ds, cfg, seed=1)
         result = run_once(ds, cfg, 100 * report.d_sq_max, seed=1)
@@ -385,6 +409,14 @@ class TestExports:
         rows = export_bf_trace(kept)
         assert len(rows) == kept.training_trace.duration
         assert rows[0][0] == 1 and rows[-1][0] == len(rows)
+        # the per-index rows, value types included
+        trace = kept.trace
+        expected = [(i + 1, float(trace.similarities[i]), float(trace.weights[i]),
+                     float(trace.alpha[i]) if trace.alpha_valid[i] else None,
+                     bool(trace.alpha_valid[i])) for i in range(trace.weights.size)]
+        assert rows == expected
+        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row))
+                                                           for row in expected]
 
     def test_bf_trace_csv_layout(self, planted_small_dataset, tmp_path):
         cfg = RunConfig(n_features=64)

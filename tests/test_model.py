@@ -15,38 +15,47 @@ def make_model(eta=0.1, n_features=32, input_dim=4, seed=0, sigma_sq=2.0):
     return SkgModel(bank=sample_bank(sigma_sq, n_features, input_dim, seed), eta=eta)
 
 
+def one_pair(vector, value):
+    return TrainingSet(np.asarray(vector, dtype=np.float64)[None], np.array([float(value)]))
+
+
 class TestPredict:
     def test_zero_coefficients_predict_zero(self):
         model = make_model()
-        assert model.predict(np.ones(4)) == 0.0
+        assert model.predict_batch(np.ones((1, 4)))[0] == 0.0
         assert np.all(model.predict_batch(np.random.default_rng(0).random((5, 4))) == 0.0)
 
     def test_state_after_one_step_recovers_scaled_value(self):
         # after one step from zero, predicting the same vector gives 2*eta*y
         model = make_model(eta=0.1)
         a, y = np.array([0.5, 1.0, -2.0, 0.0]), 3.0
-        error = model.train_step(a, y)
-        assert error == y
-        assert model.predict(a) == pytest.approx(2 * 0.1 * y, rel=1e-12)
+        trace = model.train(one_pair(a, y), epochs=1, seed=0)
+        assert trace.errors[0] == y
+        assert model.predict_batch(a[None])[0] == pytest.approx(2 * 0.1 * y, rel=1e-12)
 
 
 class TestTrainStep:
     def test_matched_value_is_a_no_op(self):
         model = make_model()
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        model.train_step(a, 1.0)
+        model.train(one_pair(a, 1.0), epochs=1, seed=0)
         before = model.theta.copy()
-        error = model.train_step(a, model.predict(a))
-        assert error == 0.0
+        # the step's own prediction: the same feature row and the same dot product
+        matched = feature_matrix(model.bank, a[None])[0] @ model.theta
+        trace = model.train(one_pair(a, matched), epochs=1, seed=0)
+        assert trace.errors[0] == 0.0
         assert np.array_equal(model.theta, before)
 
     def test_two_steps_on_same_pair(self):
         # hand recursion with unit-norm features: predictions 0 then 2*eta*1
         model = make_model(eta=0.1)
         a = np.array([0.3, -0.7, 0.2, 1.1])
-        assert model.predict(a) == 0.0
-        model.train_step(a, 1.0)
-        assert model.predict(a) == pytest.approx(0.2, rel=1e-12)
+        assert model.predict_batch(a[None])[0] == 0.0
+        trace = model.train(one_pair(a, 1.0), epochs=2, seed=0)
+        assert trace.predictions[0] == 0.0
+        assert trace.predictions[1] == pytest.approx(0.2, rel=1e-12)
+        # each step scales the residual by 1 - 2*eta
+        assert model.predict_batch(a[None])[0] == pytest.approx(1 - 0.8 ** 2, rel=1e-12)
 
     @given(eta=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -58,11 +67,12 @@ class TestTrainStep:
         model = make_model(eta=eta, n_features=16, seed=seed % 97)
         vectors = rng.random((12, 4))
         target = rng.standard_normal(32)
-        values = feature_matrix(model.bank, vectors) @ target
+        features = feature_matrix(model.bank, vectors)
+        values = features @ target
         slack = 1e-13 * np.linalg.norm(target)
         error = np.linalg.norm(model.theta - target)
         for idx in rng.integers(0, 12, 200):
-            model.train_step(vectors[idx], values[idx])
+            sgd_pass(features, np.array([idx]), values, model.theta, model.eta)
             moved = np.linalg.norm(model.theta - target)
             assert moved <= error + slack
             error = moved
@@ -70,7 +80,8 @@ class TestTrainStep:
     def test_non_finite_rejected(self):
         model = make_model()
         with pytest.raises(NumericError):
-            model.train_step(np.ones(4), float("nan"))
+            model.train(one_pair(np.ones(4), float("nan")), epochs=1, seed=0)
+        assert np.all(model.theta == 0.0)
 
 
 class TestTrain:
