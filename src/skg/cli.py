@@ -213,11 +213,15 @@ def cmd_predict(args) -> int:
         if missing:
             raise DataError(f"{len(missing)} target nodes have no value (first: {missing[0]!r})")
     vectors = build_adjacency_vectors(graph, targets, referencing)
-    predictions = scale * model.predict_batch(vectors)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
+        predictions = scale * model.predict_batch(vectors)
+    if not np.all(np.isfinite(predictions)):
+        raise NumericError("predictions are not finite: the model's coefficients overflow")
+    score = None if dataset_values is None else gnmse(
+        np.array([dataset_values[n] for n in targets], dtype=np.float64), predictions)
     write_csv(args.out or "-", ("node_id", "prediction"), zip(targets, predictions.tolist()))
-    if dataset_values is not None:
-        y_true = np.array([dataset_values[n] for n in targets], dtype=np.float64)
-        _emit({"gnmse": gnmse(y_true, predictions)}, indent=None)
+    if score is not None:
+        _emit({"gnmse": score}, indent=None)
     return 0
 
 

@@ -28,12 +28,12 @@ NORMALIZATION_POLICIES = ("max-abs", "none")
 
 
 class Graph:
-    """Weighted graph over opaque node ids.
+    """Weighted graph over opaque node ids, as node-index and weight arrays.
 
-    Nodes are registered in first-seen order. Edge weights must be finite
-    and nonnegative (1.0 for unweighted data). For undirected graphs an
-    edge is visible from both endpoints. Instances are never mutated after
-    construction, so they are safe to share across threads.
+    Nodes are numbered in first-seen order. Edge weights must be finite and
+    nonnegative (1.0 for unweighted data). An edge is one head->tail entry,
+    and on undirected graphs two (src->dst, then dst->src). Instances are
+    never mutated after construction, so they are safe to share across threads.
     """
 
     def __init__(
@@ -42,44 +42,33 @@ class Graph:
         directed: bool = False,
         nodes: Iterable[NodeId] = (),
     ):
-        src, dst, weights = [], [], []
-        for edge in edges:
-            src.append(edge[0])
-            dst.append(edge[1])
-            weights.append(float(edge[2]) if len(edge) > 2 else 1.0)
+        rows = [(edge[0], edge[1], float(edge[2]) if len(edge) > 2 else 1.0) for edge in edges]
+        src, dst, weights = map(list, zip(*rows)) if rows else ([], [], [])
         bad = _first_out_of_range(weights, nonnegative=True)
         if bad < len(weights):
             raise DataError(f"edge weight must be finite and nonnegative, got {weights[bad]!r} "
                             f"on ({src[bad]!r}, {dst[bad]!r})")
         self._build(src, dst, weights, directed, nodes)
 
-    @classmethod
-    def _from_columns(cls, src: list, dst: list, weights: list, directed: bool) -> "Graph":
-        """A graph over edge columns whose weights are already checked."""
-        graph = cls.__new__(cls)
-        graph._build(src, dst, weights, directed, ())
-        return graph
-
     def _build(self, src, dst, weights, directed, nodes) -> None:
-        # The one builder. Nodes register in first-seen order over src0, dst0,
-        # src1, ...; on undirected graphs each edge writes src->dst, then
-        # dst->src, so a duplicate edge, in either direction, wins last.
+        # The one builder. Nodes register in first-seen order over src0, dst0, src1, ...
         self.directed = bool(directed)
         self._src, self._dst, self._weights = src, dst, weights
-        ends = _interleave(src, dst)
-        self._out: dict[NodeId, dict[NodeId, float]] = {
-            node: {} for node in dict.fromkeys(itertools.chain(nodes, ends))}
-        if self.directed:
-            heads, tails, values = src, dst, weights
-        else:
-            heads, tails, values = ends, _interleave(dst, src), _interleave(weights, weights)
-        out = self._out
-        for head, tail, weight in zip(heads, tails, values):
-            out[head][tail] = weight
+        ends = [None] * (2 * len(src))  # one list, faster to hash and map than zipped pairs
+        ends[0::2], ends[1::2] = src, dst
+        order = dict.fromkeys(itertools.chain(nodes, ends))
+        self._index: dict[NodeId, int] = dict(zip(order, range(len(order))))
+        ends = np.fromiter(map(self._index.__getitem__, ends), np.int64, len(ends))
+        heads, tails = ends.reshape(-1, 2).T.copy()
+        values = np.array(weights, dtype=np.float64)
+        if not self.directed:  # each edge is written src->dst, then dst->src
+            heads, tails, values = (np.stack(pair, axis=1).ravel()
+                                    for pair in ((heads, tails), (tails, heads), (values, values)))
+        self._heads, self._tails, self._values = heads, tails, values
 
     @property
     def nodes(self) -> tuple:
-        return tuple(self._out)
+        return tuple(self._index)
 
     @property
     def edges(self) -> tuple:
@@ -88,26 +77,14 @@ class Graph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._out)
+        return len(self._index)
 
     @property
     def num_edges(self) -> int:
         return len(self._src)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._out
-
-    def weight(self, src: NodeId, dst: NodeId) -> float:
-        """Weight of the edge src->dst (either direction when undirected); 0.0 if absent."""
-        return self._out.get(src, {}).get(dst, 0.0)
-
-
-def _interleave(first: list, second: list) -> list:
-    """``[first[0], second[0], first[1], second[1], ...]`` for equally long lists."""
-    both = [None] * (2 * len(first))
-    both[0::2] = first
-    both[1::2] = second
-    return both
+        return node in self._index
 
 
 @dataclass(frozen=True)
@@ -314,7 +291,9 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
         (bad_number, lambda fields: f"weight {fields[2]!r} is not a number"),
         (bad_weight,
          lambda fields: f"weight must be finite and nonnegative, got {float(fields[2])}"))
-    return Graph._from_columns(src, dst, weights, directed)
+    graph = Graph.__new__(Graph)  # the one builder, on weights already checked above
+    graph._build(src, dst, weights, directed, ())
+    return graph
 
 
 def load_values(path) -> dict:
@@ -351,10 +330,11 @@ def drop_isolated(graph: Graph) -> Graph:
     """Drop nodes whose adjacency vector would be all-zero.
 
     For directed graphs these are nodes with no out-edges; for undirected
-    graphs, nodes with no incident edges. Edges touching dropped nodes are
-    removed as well (single pass).
+    graphs, nodes with no incident edges; an edge of weight 0 or a self-loop
+    keeps its node. Edges touching dropped nodes are removed as well.
     """
-    keep = dict.fromkeys(n for n, out in graph._out.items() if out)  # ordered set
+    heads = np.bincount(graph._heads, minlength=graph.num_nodes).tolist()
+    keep = dict.fromkeys(itertools.compress(graph.nodes, heads))  # ordered set
     edges = [(s, d, w) for s, d, w in graph.edges if s in keep and d in keep]
     return Graph(edges, directed=graph.directed, nodes=keep)
 
@@ -365,26 +345,34 @@ def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
 
     Entry ``[n, m]`` is the weight of the edge from ``sampled[n]`` toward
     ``referencing[m]`` (out-edge for directed graphs) and 0.0 when the two
-    nodes are not connected.
+    nodes are not connected. An edge given more than once, in either
+    direction on undirected graphs, takes the weight it was given last.
     """
     if len(referencing) == 0:
         raise ArgumentError("referencing set must be non-empty")
     if len(set(referencing)) != len(referencing):
         raise ArgumentError("referencing nodes must be unique")
-    for node in sampled:
-        if node not in graph:
-            raise DataError(f"sampled node {node!r} is not in the graph")
-    for node in referencing:
-        if node not in graph:
-            raise DataError(f"referencing node {node!r} is not in the graph")
+    rows, columns = _node_index(graph, "sampled", sampled), _node_index(graph, "referencing",
+                                                                         referencing)
+    # row and column position of each graph node; -1 outside the two sets
+    position = np.full((2, graph.num_nodes), -1, dtype=np.int64)
+    position[0, rows], position[1, columns] = np.arange(len(rows)), np.arange(len(columns))
+    heads, tails = position[0, graph._heads], position[1, graph._tails]
+    edges = np.flatnonzero((heads >= 0) & (tails >= 0))[::-1]
+    # np.unique keeps the first of each key in reverse edge order: the last edge wins
+    keys, last = np.unique(heads[edges] * len(referencing) + tails[edges], return_index=True)
     vectors = np.zeros((len(sampled), len(referencing)), dtype=np.float64)
-    column = {node: m for m, node in enumerate(referencing)}
-    for n, node in enumerate(sampled):
-        for dst, weight in graph._out[node].items():
-            m = column.get(dst)
-            if m is not None:
-                vectors[n, m] = weight
-    return vectors
+    np.put(vectors, keys, graph._values[edges[last]])
+    # a node sampled more than once had its edges written to one of its rows
+    rows = position[0, rows]
+    return vectors if np.array_equal(rows, np.arange(len(sampled))) else vectors[rows]
+
+
+def _node_index(graph: Graph, role: str, nodes: Sequence[NodeId]) -> np.ndarray:
+    try:
+        return np.fromiter(map(graph._index.__getitem__, nodes), np.int64, len(nodes))
+    except KeyError as exc:
+        raise DataError(f"{role} node {exc.args[0]!r} is not in the graph") from None
 
 
 # Rows per Gram block of the pairwise scan; its memory is O(_SCAN_CHUNK * n).

@@ -13,13 +13,14 @@ sweep cell equals the single run at its variance and seed bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, TrainingSet, _pair_d_sq, apply_normalization,
+from .graph_data import (Dataset, Graph, TrainingSet, _pair_d_sq, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, sgd_pass, training_order
 from .rff import feature_matrix, sample_bank, sample_banks
@@ -106,12 +107,12 @@ def gnmse(y_true, y_pred) -> float:
         raise ArgumentError(f"value vectors must be 1-d and equally long, got {t.shape} vs {p.shape}")
     if t.size == 0:
         raise ArgumentError("value vectors are empty")
-    with np.errstate(over="ignore"):  # an overflowed square is redone below
+    if not t.any():
+        raise DegenerateInputError("true values are all zero; the metric is undefined")
+    with np.errstate(over="ignore"):  # an overflowed or underflowed square is redone below
         denom = float(t @ t)
-        if denom == 0.0:
-            raise DegenerateInputError("true values are all zero; the metric is undefined")
         diff = t - p
-        score = float(diff @ diff) / denom
+        score = float(diff @ diff) / denom if denom else math.inf
         if not (math.isfinite(denom) and math.isfinite(score)):
             # the same ratio over values divided by max|t|; finite scores keep their bits
             top = np.max(np.abs(t))
@@ -127,7 +128,8 @@ class PreparedSplit:
     """Everything a run needs before the bank is drawn, for one split.
 
     ``vectors`` are the sampled nodes' adjacency vectors and
-    ``test_vectors`` the tested nodes', both against the sampled
+    ``test_vectors`` the tested nodes' (built from ``graph`` on first read,
+    which plain selection never makes), both against the sampled
     (referencing) set; ``train_values`` and ``test_values`` are normalized
     by ``value_scale``. The arrays are read-only so that one record can
     serve every grid variance of a seed.
@@ -136,25 +138,30 @@ class PreparedSplit:
     sampled: tuple
     tested: tuple
     vectors: np.ndarray
-    test_vectors: np.ndarray
     train_values: np.ndarray
     test_values: np.ndarray
     value_scale: float
+    graph: Graph
+
+    @functools.cached_property
+    def test_vectors(self) -> np.ndarray:
+        vectors = build_adjacency_vectors(self.graph, self.tested, self.sampled)
+        vectors.flags.writeable = False
+        return vectors
 
 
 def prepare(dataset: Dataset, config: RunConfig, seed: int) -> PreparedSplit:
     """Split the nodes by the seed, build adjacency vectors and normalize the values."""
     sampled, tested = map(tuple, split_sample(dataset.node_ids, config.sample_fraction, seed))
     vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
-    test_vectors = build_adjacency_vectors(dataset.graph, tested, sampled)
     scale, train_values, test_values = apply_normalization(
         config.normalization, dataset.value_array(sampled), dataset.value_array(tested)
     )
-    for array in (vectors, test_vectors, train_values, test_values):
+    for array in (vectors, train_values, test_values):
         array.flags.writeable = False
     return PreparedSplit(sampled=sampled, tested=tested, vectors=vectors,
-                         test_vectors=test_vectors, train_values=train_values,
-                         test_values=test_values, value_scale=scale)
+                         train_values=train_values, test_values=test_values,
+                         value_scale=scale, graph=dataset.graph)
 
 
 def resolve_sigma_sq(dataset: Dataset, config: RunConfig, seed: int) -> SelectionReport:
@@ -263,6 +270,7 @@ def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values,
     # with no sampled node, sample_banks raises the error the single run raises
     per_chunk = max(1, _GRID_BYTES // (max(n, 1) * width * 8))
     order = training_order(n, config.epochs, seed)
+    test_vectors = prepared.test_vectors  # built before the feature stacks: lower peak memory
     scores = []
     for start in range(0, len(sigma_sq_values), per_chunk):
         banks = sample_banks(sigma_sq_values[start:start + per_chunk], config.n_features, m, seed)
@@ -275,7 +283,7 @@ def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values,
         sgd_pass(features, order, prepared.train_values, state, config.eta)
         # predict_batch's product: stacking the test features would raise peak memory
         scores += [gnmse(prepared.test_values,
-                         feature_matrix(bank, prepared.test_vectors) @ theta)
+                         feature_matrix(bank, test_vectors) @ theta)
                    for bank, theta in zip(banks, state)]
     return scores
 

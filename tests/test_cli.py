@@ -248,6 +248,33 @@ class TestTrainPredict:
         if code == 0:
             assert err == "" and math.isfinite(strict_json(stdout.splitlines()[-1])["gnmse"])
 
+    def test_underflowing_values_are_scored(self, tmp_path, capsys):
+        # t @ t rounds to 0.0 on values of 1e-170, although none of them is zero
+        edges, values, model = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "m.json"
+        edges.write_text("a,b\nb,c\nc,a\nc,d\n")
+        values.write_text("a,1e-170\nb,-1e-170\nc,1e-170\nd,-1e-170\n")
+        data = ["--graph", str(edges), "--values", str(values)]
+        code, stdout, err = run_cli(capsys, "train", *data, "--sigma-sq", "1.0",
+                                    "--normalization", "none", "--model-out", str(model))
+        assert (code, err) == (0, "") and math.isfinite(strict_json(stdout)["test_gnmse"])
+
+    def test_overflowing_predictions_write_nothing(self, tmp_path, capsys):
+        edges, values, model = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "m.json"
+        edges.write_text("a,b\nb,c\nc,a\nc,d\n")
+        values.write_text("a,1\nb,-1\nc,1\nd,2\n")
+        data = ["--graph", str(edges), "--values", str(values)]
+        assert run_cli(capsys, "train", *data, "--sigma-sq", "1.0",
+                       "--model-out", str(model))[0] == 0
+        payload = json.loads(model.read_text())
+        payload["theta"] = [(1e308).hex()] * len(payload["theta"])
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "big.csv"
+        for scored in (data, data[:2]):
+            code, stdout, err = run_cli(capsys, "predict", "--model", str(model), *scored,
+                                        "--out", str(out))
+            assert code == 4 and stdout == "" and "not finite" in err
+            assert not out.exists()
+
     def test_non_finite_summary_exits_4(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(skg.cli, "cmd_stats", lambda args: skg.cli._emit(
             {"d_sq_max": math.inf}, tmp_path / "out.json"))
@@ -516,6 +543,17 @@ class TestPrepareOnce:
                              "--features", "64", "--seed", "1", "--sigma-sq", "auto", *argv)
         assert code == 0
         assert len(adjacency_builds) == 2
+
+    @pytest.mark.parametrize("extra, builds", [((), 1), (("--refine",), 2)])
+    def test_plain_select_builds_only_the_sampled_vectors(self, tiny_dataset_files, capsys,
+                                                          adjacency_builds, extra, builds):
+        edges, values = tiny_dataset_files
+        code, _, _ = run_cli(capsys, "select", "--graph", str(edges), "--values", str(values),
+                             "--features", "16", "--seed", "1", *extra)
+        assert code == 0
+        assert len(adjacency_builds) == builds
+        sampled = adjacency_builds[0][0]
+        assert adjacency_builds[0] == (sampled, sampled)
 
     @pytest.mark.parametrize("extra, builds", [((), 4), (("--fixed-split",), 2)])
     def test_sweep_reuses_the_selection_split(self, tiny_dataset_files, tmp_path, capsys,

@@ -33,7 +33,7 @@ class TestLoadGraph:
     def test_weighted_edge(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2,0.5\n")
         graph = load_graph(path, weighted=True)
-        assert graph.weight("1", "2") == 0.5
+        assert _weight(graph, "1", "2") == 0.5
 
     def test_negative_weight_rejected(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2,-1\n")
@@ -59,23 +59,23 @@ class TestLoadGraph:
 
     def test_unweighted_flag_forces_unit_weight(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2,7.5\n")
-        assert load_graph(path, weighted=False).weight("1", "2") == 1.0
+        assert _weight(load_graph(path, weighted=False), "1", "2") == 1.0
 
     def test_missing_weight_defaults_to_one(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2\n3,4,2.5\n")
         graph = load_graph(path, weighted=True)
-        assert graph.weight("1", "2") == 1.0
-        assert graph.weight("3", "4") == 2.5
+        assert _weight(graph, "1", "2") == 1.0
+        assert _weight(graph, "3", "4") == 2.5
 
     def test_duplicate_edge_last_wins(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2,1.0\n1,2,3.0\n")
-        assert load_graph(path, weighted=True).weight("1", "2") == 3.0
+        assert _weight(load_graph(path, weighted=True), "1", "2") == 3.0
 
     def test_undirected_edge_visible_both_ways(self, tmp_path):
         path = _write(tmp_path, "g.csv", "1,2\n")
         graph = load_graph(path)
-        assert graph.weight("2", "1") == 1.0
-        assert load_graph(path, directed=True).weight("2", "1") == 0.0
+        assert _weight(graph, "2", "1") == 1.0
+        assert _weight(load_graph(path, directed=True), "2", "1") == 0.0
 
 
 class TestLoadValues:
@@ -104,12 +104,45 @@ def _oracle_rows(path):
             yield lineno, [part.strip() for part in line.split(",")]
 
 
+def _weight(graph, src, dst):
+    """Weight of the edge src->dst (either direction when undirected); 0.0 if there is none."""
+    return build_adjacency_vectors(graph, [src], [dst])[0, 0]
+
+
+def _oracle_out(edges, directed, nodes=()):
+    """The definitional dict-of-dicts graph: node -> {neighbour: weight}.
+
+    Nodes register in first-seen order over ``nodes``, then src0, dst0,
+    src1, ...; each edge writes src->dst, then dst->src when undirected,
+    so a repeated edge, in either direction, wins last.
+    """
+    out = {node: {} for node in nodes}
+    for src, dst, weight in edges:
+        out.setdefault(src, {})
+        out.setdefault(dst, {})
+        out[src][dst] = weight
+        if not directed:
+            out[dst][src] = weight
+    return out
+
+
+def _oracle_vectors(out, sampled, referencing):
+    """The definitional adjacency loop over the oracle's out-maps."""
+    column = {node: m for m, node in enumerate(referencing)}
+    vectors = np.zeros((len(sampled), len(referencing)))
+    for n, node in enumerate(sampled):
+        for dst, weight in out[node].items():
+            if dst in column:
+                vectors[n, column[dst]] = weight
+    return vectors
+
+
 def _oracle_graph(path, weighted, directed):
     """Row-by-row edge-list loading and per-edge registration.
 
-    Returns (nodes, edges, out-maps in node order as item lists).
+    Returns (nodes, edges, the full node-by-node adjacency as nested lists).
     """
-    order, out, edges = [], {}, []
+    edges = []
     for lineno, fields in _oracle_rows(path):
         if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
             raise DataError(f"{path}:{lineno}: expected 'src,dst[,weight]', got {fields!r}")
@@ -123,15 +156,8 @@ def _oracle_graph(path, weighted, directed):
         if not math.isfinite(weight) or weight < 0:
             raise DataError(f"{path}:{lineno}: weight must be finite and nonnegative, got {weight}")
         edges.append((src, dst, weight))
-    for src, dst, weight in edges:
-        for node in (src, dst):
-            if node not in out:
-                out[node] = {}
-                order.append(node)
-        out[src][dst] = weight
-        if not directed:
-            out[dst][src] = weight
-    return tuple(order), tuple(edges), [list(out[node].items()) for node in order]
+    out = _oracle_out(edges, directed)
+    return tuple(out), tuple(edges), _oracle_vectors(out, list(out), list(out)).tolist()
 
 
 def _oracle_values(path):
@@ -153,7 +179,9 @@ def _oracle_values(path):
 
 
 def _graph_parts(graph):
-    return graph.nodes, graph.edges, [list(graph._out[node].items()) for node in graph.nodes]
+    nodes = graph.nodes
+    full = build_adjacency_vectors(graph, nodes, nodes).tolist() if nodes else []
+    return nodes, graph.edges, full
 
 
 def _outcome(load, *args):
@@ -255,7 +283,7 @@ class TestLoaderAgainstRowParser:
         for directed in (False, True):
             graph = load_graph(path, weighted=True, directed=directed)
             assert _graph_parts(graph) == _oracle_graph(path, True, directed)
-        assert load_graph(path, weighted=True).weight("a", "b") == 3.0
+        assert _weight(load_graph(path, weighted=True), "a", "b") == 3.0
 
     def test_first_bad_line_wins_across_checks(self, tmp_path):
         # a bad weight on line 2 comes before a bad field count on line 3
@@ -299,10 +327,13 @@ class TestAdjacencyVectors:
 
     def test_unknown_node_is_lookup_error(self):
         graph = Graph([(1, 2)])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^sampled node 99 is not in the graph$"):
             build_adjacency_vectors(graph, [99], [1, 2])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^referencing node 99 is not in the graph$"):
             build_adjacency_vectors(graph, [1], [1, 99])
+        # the sampled nodes are checked first, each list in order
+        with pytest.raises(DataError, match="^sampled node 'x'"):
+            build_adjacency_vectors(graph, [1, "x", 98], [97])
 
     def test_referencing_must_be_unique_and_nonempty(self):
         graph = Graph([(1, 2)])
@@ -326,11 +357,52 @@ class TestAdjacencyVectors:
     )
     def test_entries_round_trip_against_edge_lookup(self, edges, directed):
         graph = Graph(edges, directed=directed, nodes=range(6))
+        out = _oracle_out(edges, directed, range(6))
         nodes = list(graph.nodes)
+        assert nodes == list(out)
         vectors = build_adjacency_vectors(graph, nodes, nodes)
         for i, src in enumerate(nodes):
             for j, dst in enumerate(nodes):
-                assert vectors[i, j] == graph.weight(src, dst)
+                assert vectors[i, j] == out[src].get(dst, 0.0)
+
+    @given(data=st.data(),
+           edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                    st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0])), max_size=30),
+           extra=st.lists(st.integers(0, 9), max_size=4), directed=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scatter_matches_dict_of_dicts_oracle(self, data, edges, extra, directed):
+        # duplicates and reverse duplicates with other weights, self-loops and
+        # zero weights come from the small id space; rows may repeat, and the
+        # referencing set is any ordered subset
+        graph = Graph(edges, directed=directed, nodes=extra)
+        out = _oracle_out(edges, directed, extra)
+        assert graph.nodes == tuple(out)
+        if not out:
+            return
+        referencing = data.draw(st.permutations(list(out)))[:data.draw(st.integers(1, len(out)))]
+        sampled = data.draw(st.lists(st.sampled_from(list(out)), max_size=12))
+        vectors = build_adjacency_vectors(graph, sampled, referencing)
+        assert vectors.dtype == np.float64
+        assert np.array_equal(vectors, _oracle_vectors(out, sampled, referencing))
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                    st.sampled_from([0.0, 1.0, 2.5])), max_size=20),
+           extra=st.lists(st.integers(0, 9), max_size=4), directed=st.booleans())
+    @example(edges=[(1, 2, 0.0), (3, 1, 1.0)], extra=[], directed=True)
+    @example(edges=[(4, 4, 1.0), (5, 6, 0.0)], extra=[7], directed=False)
+    @settings(max_examples=150, deadline=None)
+    def test_drop_isolated_matches_oracle(self, edges, extra, directed):
+        # a node keeps its place if its oracle out-map is not empty, even when
+        # its only edge has weight 0 or is a self-loop
+        out = _oracle_out(edges, directed, extra)
+        keep = [node for node, neighbours in out.items() if neighbours]
+        pruned = drop_isolated(Graph(edges, directed=directed, nodes=extra))
+        assert pruned.nodes == tuple(keep) and pruned.directed == directed
+        assert pruned.edges == tuple((s, d, w) for s, d, w in edges if s in keep and d in keep)
+        if keep:
+            kept = _oracle_out(pruned.edges, directed, keep)
+            assert np.array_equal(build_adjacency_vectors(pruned, keep, keep),
+                                  _oracle_vectors(kept, keep, keep))
 
 
 class TestPairwiseStats:
@@ -600,7 +672,7 @@ class TestDataset:
         graph = Graph([(1, 2), (2, 3), (1, 3)], directed=True)
         pruned = drop_isolated(graph)
         assert set(pruned.nodes) == {1, 2}
-        assert pruned.weight(1, 2) == 1.0 and pruned.weight(2, 3) == 0.0
+        assert _weight(pruned, 1, 2) == 1.0 and pruned.edges == ((1, 2, 1.0),)
         # kept nodes stay in first-seen order, one whose only out-edge was dropped included
         pruned = drop_isolated(Graph([(4, 3), (1, 2), (2, 1)], directed=True))
         assert pruned.nodes == (4, 1, 2) and pruned.num_edges == 2

@@ -12,10 +12,10 @@ import skg
 from skg import harness
 from skg.errors import (ArgumentError, DataError, DegenerateInputError, NumericError, SkgError,
                         StateError)
-from skg.graph_data import TrainingSet, apply_normalization
+from skg.graph_data import TrainingSet, apply_normalization, build_adjacency_vectors
 from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
-                         export_scatter, fit_prepared, gnmse, prepare, run_once, sweep,
-                         write_bf_trace_csv, write_sweep_csv)
+                         export_scatter, fit_prepared, gnmse, prepare, run_once,
+                         select_prepared, sweep, write_bf_trace_csv, write_sweep_csv)
 from skg.synthetic import planted_community_dataset
 
 from conftest import require_data
@@ -45,6 +45,15 @@ class TestGnmse:
         assert gnmse(t, p) == gnmse(t / 1e200, p / 1e200) == pytest.approx(1.25 / 3, rel=1e-15)
         # a signal square overflowing alone no longer reads 0.0
         assert gnmse([1e154, 1e154], [0.0, 1e154]) == pytest.approx(0.5, rel=1e-15)
+
+    def test_underflowing_squares_are_rescaled(self):
+        # t @ t rounds to 0.0 although no value is zero: the values are not all zero
+        t = np.array([1e-170, -1e-170, 3e-170])
+        assert float(t @ t) == 0.0
+        assert gnmse(t, np.zeros(3)) == 1.0
+        assert gnmse(t, t / 2) == gnmse(t * 1e170, t * 1e170 / 2) == pytest.approx(0.25)
+        with pytest.raises(DegenerateInputError):
+            gnmse([0.0, -0.0], [1e-170, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
     def test_non_finite_score_raises(self, bad):
@@ -149,6 +158,27 @@ class TestRunOnce:
         again = prepare(planted_small_dataset, cfg, seed=3)  # a pinned split is its seed's
         assert again.sampled == prepared.sampled
         assert np.array_equal(again.test_vectors, prepared.test_vectors)
+
+    def test_tested_vectors_are_built_on_first_read(self, planted_small_dataset):
+        cfg = RunConfig(n_features=64)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        select_prepared(prepared, cfg, seed=3)
+        assert "test_vectors" not in prepared.__dict__  # plain selection never builds them
+        expected = build_adjacency_vectors(planted_small_dataset.graph, prepared.tested,
+                                           prepared.sampled)
+        assert np.array_equal(prepared.test_vectors, expected)
+        assert prepared.test_vectors is prepared.test_vectors  # built once
+        with pytest.raises(ValueError):
+            prepared.test_vectors[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prepared.test_vectors = expected
+        refined = prepare(planted_small_dataset, cfg, seed=3)
+        select_prepared(refined, dataclasses.replace(cfg, refine_noise=True), seed=3)
+        assert "test_vectors" in refined.__dict__
+        # a replaced record builds its own tested vectors from the same graph
+        moved = dataclasses.replace(refined, train_values=-refined.train_values)
+        assert "test_vectors" not in moved.__dict__ and moved.graph is refined.graph
+        assert np.array_equal(moved.test_vectors, expected)
 
     def test_fixed_split_override(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
