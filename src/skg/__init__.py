@@ -15,9 +15,8 @@ from .errors import (ArgumentError, DataError, DegenerateInputError, NumericErro
                      SkgError, StateError)
 from .graph_data import (Dataset, Graph, PairwiseStats, TrainingSet,
                          build_adjacency_vectors, drop_isolated, load_dataset,
-                         load_graph, load_values, normalize_values, pairwise_histogram,
-                         pairwise_stats, read_split_manifest, split_sample,
-                         write_split_manifest)
+                         load_graph, load_values, pairwise_histogram, pairwise_stats,
+                         read_split_manifest, split_sample, write_split_manifest)
 from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGrid,
                       default_grid, export_bf_trace, export_scatter, fit_prepared, gnmse,
                       prepare, resolve_sigma_sq, run_once, select_prepared, sweep,

@@ -16,6 +16,7 @@ import sys
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class Graph:
     ):
         rows = [(edge[0], edge[1], float(edge[2]) if len(edge) > 2 else 1.0) for edge in edges]
         src, dst, weights = map(list, zip(*rows)) if rows else ([], [], [])
-        bad = _first_out_of_range(weights, nonnegative=True)
-        if bad < len(weights):
-            raise DataError(f"edge weight must be finite and nonnegative, got {weights[bad]!r} "
-                            f"on ({src[bad]!r}, {dst[bad]!r})")
+        if not _valid_weights(weights):
+            head, tail, bad = next(row for row in rows if not _valid_weights(row[2:]))
+            raise DataError(f"edge weight must be finite and nonnegative, got {bad!r} "
+                            f"on ({head!r}, {tail!r})")
         self._build(src, dst, weights, directed, nodes)
 
     def _build(self, src, dst, weights, directed, nodes) -> None:
@@ -154,92 +155,79 @@ class Dataset:
         return np.array([self.values[n] for n in node_ids], dtype=np.float64)
 
 
-class _Table:
-    """A comma-separated text file parsed once, column by column.
-
-    The file is read and decoded whole and split into lines. Each line is
-    whitespace-stripped; blank lines and ``#`` comments are skipped, and
-    the rest are the file's data lines. Each must have one of ``widths``
-    fields: ``rows`` counts the lines before the first that does not. The
-    fields of those rows, each stripped, form one flat token list;
-    ``columns`` are its stride slices, as many as the widest row has
-    fields, a narrower row padded with ``fill`` fields. No per-line
-    container is built.
-    """
-
-    def __init__(self, path, widths: tuple[int, ...], fill: str = ""):
-        self.path = Path(path)
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-                            ) from None
-        stripped = list(map(str.strip, text.split("\n")))
-        self._positions = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
-        self._lines = list(map(stripped.__getitem__, self._positions))
-        commas = list(map(str.count, self._lines, itertools.repeat(",")))
-        self.rows = len(commas)
-        if sum(map(commas.count, [w - 1 for w in widths])) != self.rows:
-            self.rows = next(i for i, count in enumerate(commas) if count + 1 not in widths)
-            del commas[self.rows:]
-        width = max(commas, default=min(widths) - 1) + 1
-        good = self._lines[:self.rows]
-        if commas.count(width - 1) != self.rows:
-            good = [line + ("," + fill) * (width - 1 - count) for line, count in zip(good, commas)]
-        tokens = list(map(str.strip, ",".join(good).split(","))) if good else []
-        self.columns = [tokens[k::width] for k in range(width)]
-
-    def check(self, *checks) -> None:
-        """Raise :class:`DataError` at the first bad line in file order, if any.
-
-        Each check is (its first bad row, or ``rows`` if none; the message
-        for that line's stripped fields), given in the order the checks
-        apply within one line, the field-count check first.
-        """
-        row = min(index for index, _ in checks)
-        if row < len(self._lines):
-            fields = [part.strip() for part in self._lines[row].split(",")]
-            message = next(message for index, message in checks if index == row)
-            raise DataError(f"{self.path}:{self._positions[row] + 1}: {message(fields)}")
-
-
-def _index(column: list, token: str) -> int:
-    """Index of the first ``token`` in ``column``; ``len(column)`` if absent."""
-    return column.index(token) if token in column else len(column)
-
-
-def _first_repeat(keys: list) -> int:
-    """Index of the first key equal to an earlier one; ``len(keys)`` if all differ."""
-    if len(set(keys)) == len(keys):
-        return len(keys)
-    seen = set()
-    for index, key in enumerate(keys):
-        if key in seen:
-            return index
-        seen.add(key)
-
-
-def _floats(tokens: list) -> tuple[list, int]:
-    """``float`` of each token before the first that is not a number, and its index."""
+def _read_lines(path) -> list[str]:
+    """The file's lines, decoded as UTF-8 and whitespace-stripped."""
     try:
-        return list(map(float, tokens)), len(tokens)
-    except ValueError:
-        for index, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                return list(map(float, tokens[:index])), index
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{Path(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                        ) from None
+    return list(map(str.strip, text.split("\n")))
 
 
-def _first_out_of_range(numbers: list, nonnegative: bool) -> int:
-    """Index of the first number that is not finite, or negative when ``nonnegative``.
+def _columns(lines: list, widths: tuple[int, ...], fill: str = "") -> list[list[str]]:
+    """The stripped fields of the data lines, column by column.
 
-    ``len(numbers)`` when every number is in range.
+    Blank lines and ``#`` comments are skipped. Raises ``ValueError`` if a
+    data line does not have one of ``widths`` fields. There are as many
+    columns as the widest line has fields; a narrower line is padded with
+    ``fill`` fields. No per-line field list is built.
     """
-    low = 0.0 if nonnegative else -math.inf
-    if all(map(math.isfinite, numbers)) and min(numbers, default=0.0) >= low:
-        return len(numbers)
-    return next(i for i, x in enumerate(numbers) if not (math.isfinite(x) and x >= low))
+    data = [line for line in lines if line and line[0] != "#"]
+    commas = list(map(str.count, data, itertools.repeat(",")))
+    if sum(map(commas.count, [w - 1 for w in widths])) != len(data):
+        raise ValueError("a data line has the wrong number of fields")
+    width = max(commas, default=min(widths) - 1) + 1
+    if commas.count(width - 1) != len(data):
+        data = [line + ("," + fill) * (width - 1 - count) for line, count in zip(data, commas)]
+    tokens = list(map(str.strip, ",".join(data).split(","))) if data else []
+    return [tokens[k::width] for k in range(width)]
+
+
+def _valid_weights(weights) -> bool:
+    """Whether every weight is finite and nonnegative."""
+    return all(map(math.isfinite, weights)) and min(weights, default=0.0) >= 0.0
+
+
+def _raise_first_bad_line(path, lines: list, problem) -> NoReturn:
+    """Raise :class:`DataError` at the first data line whose fields ``problem`` refuses.
+
+    ``problem`` takes a line's stripped fields and returns the message for
+    that line, or ``None`` when the line is good. It runs only on a file the
+    whole-column checks refused, so some line must be bad.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if line and line[0] != "#":
+            message = problem([part.strip() for part in line.split(",")])
+            if message:
+                raise DataError(f"{Path(path)}:{lineno}: {message}")
+    raise AssertionError(f"{Path(path)}: refused by the column checks, but no line is bad")
+
+
+def _edge_problem(fields: list, weighted: bool) -> str | None:
+    if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
+        return f"expected 'src,dst[,weight]', got {fields!r}"
+    if weighted and len(fields) == 3:
+        try:
+            weight = float(fields[2])
+        except ValueError:
+            return f"weight {fields[2]!r} is not a number"
+        if not _valid_weights([weight]):
+            return f"weight must be finite and nonnegative, got {weight}"
+    return None
+
+
+def _value_problem(fields: list, seen: set) -> str | None:
+    if len(fields) != 2 or not fields[0]:
+        return f"expected 'node_id,value', got {fields!r}"
+    if fields[0] in seen:
+        return f"duplicate value for node {fields[0]!r}"
+    seen.add(fields[0])
+    try:
+        value = float(fields[1])
+    except ValueError:
+        return f"value {fields[1]!r} is not a number"
+    return None if math.isfinite(value) else f"value must be finite, got {value}"
 
 
 def _csv_cell(value) -> str:
@@ -277,20 +265,16 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
     line, or negative or non-finite weight, in file order raises
     :class:`DataError` with its line number.
     """
-    table = _Table(path, widths=(2, 3), fill="1")
-    src, dst = table.columns[:2]
-    if weighted and len(table.columns) == 3:
-        weights, bad_number = _floats(table.columns[2])
-        bad_weight = _first_out_of_range(weights, nonnegative=True)
-    else:
-        weights = [1.0] * table.rows
-        bad_number = bad_weight = table.rows
-    table.check(
-        (min(table.rows, _index(src, ""), _index(dst, "")),
-         lambda fields: f"expected 'src,dst[,weight]', got {fields!r}"),
-        (bad_number, lambda fields: f"weight {fields[2]!r} is not a number"),
-        (bad_weight,
-         lambda fields: f"weight must be finite and nonnegative, got {float(fields[2])}"))
+    lines = _read_lines(path)
+    try:  # whole columns decide if the file is good; a bad one is reread line by line
+        columns = _columns(lines, (2, 3), fill="1")
+        src, dst = columns[:2]
+        weights = (list(map(float, columns[2])) if weighted and len(columns) == 3
+                   else [1.0] * len(src))
+        if "" in src or "" in dst or not _valid_weights(weights):
+            raise ValueError("a bad id or weight")
+    except ValueError:
+        _raise_first_bad_line(path, lines, lambda fields: _edge_problem(fields, weighted))
     graph = Graph.__new__(Graph)  # the one builder, on weights already checked above
     graph._build(src, dst, weights, directed, ())
     return graph
@@ -302,16 +286,15 @@ def load_values(path) -> dict:
     The first malformed line, duplicate node or non-finite value in file
     order raises :class:`DataError` with its line number.
     """
-    table = _Table(path, widths=(2,))
-    nodes, column = table.columns
-    values, bad_number = _floats(column)
-    table.check(
-        (min(table.rows, _index(nodes, "")),
-         lambda fields: f"expected 'node_id,value', got {fields!r}"),
-        (_first_repeat(nodes), lambda fields: f"duplicate value for node {fields[0]!r}"),
-        (bad_number, lambda fields: f"value {fields[1]!r} is not a number"),
-        (_first_out_of_range(values, nonnegative=False),
-         lambda fields: f"value must be finite, got {float(fields[1])}"))
+    lines = _read_lines(path)
+    try:  # whole columns decide if the file is good; a bad one is reread line by line
+        nodes, column = _columns(lines, (2,))
+        values = list(map(float, column))
+        if "" in nodes or len(set(nodes)) < len(nodes) or not all(map(math.isfinite, values)):
+            raise ValueError("a bad or repeated id, or a bad value")
+    except ValueError:
+        seen = set()
+        _raise_first_bad_line(path, lines, lambda fields: _value_problem(fields, seen))
     return dict(zip(nodes, values))
 
 
@@ -544,31 +527,25 @@ def pairwise_histogram(vectors: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple((float(v), int(c)) for v, c in zip(unique, counts))
 
 
-def normalize_values(train_values, other_values=()):
-    """Divide all values by the largest absolute training value.
+def apply_normalization(policy: str, train_values, other_values=()):
+    """``(scale, train, other)``: the values under a named policy, divided by ``scale``.
 
-    Returns ``(scale, train_normalized, other_normalized)``. The scale is
-    reported so predictions can be mapped back to original units.
+    "none" keeps them (scale 1.0); "max-abs" divides all values by the
+    largest absolute training value. The scale is reported so predictions
+    can be mapped back to original units.
     """
+    if policy not in NORMALIZATION_POLICIES:
+        raise ArgumentError(f"unknown normalization policy {policy!r}; known: {NORMALIZATION_POLICIES}")
     train = np.asarray(train_values, dtype=np.float64)
     other = np.asarray(other_values, dtype=np.float64)
+    if policy == "none":
+        return 1.0, train, other
     if train.size == 0:
         raise ArgumentError("no training values to normalize")
     scale = float(np.max(np.abs(train)))
     if scale == 0.0:
         raise DegenerateInputError("all training values are zero; normalization undefined")
     return scale, train / scale, other / scale
-
-
-def apply_normalization(policy: str, train_values, other_values=()):
-    """Dispatch on a named normalization policy ("max-abs" or "none")."""
-    if policy == "max-abs":
-        return normalize_values(train_values, other_values)
-    if policy == "none":
-        train = np.asarray(train_values, dtype=np.float64)
-        other = np.asarray(other_values, dtype=np.float64)
-        return 1.0, train, other
-    raise ArgumentError(f"unknown normalization policy {policy!r}; known: {NORMALIZATION_POLICIES}")
 
 
 def split_sample(node_ids: Sequence[NodeId], fraction: float, seed: int):

@@ -7,12 +7,17 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import skg
 from skg.cli import main
+from skg.errors import DataError
 from skg.model import SkgModel, save_model
 from skg.rff import sample_bank
 from skg.variance import SELECTION_REPORT_SCHEMA
+
+from test_graph_data import _edge_file, _oracle_graph, _oracle_values, _value_file
 
 
 def run_cli(capsys, *argv):
@@ -428,6 +433,42 @@ class TestMalformedInputs:
         assert code == 3 and stdout == ""
         assert err.startswith("error:") and str(broken) in err
         assert not preds.exists()
+
+
+class TestMalformedCsvContract:
+    """``stats`` and ``select`` on random, often malformed, CSVs against the row parser."""
+
+    @given(data=st.data(), command=st.sampled_from(["stats", "select"]),
+           malformed=st.booleans(), weighted=st.booleans(), directed=st.booleans())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_message_and_output(self, tmp_path_factory, capsys, data, command,
+                                          malformed, weighted, directed):
+        folder = tmp_path_factory.mktemp("contract")
+        graph, values, out = folder / "g.csv", folder / "v.csv", folder / "out.json"
+        graph.write_bytes(data.draw(_edge_file(malformed)).encode("utf-8"))
+        argv = [command, "--graph", str(graph), "--out", str(out)]
+        argv += ["--weighted"] * weighted + ["--directed"] * directed
+        expected, nodes = None, ()
+        try:
+            nodes = _oracle_graph(str(graph), weighted, directed)[0]
+        except DataError as exc:
+            expected = f"error: {exc}\n"
+        if command == "select":  # the value file holds the graph's node ids
+            values.write_bytes(data.draw(_value_file(malformed, nodes)).encode("utf-8"))
+            argv += ["--values", str(values)]
+            try:
+                _oracle_values(str(values))
+            except DataError as exc:
+                expected = expected or f"error: {exc}\n"
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3, 4) and "Traceback" not in err
+        if expected is not None:
+            assert (code, err) == (3, expected)
+        if code == 0:
+            strict_json(stdout)
+        else:
+            assert not out.exists()
 
 
 class TestSweepCommand:

@@ -11,7 +11,7 @@ from skg.errors import ArgumentError, DataError, DegenerateInputError
 from skg.graph_data import (_SCAN_CHUNK, Dataset, Graph, PairwiseStats, TrainingSet,
                             _CoOccurrence, _light_entries, apply_normalization,
                             build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
-                            load_values, normalize_values, pairwise_histogram, pairwise_stats,
+                            load_values, pairwise_histogram, pairwise_stats,
                             read_split_manifest, split_sample, write_csv, write_split_manifest)
 
 from conftest import require_data
@@ -86,6 +86,11 @@ class TestLoadValues:
     def test_duplicate_rejected(self, tmp_path):
         path = _write(tmp_path, "v.csv", "a,1\na,2\n")
         with pytest.raises(DataError, match="duplicate"):
+            load_values(path)
+
+    def test_empty_node_id_rejected(self, tmp_path):
+        path = _write(tmp_path, "v.csv", "a,1\n ,2\n")
+        with pytest.raises(DataError, match=r":2: expected 'node_id,value', got \['', '2'\]"):
             load_values(path)
 
     def test_bad_number_reports_line(self, tmp_path):
@@ -220,7 +225,7 @@ _BAD_WEIGHTS = ["-1", "nan", "inf", "-inf", "x", ""]
 
 @st.composite
 def _edge_file(draw, malformed):
-    ids = _field(["a", "b", "c", "1", "10", "c#2"] + ([""] if malformed else []))
+    ids = _field(["a", "b", "c", "1", "10", "c#2", "c\x85d"] + ([""] if malformed else []))
     weights = _field(_GOOD_WEIGHTS + (_BAD_WEIGHTS if malformed else []))
     lines = []
     for _ in range(draw(st.integers(0, 12))):
@@ -231,9 +236,11 @@ def _edge_file(draw, malformed):
 
 
 @st.composite
-def _value_file(draw, malformed):
-    nodes = draw(st.lists(st.sampled_from([f"n{i}" for i in range(20)] + ["7", "x y", "n#1"]),
-                          unique=True, min_size=1, max_size=12))
+def _value_file(draw, malformed, nodes=()):
+    """A value file; its good lines hold ``nodes`` in a drawn order, when any are given."""
+    nodes = draw(st.permutations(nodes) if nodes else st.lists(
+        st.sampled_from([f"n{i}" for i in range(20)] + ["7", "x y", "n#1"]),
+        unique=True, min_size=1, max_size=12))
     values = _field(["1", "-2.5", "0", "1e3", "-0.0"] +
                     (["nan", "inf", "x", ""] if malformed else []))
     lines = [f"{node},{draw(values)}" for node in nodes]
@@ -300,6 +307,15 @@ class TestLoaderAgainstRowParser:
             load_values(path)
         path = _write(tmp_path, "g.csv", "a,b,1\n,c,x\n")
         assert _outcome(load_graph, path, True) == _outcome(_oracle_graph, path, True, False)
+
+    def test_only_line_feeds_end_lines(self, tmp_path):
+        # str.splitlines would also break at these; the row parser does not
+        breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        path = _write(tmp_path, "v.csv", "".join(f"a{c}b{i},{i}\n" for i, c in enumerate(breaks)))
+        assert load_values(path) == _oracle_values(path)
+        assert list(load_values(path)) == [f"a{c}b{i}" for i, c in enumerate(breaks)]
+        path = _write(tmp_path, "g.csv", "".join(f"a{c}b,c\n" for c in breaks))
+        assert _graph_parts(load_graph(path)) == _oracle_graph(path, False, False)
 
     @pytest.mark.parametrize("loader", [load_graph, load_values])
     def test_undecodable_bytes_name_the_file(self, tmp_path, loader):
@@ -580,24 +596,24 @@ def _loop_stats(vectors):
 
 class TestNormalizeValues:
     def test_scale_is_max_abs(self):
-        scale, train, other = normalize_values([2.0, -4.0], [1.0])
+        scale, train, other = apply_normalization("max-abs", [2.0, -4.0], [1.0])
         assert scale == 4.0
         assert train.tolist() == [0.5, -1.0]
         assert other.tolist() == [0.25]
 
     def test_single_value_identity(self):
-        scale, train, other = normalize_values([1.0], [])
+        scale, train, other = apply_normalization("max-abs", [1.0], [])
         assert scale == 1.0 and train.tolist() == [1.0] and other.size == 0
 
     def test_all_zero_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            normalize_values([0.0, 0.0])
+            apply_normalization("max-abs", [0.0, 0.0])
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20))
     def test_scale_reconstructs_original(self, values):
         if max(abs(v) for v in values) == 0.0:
             return
-        scale, normalized, _ = normalize_values(values)
+        scale, normalized, _ = apply_normalization("max-abs", values)
         rebuilt = scale * normalized
         assert np.all(np.abs(rebuilt - np.array(values)) <= 1e-12 * max(1.0, scale))
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skg
@@ -75,13 +75,20 @@ class TestGnmse:
     @given(st.lists(st.tuples(st.floats(-10, 10, allow_nan=False),
                               st.floats(-10, 10, allow_nan=False)),
                     min_size=2, max_size=12))
+    # the true score, about 4.4e315, is beyond float64: both orders must raise
+    @example(pairs=[(0.0, 0.0), (1.5034479658620966e-158, 1.0)])
     def test_permutation_invariant(self, pairs):
         y_true = np.array([p[0] for p in pairs])
         y_pred = np.array([p[1] for p in pairs])
         if float(y_true @ y_true) == 0.0:
             return
-        base = gnmse(y_true, y_pred)
         perm = np.random.default_rng(0).permutation(len(pairs))
+        try:
+            base = gnmse(y_true, y_pred)
+        except NumericError:
+            with pytest.raises(NumericError):
+                gnmse(y_true[perm], y_pred[perm])
+            return
         assert gnmse(y_true[perm], y_pred[perm]) == pytest.approx(base, rel=1e-12)
 
 
