@@ -300,7 +300,11 @@ def load_values(path) -> dict:
 
 def load_dataset(graph_path, values_path, weighted=False, directed=False,
                  drop_isolated_nodes=False, name="") -> Dataset:
-    """Load a graph and its value file into a consistent :class:`Dataset`."""
+    """Load a graph and its value file into a consistent :class:`Dataset`.
+
+    Values of nodes the edge list never names, or that ``drop_isolated_nodes``
+    removed, are ignored.
+    """
     graph = load_graph(graph_path, weighted=weighted, directed=directed)
     if drop_isolated_nodes:
         graph = drop_isolated(graph)
@@ -363,9 +367,9 @@ _SCAN_CHUNK = 256
 # Cost of one co-occurrence product in BLAS multiply-adds: 13-26 ns against
 # about 48 ps with OpenBLAS 0.3.31 on one thread of a 2-vCPU Xeon, and the
 # scan time stayed within 10% of its best for ratios 200-500. A column with
-# d nonzeros adds about d^2/2 products to the scan and about n^2/2
-# multiply-adds through BLAS, so it is light, and skips BLAS, while
-# _SCAN_COST * d^2 <= n^2.
+# d nonzeros adds about d^2/2 products by co-occurrence and an n-row matrix
+# about n^2 m/2 multiply-adds through BLAS, so the scan takes co-occurrence
+# while _SCAN_COST * sum(d^2) <= n^2 m.
 _SCAN_COST = 300
 
 
@@ -381,36 +385,15 @@ def _pair_d_sq(vectors: np.ndarray, first, second) -> np.ndarray:
 
 def _pair_input(vectors) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] < 2:
-        raise ArgumentError("pairwise statistics need at least two vectors")
+    if vectors.ndim != 2:
+        raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {vectors.shape}")
+    if vectors.shape[0] < 2:
+        raise DegenerateInputError("pairwise statistics need at least two vectors")
     return vectors
 
 
-def _light_entries(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The light-column mask and the flat indices, in row order, of the light nonzeros.
-
-    A column is light when its co-occurrence products cost less than its
-    BLAS multiply-adds (see ``_SCAN_COST``). Light columns are taken
-    sparsest first and hold at most ``_SCAN_CHUNK * n`` nonzeros, so no
-    entry list outgrows one Gram block; the rest go through BLAS.
-    """
-    n, m = vectors.shape
-    chunks = range(0, n, _SCAN_CHUNK)
-    counts = np.zeros(m, dtype=np.int64)
-    for start in chunks:
-        counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
-    order = np.argsort(counts, kind="stable")
-    sparsest = counts[order]
-    light = np.zeros(m, dtype=bool)
-    light[order[(_SCAN_COST * sparsest * sparsest <= n * n)
-                & (np.cumsum(sparsest) <= _SCAN_CHUNK * n)]] = True
-    flat = [np.flatnonzero((vectors[start:start + _SCAN_CHUNK] != 0.0) & light) + start * m
-            for start in chunks if light.any()]
-    return light, np.concatenate(flat) if flat else np.zeros(0, dtype=np.intp)
-
-
 class _CoOccurrence:
-    """The light-column part of -2 a.b, from products of nonzeros sharing a column.
+    """-2 a.b for every pair of rows, from products of nonzeros sharing a column.
 
     Entries are kept in row order; ``partner[i] + done[i]`` is the
     (column, row) position of the first entry below entry i in its column
@@ -419,9 +402,9 @@ class _CoOccurrence:
     the entries before it.
     """
 
-    def __init__(self, vectors: np.ndarray, flat: np.ndarray):
+    def __init__(self, vectors: np.ndarray):
         m = vectors.shape[1]
-        self.rows, cols = np.divmod(flat, m)
+        self.rows, cols = np.divmod(np.flatnonzero(vectors != 0.0), m)
         self.values = vectors[self.rows, cols]
         by_column = np.argsort(cols, kind="stable")
         position = np.empty_like(by_column)
@@ -463,9 +446,11 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
 
     Distances are scanned as ||a||^2 + ||b||^2 - 2 a.b, one Gram block of
     ``_SCAN_CHUNK`` rows at a time, so memory stays O(_SCAN_CHUNK * n).
-    Each block's Gram values come in two parts: the products of nonzeros
-    that share a light (sparse) column, added by co-occurrence, and a BLAS
-    product over the remaining heavy columns (see ``_light_entries``).
+    The Gram values of the whole matrix come from one of two products,
+    chosen once from its column nonzero counts d: when
+    ``_SCAN_COST * sum(d^2) <= n^2 m`` the products of nonzeros that share
+    a column are added by co-occurrence (its entry list then holds at most
+    n m / sqrt(_SCAN_COST) nonzeros), otherwise each block is one BLAS product.
     A Gram value differs from the difference-based value by at most
     8 (m + 2) eps max||a||^2 for m-long vectors, in any summation order.
     Every pair whose Gram value lies within twice that bound of its block's
@@ -479,21 +464,17 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
     norms = np.einsum("ij,ij->i", vectors, vectors)
     tol = 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
     batch = max(_SCAN_CHUNK, _SCAN_CHUNK * n // max(m, 1))
-    light, flat = _light_entries(vectors)
-    heavy = np.flatnonzero(~light)
-    # BLAS gathers the heavy columns _SCAN_CHUNK at a time; when all are heavy it copies none
-    gathers = ([slice(None)] if heavy.size == m else
-               [heavy[at:at + _SCAN_CHUNK] for at in range(0, heavy.size, _SCAN_CHUNK)])
-    co_occurrence = _CoOccurrence(vectors, flat) if flat.size else None
+    counts = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, _SCAN_CHUNK):
+        counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
+    co_occurrence = _CoOccurrence(vectors) if _SCAN_COST * (counts @ counts) <= n * n * m else None
     on_or_below = np.tri(min(_SCAN_CHUNK, n - 1), dtype=bool)
     d_max, d_min = 0.0, math.inf
     for start in range(0, n - 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n - 1)
         rows = stop - start
-        d_sq = co_occurrence.block(start, stop, n) if co_occurrence else np.zeros((rows, n - start))
-        for columns in gathers:
-            part = vectors[start:, columns]
-            d_sq += (-2.0 * part[:rows]) @ part.T
+        d_sq = (co_occurrence.block(start, stop, n) if co_occurrence
+                else (-2.0 * vectors[start:stop]) @ vectors[start:].T)
         d_sq += norms[start:stop, None]
         d_sq += norms[start:]
         # pairs on or below the diagonal read NaN, which the reductions and
@@ -552,15 +533,16 @@ def split_sample(node_ids: Sequence[NodeId], fraction: float, seed: int):
     """Seeded random split into (sampled, tested) node lists.
 
     The sampled size is ``round(fraction * total)``; the two lists are a
-    disjoint union of the input and the draw is reproducible per seed.
+    disjoint union of the input and the draw is reproducible per seed. A
+    split that samples no node raises :class:`DegenerateInputError`.
     """
-    if len(node_ids) == 0:
-        raise ArgumentError("cannot split an empty node list")
     if not (0.0 < fraction <= 1.0):
         raise ArgumentError(f"sample fraction must lie in (0, 1], got {fraction}")
+    k = int(round(fraction * len(node_ids)))
+    if k == 0:
+        raise DegenerateInputError(f"sample fraction {fraction} takes no node of {len(node_ids)}")
     rng = streams.stream(seed, streams.SPLIT)
     order = rng.permutation(len(node_ids))
-    k = int(round(fraction * len(node_ids)))
     sampled = [node_ids[i] for i in order[:k]]
     tested = [node_ids[i] for i in order[k:]]
     return sampled, tested

@@ -296,7 +296,7 @@ def _sweep_seed(args) -> list[float]:
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,
-          seeds=None, jobs: int = 1, fixed_split: bool = False,
+          jobs: int = 1, fixed_split: bool = False,
           base_prepared: PreparedSplit | None = None) -> list[GnmseResult]:
     """Repeated seeded runs over the variance grid.
 
@@ -313,13 +313,9 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
-    if seeds is None:
-        if repeats < 1:
-            raise ArgumentError(f"repeats must be at least 1, got {repeats}")
-        seeds = [base_seed + r for r in range(repeats)]
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ArgumentError("need at least one seed")
+    if repeats < 1:
+        raise ArgumentError(f"repeats must be at least 1, got {repeats}")
+    seeds = [int(base_seed) + r for r in range(repeats)]
     if base_prepared is not None:
         split = split_sample(dataset.node_ids, grid.config.sample_fraction, base_seed)
         if (base_prepared.sampled, base_prepared.tested) != tuple(map(tuple, split)):

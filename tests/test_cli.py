@@ -434,6 +434,40 @@ class TestMalformedInputs:
         assert err.startswith("error:") and str(broken) in err
         assert not preds.exists()
 
+    @pytest.mark.parametrize("text, argv", [
+        ("# only a comment\n", ["stats"]),
+        ("a,b\nb,c\n", ["stats"]),
+        ("a,b\nb,c\n", ["select"]),
+        ("a,b\nb,c\n", ["train"]),
+        ("a,b\nb,c\n", ["sweep", "--repeats", "1", "--grid-points", "3"]),
+        ("a,b\nb,c\n", ["train", "--sigma-sq", "1", "--fraction", "0.1"]),
+    ], ids=["stats-no-node", "stats-one-sampled", "select-one-sampled",
+            "train-auto-one-sampled", "sweep-one-sampled", "train-none-sampled"])
+    def test_too_small_a_sample_exits_4(self, tmp_path, capsys, text, argv):
+        # a split that samples no node, or one too few to scan, is degenerate input
+        edges, values, out = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "out"
+        edges.write_text(text, encoding="utf-8")
+        values.write_text("a,1\nb,2\nc,3\n", encoding="utf-8")
+        files = ["--graph", str(edges)] + ["--values", str(values)] * (argv[0] != "stats")
+        outputs = {"stats": "--out", "select": "--out", "sweep": "--out",
+                   "train": "--model-out"}
+        code, stdout, err = run_cli(capsys, *argv, *files, outputs[argv[0]], str(out))
+        assert code == 4 and stdout == "" and "Traceback" not in err
+        assert err.startswith("error:") and not out.exists()
+
+    def test_values_of_nodes_without_edges_are_ignored(self, tmp_path, capsys):
+        # a node with no edge is absent from the edge list, but may have a value
+        edges, values = tmp_path / "g.csv", tmp_path / "v.csv"
+        edges.write_text("a,b\nb,c\nc,d\nd,a\na,c\n", encoding="utf-8")
+        values.write_text("a,1\nstray,9\nb,2\nc,3\nd,4\n", encoding="utf-8")
+        split, model = tmp_path / "split.json", tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                               "--features", "16", "--fraction", "0.5", "--sigma-sq", "1",
+                               "--model-out", str(model), "--split-out", str(split))
+        assert code == 0, err
+        manifest = json.loads(split.read_text())
+        assert sorted(manifest["sampled"] + manifest["tested"]) == ["a", "b", "c", "d"]
+
 
 class TestMalformedCsvContract:
     """``stats`` and ``select`` on random, often malformed, CSVs against the row parser."""
@@ -465,6 +499,8 @@ class TestMalformedCsvContract:
         assert code in (0, 2, 3, 4) and "Traceback" not in err
         if expected is not None:
             assert (code, err) == (3, expected)
+        else:  # the argv is valid, so what the files hold never exits 2
+            assert code != 2, err
         if code == 0:
             strict_json(stdout)
         else:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skg import graph_data
 from skg.errors import ArgumentError, DataError, DegenerateInputError
 from skg.graph_data import (_SCAN_CHUNK, Dataset, Graph, PairwiseStats, TrainingSet,
-                            _CoOccurrence, _light_entries, apply_normalization,
+                            _CoOccurrence, apply_normalization,
                             build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
                             load_values, pairwise_histogram, pairwise_stats,
                             read_split_manifest, split_sample, write_csv, write_split_manifest)
@@ -436,10 +437,13 @@ class TestPairwiseStats:
         assert stats.d_sq_min_nonzero is None
 
     def test_needs_two_vectors(self):
-        with pytest.raises(ArgumentError):
+        # one vector is a degenerate sample (exit 4); a 1-d array is a bad argument
+        with pytest.raises(DegenerateInputError):
             pairwise_stats(np.ones((1, 4)))
-        with pytest.raises(ArgumentError):
+        with pytest.raises(DegenerateInputError):
             pairwise_histogram(np.ones((1, 4)))
+        with pytest.raises(ArgumentError):
+            pairwise_stats(np.ones(4))
 
     @given(st.lists(st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
                     min_size=2, max_size=8))
@@ -512,8 +516,8 @@ class TestPairwiseStats:
     @settings(max_examples=60, deadline=None)
     def test_sparse_scan_equals_loop_scan(self, n, m, density, values, hubs, duplicates,
                                           zero_rows, zero_columns, seed):
-        # sparse columns go through co-occurrence products, hub columns with at
-        # least n/5 nonzeros through BLAS; both parts must give the loop's values
+        # sparse matrices go through co-occurrence products, and hub columns with
+        # at least n/5 nonzeros can send one through BLAS; both must give the loop's values
         rng = np.random.default_rng(seed)
         nonzero = rng.random((n, m)) < density
         for column in rng.choice(m, min(hubs, m), replace=False):
@@ -528,43 +532,45 @@ class TestPairwiseStats:
         vectors[:, rng.integers(0, m, zero_columns)] = 0.0
         assert pairwise_stats(vectors) == _loop_stats(vectors)
 
-    def test_column_split_puts_hubs_on_blas(self):
+    def test_one_gram_product_per_matrix(self, monkeypatch):
+        # co-occurrence builds the Gram blocks of a matrix when
+        # _SCAN_COST * sum(d^2) <= n^2 m over its column nonzero counts d, BLAS otherwise
         rng = np.random.default_rng(3)
-        n, m = 600, 200
-        vectors = (rng.random((n, m)) < 0.01) * rng.lognormal(0.0, 1.0, (n, m))
-        hubs = [7, 70, 150]
-        for column in hubs:
-            vectors[rng.choice(n, n // 5, replace=False), column] = 1.0
-        light, flat = _light_entries(vectors)
-        assert np.flatnonzero(~light).tolist() == hubs
-        expected = np.flatnonzero(vectors != 0.0)
-        assert flat.tolist() == expected[light[expected % m]].tolist()
-        assert flat.size > 0
-        assert pairwise_stats(vectors) == _loop_stats(vectors)
+        hubs = (rng.random((600, 200)) < 0.01) * rng.lognormal(0.0, 1.0, (600, 200))
+        for column in (7, 70, 150):
+            hubs[rng.choice(600, 120, replace=False), column] = 1.0
+        cora = (rng.random((500, 500)) < 0.01).astype(np.float64)  # ~5 nonzeros per row
+        signed = (rng.random((300, 300)) < 0.02) * rng.standard_normal((300, 300))
+        signed[:2] = 0.0
+        signed[:2, :6] = -1.0
+        signed[1, 0] = -1.001  # the closest pair shares only negative entries
+        dense = (rng.random((300, 40)) < 0.5).astype(np.float64)
+        mixed = (rng.random((80, 80)) < 0.3).astype(np.float64)
+        mixed[:, :3] = 0.0
+        mixed[rng.integers(0, 80, 3), np.arange(3)] = 1.0  # three columns of one nonzero
+        built = []
 
-    def test_light_entries_stay_within_one_gram_block(self):
-        # one nonzero per column, more columns than a Gram block has entries:
-        # the light columns stop at _SCAN_CHUNK * n nonzeros, the rest use BLAS
-        n, m = 20, _SCAN_CHUNK * 20 + 300
-        rng = np.random.default_rng(4)
-        vectors = np.zeros((n, m))
-        vectors[rng.integers(0, n, m), np.arange(m)] = rng.lognormal(0.0, 1.0, m)
-        light, flat = _light_entries(vectors)
-        assert flat.size == light.sum() == _SCAN_CHUNK * n
-        assert pairwise_stats(vectors) == _loop_stats(vectors)
+        def spy(vectors):
+            built.append(vectors.shape)
+            return _CoOccurrence(vectors)
+
+        monkeypatch.setattr(graph_data, "_CoOccurrence", spy)
+        for vectors, co_occurrence in ((hubs, True), (cora, True), (signed, True),
+                                       (dense, False), (mixed, False)):
+            built.clear()
+            assert pairwise_stats(vectors) == _loop_stats(vectors)
+            assert built == ([vectors.shape] if co_occurrence else [])
 
     def test_block_products_in_several_runs(self, monkeypatch):
-        # 600 light columns of 17 nonzeros give the first block more products
-        # than it has entries: they are summed in runs no longer than the
-        # block, and every block equals -2 times its dense Gram above the diagonal
+        # 600 columns of 17 nonzeros give the first block more products than
+        # it has entries: they are summed in runs no longer than the block,
+        # and every block equals -2 times its dense Gram above the diagonal
         n, m = 300, 600
         rng = np.random.default_rng(5)
         vectors = np.zeros((n, m))
         for column in range(m):
             vectors[rng.choice(n, 17, replace=False), column] = 1.0
-        light, flat = _light_entries(vectors)
-        assert light.all()
-        co_occurrence = _CoOccurrence(vectors, flat)
+        co_occurrence = _CoOccurrence(vectors)
         runs, bincount = [], np.bincount
 
         def recorded(index, weights=None, minlength=0):
@@ -645,8 +651,10 @@ class TestSplitSample:
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ArgumentError):
                 split_sample([1, 2], bad, 0)
-        with pytest.raises(ArgumentError):
-            split_sample([], 0.5, 0)
+        # a split that samples no node is degenerate, not a bad argument
+        for nodes, fraction in (([], 0.5), ([1, 2, 3], 0.1)):
+            with pytest.raises(DegenerateInputError, match="takes no node"):
+                split_sample(nodes, fraction, 0)
 
     def test_manifest_round_trip(self, tmp_path):
         sampled, tested = split_sample([str(i) for i in range(9)], 0.4, seed=3)

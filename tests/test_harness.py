@@ -209,9 +209,11 @@ class TestSweep:
 
     def test_mean_invariant_under_seed_reordering(self, small_ds):
         grid = SweepGrid(sigma_sq_values=(2.0,), config=RunConfig(n_features=32))
-        forward = sweep(small_ds, grid, seeds=[1, 2, 3, 4])
-        backward = sweep(small_ds, grid, seeds=[4, 3, 1, 2])
-        assert forward[0].gnmse_mean == pytest.approx(backward[0].gnmse_mean, rel=1e-12)
+        forward = sweep(small_ds, grid, repeats=4, base_seed=1)
+        backward = [sweep(small_ds, grid, repeats=1, base_seed=seed)[0].gnmse_mean
+                    for seed in (4, 3, 1, 2)]
+        assert forward[0].seeds == (1, 2, 3, 4)
+        assert forward[0].gnmse_mean == pytest.approx(np.mean(backward), rel=1e-12)
 
     def test_parallel_equals_sequential(self, small_ds):
         grid = SweepGrid(sigma_sq_values=(1.0, 4.0), config=RunConfig(n_features=32))
@@ -230,26 +232,26 @@ class TestSweep:
     def test_base_prepared_must_be_the_base_seed_split(self, small_ds):
         cfg = RunConfig(n_features=32)
         grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
-        own = sweep(small_ds, grid, seeds=[0], base_seed=0,
+        own = sweep(small_ds, grid, repeats=1, base_seed=0,
                     base_prepared=prepare(small_ds, cfg, 0))
         assert own[0].gnmse_mean == run_once(small_ds, cfg, 2.0, 0).gnmse
         other_fraction = dataclasses.replace(cfg, sample_fraction=0.6)
         for wrong in (prepare(small_ds, cfg, 5), prepare(small_ds, other_fraction, 0)):
             for fixed_split in (False, True):
                 with pytest.raises(ArgumentError, match="base seed 0"):
-                    sweep(small_ds, grid, seeds=[0], base_seed=0, fixed_split=fixed_split,
+                    sweep(small_ds, grid, repeats=1, base_seed=0, fixed_split=fixed_split,
                           base_prepared=wrong)
 
     def test_cells_equal_run_once_bitwise(self, small_ds):
         cfg = RunConfig(n_features=32)
         grid = SweepGrid(sigma_sq_values=(1.0, 4.0), config=cfg)
-        results = sweep(small_ds, grid, seeds=[3, 4])
+        results = sweep(small_ds, grid, repeats=2, base_seed=3)
         for res in results:
             cells = np.array([run_once(small_ds, cfg, res.sigma_sq, seed).gnmse
                               for seed in (3, 4)])
             assert res.gnmse_mean == cells.mean()
             assert res.gnmse_std == cells.std(ddof=1)
-        single = sweep(small_ds, grid, seeds=[5])
+        single = sweep(small_ds, grid, repeats=1, base_seed=5)
         assert [r.gnmse_mean for r in single] == [
             run_once(small_ds, cfg, v, 5).gnmse for v in grid.sigma_sq_values]
 
@@ -322,13 +324,14 @@ class TestLockstepGrid:
     """The lockstep grid path against fit_prepared, cell by cell, compared with ==."""
 
     @given(values=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=5, unique=True),
-           seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
+           base_seed=st.integers(0, 50), repeats=st.integers(1, 3),
            per_chunk=st.sampled_from((1, 2, 3)))
     @settings(max_examples=15, deadline=None)
-    def test_cells_equal_fit_prepared_in_any_chunking(self, small_ds, values, seeds,
-                                                      per_chunk):
+    def test_cells_equal_fit_prepared_in_any_chunking(self, small_ds, values, base_seed,
+                                                      repeats, per_chunk):
         cfg = RunConfig(n_features=16)
         values = tuple(sorted(values))
+        seeds = range(base_seed, base_seed + repeats)
         prepared = {seed: prepare(small_ds, cfg, seed) for seed in seeds}
         per_variance = {len(p.sampled) * 2 * cfg.n_features * 8 for p in prepared.values()}
         assert len(per_variance) == 1  # every seed samples as many nodes
@@ -343,7 +346,7 @@ class TestLockstepGrid:
             patch.setattr(harness, "sgd_pass", spy)
             grid = [harness._fit_grid(prepared[seed], cfg, values, seed) for seed in seeds]
             results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg),
-                            seeds=seeds)
+                            repeats=repeats, base_seed=base_seed)
         cells = _cells(small_ds, cfg, values, seeds)
         assert np.array_equal(np.array(grid).T, cells)
         expected = [min(per_chunk, len(values) - start)
@@ -357,11 +360,11 @@ class TestLockstepGrid:
     def test_parallel_pinned_split_cells_equal_fit_prepared(self, small_ds, monkeypatch,
                                                             per_chunk):
         cfg = RunConfig(n_features=16)
-        values, seeds = (0.5, 2.0, 8.0), [4, 5, 6]
+        values, seeds = (0.5, 2.0, 8.0), range(4, 7)
         pinned = prepare(small_ds, cfg, 4)
         monkeypatch.setattr(harness, "_GRID_BYTES",
                             per_chunk * len(pinned.sampled) * 2 * cfg.n_features * 8)
-        results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg), seeds=seeds,
+        results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg), repeats=3,
                         base_seed=4, jobs=2, fixed_split=True)
         cells = _cells(small_ds, cfg, values, seeds, pinned=pinned)
         assert [r.gnmse_mean for r in results] == [row.mean() for row in cells]
