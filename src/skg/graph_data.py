@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 import sys
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -32,40 +33,36 @@ class Graph:
     """Weighted graph over opaque node ids, as node-index and weight arrays.
 
     Nodes are numbered in first-seen order. Edge weights must be finite and
-    nonnegative (1.0 for unweighted data). An edge is one head->tail entry,
+    nonnegative (1.0 for unweighted data). An edge is one head->tail arc,
     and on undirected graphs two (src->dst, then dst->src). Instances are
     never mutated after construction, so they are safe to share across threads.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[Sequence],
-        directed: bool = False,
-        nodes: Iterable[NodeId] = (),
-    ):
+    def __init__(self, edges: Iterable[Sequence], directed: bool = False,
+                 nodes: Iterable[NodeId] = ()):
         rows = [(edge[0], edge[1], float(edge[2]) if len(edge) > 2 else 1.0) for edge in edges]
-        src, dst, weights = map(list, zip(*rows)) if rows else ([], [], [])
+        weights = [row[2] for row in rows]
         if not _valid_weights(weights):
             head, tail, bad = next(row for row in rows if not _valid_weights(row[2:]))
             raise DataError(f"edge weight must be finite and nonnegative, got {bad!r} "
                             f"on ({head!r}, {tail!r})")
-        self._build(src, dst, weights, directed, nodes)
+        self._build([end for row in rows for end in row[:2]], np.array(weights, dtype=float),
+                    directed, nodes)
 
-    def _build(self, src, dst, weights, directed, nodes) -> None:
-        # The one builder. Nodes register in first-seen order over src0, dst0, src1, ...
-        self.directed = bool(directed)
-        self._src, self._dst, self._weights = src, dst, weights
-        ends = [None] * (2 * len(src))  # one list, faster to hash and map than zipped pairs
-        ends[0::2], ends[1::2] = src, dst
-        order = dict.fromkeys(itertools.chain(nodes, ends))
+    def _build(self, ids, weights: np.ndarray, directed, nodes) -> None:
+        # The one builder: ``ids`` lists src0, dst0, src1, ... (one list hashes faster
+        # than pairs); nodes register in first-seen order over ``nodes``, then ``ids``
+        order = dict.fromkeys(itertools.chain(nodes, ids))
         self._index: dict[NodeId, int] = dict(zip(order, range(len(order))))
-        ends = np.fromiter(map(self._index.__getitem__, ends), np.int64, len(ends))
-        heads, tails = ends.reshape(-1, 2).T.copy()
-        values = np.array(weights, dtype=np.float64)
-        if not self.directed:  # each edge is written src->dst, then dst->src
-            heads, tails, values = (np.stack(pair, axis=1).ravel()
-                                    for pair in ((heads, tails), (tails, heads), (values, values)))
-        self._heads, self._tails, self._values = heads, tails, values
+        self._ends = np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
+        self._weights, self.directed = weights, bool(directed)
+
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Head index, tail index and weight of every arc, in input edge order."""
+        pairs = self._ends.reshape(-1, 2)
+        if self.directed:
+            return pairs[:, 0], pairs[:, 1], self._weights
+        return self._ends, pairs[:, ::-1].ravel(), np.repeat(self._weights, 2)
 
     @property
     def nodes(self) -> tuple:
@@ -74,7 +71,8 @@ class Graph:
     @property
     def edges(self) -> tuple:
         """``(src, dst, weight)`` per input edge, duplicates included; built on each access."""
-        return tuple(zip(self._src, self._dst, self._weights))
+        ends = map(self.nodes.__getitem__, self._ends.tolist())
+        return tuple(zip(ends, ends, self._weights.tolist()))  # one iterator: src, then dst
 
     @property
     def num_nodes(self) -> int:
@@ -82,7 +80,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._src)
+        return len(self._weights)
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._index
@@ -155,33 +153,46 @@ class Dataset:
         return np.array([self.values[n] for n in node_ids], dtype=np.float64)
 
 
-def _read_lines(path) -> list[str]:
-    """The file's lines, decoded as UTF-8 and whitespace-stripped."""
+def _read_text(path) -> str:
+    """The file decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{Path(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                         ) from None
-    return list(map(str.strip, text.split("\n")))
 
 
-def _columns(lines: list, widths: tuple[int, ...], fill: str = "") -> list[list[str]]:
-    """The stripped fields of the data lines, column by column.
+# "#", a blank line and every ASCII character str.strip removes but the line feed
+_UNCLEAN = ("#", "\n\n", *(c for c in map(chr, range(128)) if c.isspace() and c != "\n"))
+
+
+def _tokens(text: str, widths: tuple[int, ...], fill: str = "") -> tuple[list[str], int]:
+    """The stripped fields of the data lines in file order, and the fields per line.
 
     Blank lines and ``#`` comments are skipped. Raises ``ValueError`` if a
-    data line does not have one of ``widths`` fields. There are as many
-    columns as the widest line has fields; a narrower line is padded with
-    ``fill`` fields. No per-line field list is built.
+    data line does not have one of ``widths`` fields; a line narrower than
+    the widest is padded with ``fill`` fields. A clean text (ASCII, with no
+    leading line feed and no ``_UNCLEAN`` string) is split in one pass; any
+    other is first rewritten to that form. Commas are counted per line over
+    the UTF-8 bytes: no multibyte character holds a comma or line feed byte.
     """
-    data = [line for line in lines if line and line[0] != "#"]
-    commas = list(map(str.count, data, itertools.repeat(",")))
-    if sum(map(commas.count, [w - 1 for w in widths])) != len(data):
+    if not text.isascii() or text[:1] == "\n" or any(map(text.__contains__, _UNCLEAN)):
+        lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
+        text = re.sub(r"[^\S\n]*,[^\S\n]*", ",", "\n".join(lines))  # \s is str.strip's set
+    text = text.removesuffix("\n")
+    if not text:
+        return [], min(widths)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    commas = np.bincount(np.searchsorted(breaks, np.flatnonzero(raw == ord(","))),
+                         minlength=breaks.size + 1)
+    if not np.isin(commas, np.subtract(widths, 1)).all():
         raise ValueError("a data line has the wrong number of fields")
-    width = max(commas, default=min(widths) - 1) + 1
-    if commas.count(width - 1) != len(data):
-        data = [line + ("," + fill) * (width - 1 - count) for line, count in zip(data, commas)]
-    tokens = list(map(str.strip, ",".join(data).split(","))) if data else []
-    return [tokens[k::width] for k in range(width)]
+    width = int(commas.max()) + 1
+    if commas.min() < width - 1:
+        text = "\n".join(line + ("," + fill) * (width - 1 - count)
+                         for line, count in zip(text.split("\n"), commas.tolist()))
+    return text.replace("\n", ",").split(","), width
 
 
 def _valid_weights(weights) -> bool:
@@ -189,14 +200,14 @@ def _valid_weights(weights) -> bool:
     return all(map(math.isfinite, weights)) and min(weights, default=0.0) >= 0.0
 
 
-def _raise_first_bad_line(path, lines: list, problem) -> NoReturn:
+def _raise_first_bad_line(path, text: str, problem) -> NoReturn:
     """Raise :class:`DataError` at the first data line whose fields ``problem`` refuses.
 
     ``problem`` takes a line's stripped fields and returns the message for
     that line, or ``None`` when the line is good. It runs only on a file the
     whole-column checks refused, so some line must be bad.
     """
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if line and line[0] != "#":
             message = problem([part.strip() for part in line.split(",")])
             if message:
@@ -265,18 +276,19 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
     line, or negative or non-finite weight, in file order raises
     :class:`DataError` with its line number.
     """
-    lines = _read_lines(path)
+    text = _read_text(path)
     try:  # whole columns decide if the file is good; a bad one is reread line by line
-        columns = _columns(lines, (2, 3), fill="1")
-        src, dst = columns[:2]
-        weights = (list(map(float, columns[2])) if weighted and len(columns) == 3
-                   else [1.0] * len(src))
-        if "" in src or "" in dst or not _valid_weights(weights):
+        ids, width = _tokens(text, (2, 3), fill="1")
+        column = list(map(float, ids[2::3])) if weighted and width == 3 else None
+        if width == 3:
+            del ids[2::3]
+        if "" in ids or not _valid_weights(column or ()):  # no unweighted column is scanned
             raise ValueError("a bad id or weight")
     except ValueError:
-        _raise_first_bad_line(path, lines, lambda fields: _edge_problem(fields, weighted))
+        _raise_first_bad_line(path, text, lambda fields: _edge_problem(fields, weighted))
+    weights = np.ones(len(ids) // 2) if column is None else np.array(column)
     graph = Graph.__new__(Graph)  # the one builder, on weights already checked above
-    graph._build(src, dst, weights, directed, ())
+    graph._build(ids, weights, directed, ())
     return graph
 
 
@@ -286,16 +298,17 @@ def load_values(path) -> dict:
     The first malformed line, duplicate node or non-finite value in file
     order raises :class:`DataError` with its line number.
     """
-    lines = _read_lines(path)
+    text = _read_text(path)
     try:  # whole columns decide if the file is good; a bad one is reread line by line
-        nodes, column = _columns(lines, (2,))
-        values = list(map(float, column))
-        if "" in nodes or len(set(nodes)) < len(nodes) or not all(map(math.isfinite, values)):
+        tokens = _tokens(text, (2,))[0]
+        nodes, values = tokens[0::2], list(map(float, tokens[1::2]))
+        table = dict(zip(nodes, values))  # a repeated id makes it shorter
+        if "" in table or len(table) < len(nodes) or not all(map(math.isfinite, values)):
             raise ValueError("a bad or repeated id, or a bad value")
     except ValueError:
         seen = set()
-        _raise_first_bad_line(path, lines, lambda fields: _value_problem(fields, seen))
-    return dict(zip(nodes, values))
+        _raise_first_bad_line(path, text, lambda fields: _value_problem(fields, seen))
+    return table
 
 
 def load_dataset(graph_path, values_path, weighted=False, directed=False,
@@ -320,10 +333,13 @@ def drop_isolated(graph: Graph) -> Graph:
     graphs, nodes with no incident edges; an edge of weight 0 or a self-loop
     keeps its node. Edges touching dropped nodes are removed as well.
     """
-    heads = np.bincount(graph._heads, minlength=graph.num_nodes).tolist()
-    keep = dict.fromkeys(itertools.compress(graph.nodes, heads))  # ordered set
-    edges = [(s, d, w) for s, d, w in graph.edges if s in keep and d in keep]
-    return Graph(edges, directed=graph.directed, nodes=keep)
+    keep = np.bincount(graph._arcs()[0], minlength=graph.num_nodes) > 0
+    kept = keep[graph._ends].reshape(-1, 2).all(axis=1)  # the input edges whose two ends stay
+    pruned = Graph.__new__(Graph)  # kept nodes are renumbered in order, not hashed again
+    pruned._index = dict(zip(itertools.compress(graph._index, keep.tolist()), itertools.count()))
+    pruned._ends = (np.cumsum(keep) - 1)[graph._ends[np.repeat(kept, 2)]]
+    pruned._weights, pruned.directed = graph._weights[kept], graph.directed
+    return pruned
 
 
 def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
@@ -344,12 +360,13 @@ def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
     # row and column position of each graph node; -1 outside the two sets
     position = np.full((2, graph.num_nodes), -1, dtype=np.int64)
     position[0, rows], position[1, columns] = np.arange(len(rows)), np.arange(len(columns))
-    heads, tails = position[0, graph._heads], position[1, graph._tails]
-    edges = np.flatnonzero((heads >= 0) & (tails >= 0))[::-1]
-    # np.unique keeps the first of each key in reverse edge order: the last edge wins
-    keys, last = np.unique(heads[edges] * len(referencing) + tails[edges], return_index=True)
+    heads, tails, weights = graph._arcs()
+    heads, tails = position[0, heads], position[1, tails]
+    arcs = np.flatnonzero((heads >= 0) & (tails >= 0))[::-1]
+    # np.unique keeps the first of each key in reverse arc order: the last edge wins
+    keys, last = np.unique(heads[arcs] * len(referencing) + tails[arcs], return_index=True)
     vectors = np.zeros((len(sampled), len(referencing)), dtype=np.float64)
-    np.put(vectors, keys, graph._values[edges[last]])
+    np.put(vectors, keys, weights[arcs[last]])
     # a node sampled more than once had its edges written to one of its rows
     rows = position[0, rows]
     return vectors if np.array_equal(rows, np.arange(len(sampled))) else vectors[rows]
@@ -457,17 +474,22 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
     maximum, of zero or of the block's smallest value above the bound is
     recomputed from its difference, so both reported distances are exactly
     those of the definitional pair-by-pair scan, on weighted as on 0/1
-    vectors. ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
+    vectors. On integer entries with 4 m max|a|^2 <= 2^53 every Gram value,
+    norm and distance is exact, so no pair is recomputed.
+    ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
     """
     vectors = _pair_input(vectors)
     n, m = vectors.shape
     norms = np.einsum("ij,ij->i", vectors, vectors)
-    tol = 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
     batch = max(_SCAN_CHUNK, _SCAN_CHUNK * n // max(m, 1))
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, n, _SCAN_CHUNK):
         counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
     co_occurrence = _CoOccurrence(vectors) if _SCAN_COST * (counts @ counts) <= n * n * m else None
+    entries = vectors if co_occurrence is None else co_occurrence.values  # its nonzeros
+    integral = (np.array_equal(entries, np.trunc(entries))
+                and 4.0 * m * float(np.abs(entries).max(initial=0.0)) ** 2 <= 2.0**53)
+    tol = 0.0 if integral else 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
     on_or_below = np.tri(min(_SCAN_CHUNK, n - 1), dtype=bool)
     d_max, d_min = 0.0, math.inf
     for start in range(0, n - 1, _SCAN_CHUNK):
@@ -484,6 +506,9 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
         recompute = d_sq <= tol
         d_sq[recompute] = np.nan
         low = np.fmin.reduce(d_sq, axis=None)
+        if integral:  # every Gram value is its pair's definitional distance
+            d_max, d_min = max(d_max, float(high)), float(np.fmin(d_min, low))
+            continue
         recompute |= d_sq >= high - 2.0 * tol
         recompute |= d_sq <= low + 2.0 * tol
         first, second = np.divmod(np.flatnonzero(recompute), n - start)

@@ -1,10 +1,12 @@
 """Graph loading, adjacency vectors, pairwise statistics, splits."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from skg import graph_data
@@ -200,15 +202,30 @@ def _outcome(load, *args):
 _PAD = st.sampled_from(["", " ", "\t", "  "])
 
 
-def _field(tokens):
+def _field(tokens, clean=False):
+    pad = st.just("") if clean else _PAD
     return st.builds(lambda left, token, right: left + token + right,
-                     _PAD, st.sampled_from(tokens), _PAD)
+                     pad, st.sampled_from(tokens), pad)
+
+
+def _one_pass(text):
+    """Whether the loaders tokenize ``text`` in one pass: ASCII, no ``#``, no blank
+    line and no whitespace but line feeds, once CR and CRLF read as LF."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return (text.isascii() and "#" not in text and not text.startswith("\n")
+            and "\n\n" not in text and not any(c.isspace() for c in text.replace("\n", "")))
 
 
 @st.composite
-def _csv_text(draw, data_lines):
-    """``data_lines`` mixed with comments and blank lines, with LF, CRLF or CR endings."""
+def _csv_text(draw, data_lines, clean=False):
+    """``data_lines`` mixed with comments and blank lines, with LF, CRLF or CR endings.
+
+    A clean text is the data lines alone with LF endings, the last one optional.
+    """
     lines = list(data_lines)
+    if clean:
+        text = "\n".join(lines)
+        return text + "\n" if lines and draw(st.booleans()) else text
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", "   ", "# comment", "  # a,b,c", "#1,2"])))
@@ -225,25 +242,26 @@ _BAD_WEIGHTS = ["-1", "nan", "inf", "-inf", "x", ""]
 
 
 @st.composite
-def _edge_file(draw, malformed):
-    ids = _field(["a", "b", "c", "1", "10", "c#2", "c\x85d"] + ([""] if malformed else []))
-    weights = _field(_GOOD_WEIGHTS + (_BAD_WEIGHTS if malformed else []))
+def _edge_file(draw, malformed, clean=False):
+    ids = _field(["a", "b", "c", "1", "10"] + ([] if clean else ["c#2", "c\x85d"])
+                 + ([""] if malformed else []), clean)
+    weights = _field(_GOOD_WEIGHTS + (_BAD_WEIGHTS if malformed else []), clean)
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         width = draw(st.sampled_from([2, 3, 2, 3] + ([1, 4] if malformed else [])))
         fields = [draw(ids) for _ in range(min(width, 2))]
         lines.append(",".join(fields + [draw(weights) for _ in range(width - 2)]))
-    return draw(_csv_text(lines))
+    return draw(_csv_text(lines, clean))
 
 
 @st.composite
-def _value_file(draw, malformed, nodes=()):
+def _value_file(draw, malformed, nodes=(), clean=False):
     """A value file; its good lines hold ``nodes`` in a drawn order, when any are given."""
     nodes = draw(st.permutations(nodes) if nodes else st.lists(
-        st.sampled_from([f"n{i}" for i in range(20)] + ["7", "x y", "n#1"]),
+        st.sampled_from([f"n{i}" for i in range(20)] + ["7"] + ([] if clean else ["x y", "n#1"])),
         unique=True, min_size=1, max_size=12))
     values = _field(["1", "-2.5", "0", "1e3", "-0.0"] +
-                    (["nan", "inf", "x", ""] if malformed else []))
+                    (["nan", "inf", "x", ""] if malformed else []), clean)
     lines = [f"{node},{draw(values)}" for node in nodes]
     if malformed:
         for _ in range(draw(st.integers(1, 3))):
@@ -251,17 +269,24 @@ def _value_file(draw, malformed, nodes=()):
             node = draw(st.sampled_from(nodes + [""]))
             lines.insert(at, draw(st.sampled_from([f"{node},{draw(values)}", node,
                                                    f"{node},1,2"])))
-    return draw(_csv_text(lines))
+    return draw(_csv_text(lines, clean))
+
+
+def _branch(text, clean, malformed):
+    """Record the tokenizer branch ``text`` takes; a clean draw of good lines takes one pass."""
+    event(f"one-pass tokenizer: {_one_pass(text)}")
+    assert _one_pass(text) or not clean or malformed
 
 
 class TestLoaderAgainstRowParser:
     """The columnar loaders against the definitional row-by-row parser."""
 
     @given(data=st.data(), malformed=st.booleans(), weighted=st.booleans(),
-           directed=st.booleans())
+           directed=st.booleans(), clean=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_load_graph(self, tmp_path_factory, data, malformed, weighted, directed):
-        text = data.draw(_edge_file(malformed))
+    def test_load_graph(self, tmp_path_factory, data, malformed, weighted, directed, clean):
+        text = data.draw(_edge_file(malformed, clean))
+        _branch(text, clean, malformed)
         path = tmp_path_factory.mktemp("oracle") / "g.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(_oracle_graph, path, weighted, directed)
@@ -274,10 +299,11 @@ class TestLoaderAgainstRowParser:
         # the public constructor builds the same graph from the same edges
         assert _graph_parts(Graph(expected[1], directed=directed)) == expected
 
-    @given(data=st.data(), malformed=st.booleans())
+    @given(data=st.data(), malformed=st.booleans(), clean=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_load_values(self, tmp_path_factory, data, malformed):
-        text = data.draw(_value_file(malformed))
+    def test_load_values(self, tmp_path_factory, data, malformed, clean):
+        text = data.draw(_value_file(malformed, clean=clean))
+        _branch(text, clean, malformed)
         path = tmp_path_factory.mktemp("oracle") / "v.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(_oracle_values, path)
@@ -317,6 +343,53 @@ class TestLoaderAgainstRowParser:
         assert list(load_values(path)) == [f"a{c}b{i}" for i, c in enumerate(breaks)]
         path = _write(tmp_path, "g.csv", "".join(f"a{c}b,c\n" for c in breaks))
         assert _graph_parts(load_graph(path)) == _oracle_graph(path, False, False)
+
+    def test_unclean_rewrite_loads_like_the_clean_file(self, tmp_path):
+        # CRLF endings, padded fields, a comment and a blank line take the normalizing
+        # branch, which must give the one-pass branch's graph and values
+        edges = "a,b\nb,c,2.5\nc,a\nd,a,0\n"
+        padded = "# edges\r\n a , b \r\n\r\nb ,c,\t2.5\r\n\tc,a\r\nd , a,0 \r\n"
+        values = "a,1\nb,-2.5\nc,0\nd,3"
+        padded_values = " a , 1\r\n# values\r\n\r\nb,-2.5 \r\n c ,0\r\nd,3\r\n"
+        assert _one_pass(edges) and _one_pass(values)
+        assert not _one_pass(padded) and not _one_pass(padded_values)
+        clean, unclean = _write(tmp_path, "g.csv", edges), _write(tmp_path, "u.csv", padded)
+        for weighted, directed in itertools.product((False, True), repeat=2):
+            assert (_graph_parts(load_graph(unclean, weighted, directed))
+                    == _graph_parts(load_graph(clean, weighted, directed)))
+        expected = _graph_parts(load_graph(clean))
+        # a leading or a doubled line feed is a blank line, so that text is not clean
+        for text in ("\n" + edges, edges + "\n", edges.replace("\n", "\n\n", 1)):
+            assert not _one_pass(text)
+            assert _graph_parts(load_graph(_write(tmp_path, "b.csv", text))) == expected
+        clean, unclean = _write(tmp_path, "v.csv", values), _write(tmp_path, "w.csv", padded_values)
+        assert list(load_values(unclean).items()) == list(load_values(clean).items())
+
+    def test_empty_fields_at_line_ends(self, tmp_path):
+        # stripping an empty first or last field must not strip the line feed beside it
+        for text in ("a,a,\na,a \n", "a,b,\nc,d \n , e\n", "a,b,\n,c \nd,e\n"):
+            path = _write(tmp_path, "g.csv", text)
+            for weighted in (False, True):
+                graph = _outcome(load_graph, path, weighted, False)
+                assert (graph if isinstance(graph, str) else _graph_parts(graph)) \
+                    == _outcome(_oracle_graph, path, weighted, False)
+
+    def test_field_counts_are_checked_per_line(self, tmp_path):
+        # a 1-field line and a 3-field line hold as many commas as two 2-field lines
+        path = _write(tmp_path, "g.csv", "a\nb,c,1\n")
+        for weighted in (False, True):
+            with pytest.raises(DataError, match=r"g.csv:1: expected 'src,dst\[,weight\]', got \['a'\]"):
+                load_graph(path, weighted=weighted)
+        with pytest.raises(DataError, match=r"g.csv:1: expected 'node_id,value', got \['a'\]"):
+            load_values(path)
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_empty_files_load_empty(self, tmp_path, text):
+        path = _write(tmp_path, "g.csv", text)
+        for weighted in (False, True):
+            graph = load_graph(path, weighted=weighted)
+            assert graph.nodes == graph.edges == () and graph.num_edges == 0
+        assert load_values(path) == {}
 
     @pytest.mark.parametrize("loader", [load_graph, load_values])
     def test_undecodable_bytes_name_the_file(self, tmp_path, loader):
@@ -532,6 +605,37 @@ class TestPairwiseStats:
         vectors[:, rng.integers(0, m, zero_columns)] = 0.0
         assert pairwise_stats(vectors) == _loop_stats(vectors)
 
+    @given(n=st.integers(2, 300), m=st.integers(1, 60),
+           values=st.sampled_from(["binary", "signed", "at-bound", "past-bound"]),
+           density=st.sampled_from([0.02, 0.3, 1.0]), duplicates=st.integers(0, 20),
+           zero_rows=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_scan_needs_no_recompute(self, n, m, values, density, duplicates,
+                                             zero_rows, seed):
+        # integers with 4 m max|a|^2 <= 2^53 give exact Gram values on either product, so
+        # no pair is recomputed from its difference; one past that bound, pairs are
+        rng = np.random.default_rng(seed)
+        peak = math.isqrt(2**53 // (4 * m)) + (values == "past-bound")
+        low, high = {"binary": (1, 1), "signed": (-3, 3)}.get(values, (-peak, peak))
+        vectors = (rng.random((n, m)) < density) * rng.integers(low, high + 1, (n, m))
+        vectors = vectors.astype(np.float64)
+        for _ in range(duplicates):
+            i, j = rng.integers(0, n, 2)
+            vectors[j] = vectors[i]
+        vectors[rng.integers(0, n, zero_rows)] = 0.0
+        if values.endswith("bound"):  # the largest distance the peak allows
+            vectors[0], vectors[1] = peak, -peak
+        recomputed, pair_d_sq = [], graph_data._pair_d_sq
+
+        def spy(*args):
+            recomputed.append(args)
+            return pair_d_sq(*args)
+
+        with mock.patch.object(graph_data, "_pair_d_sq", spy):
+            stats = pairwise_stats(vectors)
+        assert _bits(stats) == _bits(_loop_stats(vectors))
+        assert bool(recomputed) == (values == "past-bound")
+
     def test_one_gram_product_per_matrix(self, monkeypatch):
         # co-occurrence builds the Gram blocks of a matrix when
         # _SCAN_COST * sum(d^2) <= n^2 m over its column nonzero counts d, BLAS otherwise
@@ -587,6 +691,11 @@ class TestPairwiseStats:
         assert all(products <= size for products, size in runs)
         monkeypatch.undo()
         assert pairwise_stats(vectors) == _loop_stats(vectors)
+
+
+def _bits(stats):
+    return (stats.d_sq_max.hex(), stats.n_pairs,
+            None if stats.d_sq_min_nonzero is None else stats.d_sq_min_nonzero.hex())
 
 
 def _loop_stats(vectors):
