@@ -31,4 +31,4 @@ from .weights import (SimilarityMatrix, WeightTrace, conformity_alpha,
                       contribution_weights, expected_weight_sum, noise_up_from_run,
                       noise_up_theoretical, probe_weight_traces, similarity,
                       similarity_approx, similarity_conditional_variance,
-                      similarity_matrix, weighted_prediction_oracle)
+                      similarity_matrix)

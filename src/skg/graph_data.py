@@ -46,16 +46,18 @@ class Graph:
             head, tail, bad = next(row for row in rows if not _valid_weights(row[2:]))
             raise DataError(f"edge weight must be finite and nonnegative, got {bad!r} "
                             f"on ({head!r}, {tail!r})")
-        self._build([end for row in rows for end in row[:2]], np.array(weights, dtype=float),
-                    directed, nodes)
-
-    def _build(self, ids, weights: np.ndarray, directed, nodes) -> None:
-        # The one builder: ``ids`` lists src0, dst0, src1, ... (one list hashes faster
-        # than pairs); nodes register in first-seen order over ``nodes``, then ``ids``
+        # any hashable ids, numbered in first-seen order over ``nodes``, then src0, dst0, ...
+        ids = [end for row in rows for end in row[:2]]
         order = dict.fromkeys(itertools.chain(nodes, ids))
-        self._index: dict[NodeId, int] = dict(zip(order, range(len(order))))
-        self._ends = np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
-        self._weights, self.directed = weights, bool(directed)
+        index = dict(zip(order, range(len(order))))
+        self._build(index, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)),
+                    np.array(weights, dtype=float), directed)
+
+    def _build(self, index: dict, ends: np.ndarray, weights: np.ndarray, directed) -> None:
+        # The one builder: node -> number, the numbers of src0, dst0, src1, ... and a weight
+        # per edge, all checked by the caller
+        self._index: dict[NodeId, int] = index
+        self._ends, self._weights, self.directed = ends, weights, bool(directed)
 
     def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Head index, tail index and weight of every arc, in input edge order."""
@@ -166,38 +168,86 @@ def _read_text(path) -> str:
 _UNCLEAN = ("#", "\n\n", *(c for c in map(chr, range(128)) if c.isspace() and c != "\n"))
 
 
-def _tokens(text: str, widths: tuple[int, ...], fill: str = "") -> tuple[list[str], int]:
-    """The stripped fields of the data lines in file order, and the fields per line.
+def _tokens(text: str, widths: tuple[int, ...], fill: str = ""
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data lines as UTF-8 bytes, and the byte span of every stripped field.
 
+    Returns ``(raw, starts, stops)``: ``raw`` holds the data lines, each
+    ended by a line feed, and field j of data line i is
+    ``raw[starts[i, j]:stops[i, j]]``, followed by its comma or line feed.
     Blank lines and ``#`` comments are skipped. Raises ``ValueError`` if a
     data line does not have one of ``widths`` fields; a line narrower than
     the widest is padded with ``fill`` fields. A clean text (ASCII, with no
     leading line feed and no ``_UNCLEAN`` string) is split in one pass; any
-    other is first rewritten to that form. Commas are counted per line over
-    the UTF-8 bytes: no multibyte character holds a comma or line feed byte.
+    other is first rewritten to that form. Fields are split over the UTF-8
+    bytes: no multibyte character holds a comma or line feed byte.
     """
     if not text.isascii() or text[:1] == "\n" or any(map(text.__contains__, _UNCLEAN)):
         lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
         text = re.sub(r"[^\S\n]*,[^\S\n]*", ",", "\n".join(lines))  # \s is str.strip's set
     text = text.removesuffix("\n")
-    if not text:
-        return [], min(widths)
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    breaks = np.flatnonzero(raw == ord("\n"))
-    commas = np.bincount(np.searchsorted(breaks, np.flatnonzero(raw == ord(","))),
-                         minlength=breaks.size + 1)
+    raw = np.frombuffer((text + "\n").encode("utf-8") if text else b"", dtype=np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # the byte after each field
+    commas = np.diff(np.flatnonzero(raw[ends] == ord("\n")), prepend=-1) - 1  # per line
     if not np.isin(commas, np.subtract(widths, 1)).all():
         raise ValueError("a data line has the wrong number of fields")
-    width = int(commas.max()) + 1
-    if commas.min() < width - 1:
-        text = "\n".join(line + ("," + fill) * (width - 1 - count)
-                         for line, count in zip(text.split("\n"), commas.tolist()))
-    return text.replace("\n", ",").split(","), width
+    width = int(commas.max(initial=min(widths) - 1)) + 1
+    if commas.size and commas.min() < width - 1:
+        return _tokens("\n".join(line + ("," + fill) * (width - 1 - count)
+                                 for line, count in zip(text.split("\n"), commas.tolist())),
+                       (width,))
+    return raw, np.concatenate(([0], ends + 1))[:-1].reshape(-1, width), ends.reshape(-1, width)
+
+
+def _decode(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """The fields ``raw[start:stop]`` of :func:`_tokens` spans, decoded in one call."""
+    sizes = stops - starts + 1  # a field and the separator after it
+    offsets = np.cumsum(sizes)
+    picked = raw[np.repeat(starts + sizes - offsets, sizes) + np.arange(sizes.sum())]
+    picked[offsets - 1] = ord("\n")
+    return picked.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+# _KEEP[k] keeps the first k bytes of a little-endian 8-byte word
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _number(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct strings at the given spans in first-seen order, and each span's index there.
+
+    A span's key is its bytes as 8-byte little-endian words, zero past its
+    end, and its length, so spans differing only by trailing zero bytes stay
+    apart; when no span is longer than 7 bytes the length takes the one
+    word's top byte. One sort groups equal keys, the smallest position in a
+    group is its first occurrence, and only those spans are decoded.
+    """
+    lengths = stops - starts
+    longest = int(lengths.max(initial=0))
+    words = np.ndarray((raw.size + 1,), "<u8", np.concatenate((raw, np.zeros(8, np.uint8))),
+                       strides=(1,))  # the 8 bytes from every position
+    keys = [np.take(words, starts + at, mode="clip") & np.take(_KEEP, lengths - at, mode="clip")
+            for at in range(0, max(longest, 1), 8)]  # a clipped index reads no byte or all 8
+    if longest < 8:
+        keys[0] |= lengths.astype(np.uint64) << np.uint64(56)
+    else:
+        keys.append(lengths)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)  # where a group of equal keys starts in ``order``
+    for key in keys:
+        new[1:] |= np.diff(key[order]) != 0
+    new[:1] = True
+    heads = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, heads)
+    seen = np.sort(first)  # the groups' first positions, in first-seen order
+    index = np.empty_like(order)
+    index[order] = np.repeat(np.searchsorted(seen, first), np.diff(heads, append=order.size))
+    return _decode(raw, starts[seen], stops[seen]), index
 
 
 def _valid_weights(weights) -> bool:
     """Whether every weight is finite and nonnegative."""
-    return all(map(math.isfinite, weights)) and min(weights, default=0.0) >= 0.0
+    weights = np.asarray(weights, dtype=np.float64)
+    return bool(np.isfinite(weights).all() and weights.min(initial=0.0) >= 0.0)
 
 
 def _raise_first_bad_line(path, text: str, problem) -> NoReturn:
@@ -252,18 +302,20 @@ def write_csv(path, header, rows) -> None:
 
     Floats are written with ``repr`` (shortest exact round trip), ``None``
     as an empty cell, anything else with ``str``. ``rows`` may be a 2-d
-    numeric array: it is converted to Python numbers a few thousand rows
-    at a time, whose ``repr`` is that same text and formats faster than
-    numpy scalars, without copying the whole array.
+    numeric array: it is converted to Python numbers a thousand rows at a
+    time, whose ``repr`` is that same text and formats faster than numpy
+    scalars, and each such chunk is written by one ``%`` format, without
+    copying the whole array or holding more than a chunk of its text.
     """
     target = contextlib.nullcontext(sys.stdout) if path == "-" else open(
         path, "w", encoding="utf-8")
     with target as handle:
         handle.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), 4096):
-                handle.writelines(",".join(map(repr, row)) + "\n"
-                                  for row in rows[start:start + 4096].tolist())
+            line = ",".join(["%r"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), 1024):
+                chunk = rows[start:start + 1024].tolist()
+                handle.write(line * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
         else:
             handle.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
@@ -278,17 +330,16 @@ def load_graph(path, weighted: bool = False, directed: bool = False) -> Graph:
     """
     text = _read_text(path)
     try:  # whole columns decide if the file is good; a bad one is reread line by line
-        ids, width = _tokens(text, (2, 3), fill="1")
-        column = list(map(float, ids[2::3])) if weighted and width == 3 else None
-        if width == 3:
-            del ids[2::3]
-        if "" in ids or not _valid_weights(column or ()):  # no unweighted column is scanned
-            raise ValueError("a bad id or weight")
+        raw, starts, stops = _tokens(text, (2, 3), fill="1")
+        weights = (np.fromiter(map(float, _decode(raw, starts[:, 2], stops[:, 2])), np.float64)
+                   if weighted and starts.shape[1] == 3 else np.ones(len(starts)))
+        if (starts[:, :2] == stops[:, :2]).any() or not _valid_weights(weights):
+            raise ValueError("an empty id or a bad weight")
     except ValueError:
         _raise_first_bad_line(path, text, lambda fields: _edge_problem(fields, weighted))
-    weights = np.ones(len(ids) // 2) if column is None else np.array(column)
-    graph = Graph.__new__(Graph)  # the one builder, on weights already checked above
-    graph._build(ids, weights, directed, ())
+    nodes, ends = _number(raw, starts[:, :2].ravel(), stops[:, :2].ravel())
+    graph = Graph.__new__(Graph)  # the one builder, on ids and weights checked above
+    graph._build(dict(zip(nodes, range(len(nodes)))), ends, weights, directed)
     return graph
 
 
@@ -300,7 +351,8 @@ def load_values(path) -> dict:
     """
     text = _read_text(path)
     try:  # whole columns decide if the file is good; a bad one is reread line by line
-        tokens = _tokens(text, (2,))[0]
+        raw, starts, stops = _tokens(text, (2,))
+        tokens = _decode(raw, starts.ravel(), stops.ravel())
         nodes, values = tokens[0::2], list(map(float, tokens[1::2]))
         table = dict(zip(nodes, values))  # a repeated id makes it shorter
         if "" in table or len(table) < len(nodes) or not all(map(math.isfinite, values)):
@@ -336,9 +388,9 @@ def drop_isolated(graph: Graph) -> Graph:
     keep = np.bincount(graph._arcs()[0], minlength=graph.num_nodes) > 0
     kept = keep[graph._ends].reshape(-1, 2).all(axis=1)  # the input edges whose two ends stay
     pruned = Graph.__new__(Graph)  # kept nodes are renumbered in order, not hashed again
-    pruned._index = dict(zip(itertools.compress(graph._index, keep.tolist()), itertools.count()))
-    pruned._ends = (np.cumsum(keep) - 1)[graph._ends[np.repeat(kept, 2)]]
-    pruned._weights, pruned.directed = graph._weights[kept], graph.directed
+    pruned._build(dict(zip(itertools.compress(graph._index, keep.tolist()), itertools.count())),
+                  (np.cumsum(keep) - 1)[graph._ends[np.repeat(kept, 2)]], graph._weights[kept],
+                  graph.directed)
     return pruned
 
 

@@ -248,16 +248,6 @@ def noise_up_from_run(features: np.ndarray, order, probe_features: np.ndarray,
     return float(np.abs(lowest).max())
 
 
-def weighted_prediction_oracle(values, trace: WeightTrace) -> float:
-    """Weighted sum of previously seen values under a trace's weights."""
-    y = np.asarray(values, dtype=np.float64)
-    if y.shape != trace.weights.shape:
-        raise ArgumentError(
-            f"need {trace.weights.size} values for target {trace.target}, got {y.size}"
-        )
-    return float(y @ trace.weights)
-
-
 def expected_weight_sum(b: float, duration: int) -> float:
     """Expected total weight toward the post-training target: 1 - (1-b)^T."""
     if not 0.0 < b < 1.0:

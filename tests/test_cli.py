@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -166,6 +170,30 @@ class TestStats:
                                     "--out", str(out), "--hist-out", str(hist))
         assert code == 2 and stdout == "" and err.startswith("error:") and "eta" in err
         assert not out.exists() and not hist.exists()
+
+
+def test_select_and_stats_bytes_hold_across_blas_threads(tmp_path):
+    # select and stats report exact distances, so their bytes do not depend on how
+    # many threads BLAS splits its products over; on a graph this dense and this large
+    # the scan takes the BLAS Gram product, and training's feature products, which are
+    # not exact, do change with the thread count
+    ds = skg.planted_community_dataset(n_nodes=1000, n_communities=3, p_in=0.5, p_out=0.2,
+                                       seed=5)
+    weights = np.random.default_rng(5).uniform(0.5, 2.0, ds.graph.num_edges).tolist()
+    edges, values = tmp_path / "edges.csv", tmp_path / "values.csv"
+    edges.write_text("".join(f"{s},{d},{w!r}\n" for (s, d, _), w in zip(ds.graph.edges, weights)))
+    values.write_text("".join(f"{node},{value!r}\n" for node, value in ds.values.items()))
+    python = [sys.executable, "-m", "skg.cli"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        hist = tmp_path / f"hist-{threads}.csv"
+        runs = [subprocess.run(python + argv, env=env, capture_output=True, check=True).stdout
+                for argv in (["select", "--graph", edges, "--values", values, "--weighted"],
+                             ["stats", "--graph", edges, "--weighted", "--hist-out", hist])]
+        outputs.append((*runs, hist.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestTrainPredict:

@@ -200,6 +200,7 @@ def _outcome(load, *args):
 
 
 _PAD = st.sampled_from(["", " ", "\t", "  "])
+_SOME_PAD = st.sampled_from([" ", "\t", "  "])
 
 
 def _field(tokens, clean=False):
@@ -233,7 +234,10 @@ def _csv_text(draw, data_lines, clean=False):
                             min_size=len(lines), max_size=len(lines)))
     if lines and draw(st.booleans()):
         endings[-1] = ""
-    padded = [draw(_PAD) + line + draw(_PAD) for line in lines]
+    # a line with an empty first or last field, and its neighbours, are always padded
+    ragged = [line[:1] == "," or line[-1:] == "," for line in lines]
+    pads = [_SOME_PAD if any(ragged[max(i - 1, 0):i + 2]) else _PAD for i in range(len(lines))]
+    padded = [draw(pad) + line + draw(pad) for pad, line in zip(pads, lines)]
     return "".join(line + end for line, end in zip(padded, endings))
 
 
@@ -241,16 +245,28 @@ _GOOD_WEIGHTS = ["1", "0.5", "2.25", "0", "1e-3", "-0.0", "1_0"]
 _BAD_WEIGHTS = ["-1", "nan", "inf", "-inf", "x", ""]
 
 
+# ids that stress the loaders' byte keys: trailing zero bytes; 8 bytes, 9 or more
+# with the same first 8, and exactly 16; multibyte UTF-8 (never in a clean file)
+_KEY_IDS = [["a\x00", "a\x00\x00"],
+            ["abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghabcdefgh", "abcdefghabcdefgh\x00"],
+            ["é", "ünïcødé-1", "ünïcødé-2", "日本語ノード"]]
+
+
 @st.composite
 def _edge_file(draw, malformed, clean=False):
-    ids = _field(["a", "b", "c", "1", "10"] + ([] if clean else ["c#2", "c\x85d"])
-                 + ([""] if malformed else []), clean)
+    ids = _field(["a", "b", "c", "1", "10"] + draw(st.sampled_from(_KEY_IDS[:2 if clean else 3]))
+                 + ([] if clean else ["c#2", "c\x85d"]) + ([""] if malformed else []), clean)
     weights = _field(_GOOD_WEIGHTS + (_BAD_WEIGHTS if malformed else []), clean)
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         width = draw(st.sampled_from([2, 3, 2, 3] + ([1, 4] if malformed else [])))
         fields = [draw(ids) for _ in range(min(width, 2))]
-        lines.append(",".join(fields + [draw(weights) for _ in range(width - 2)]))
+        fields += [draw(weights) for _ in range(width - 2)]
+        # one line in three gets an empty first or last field; in a good file only the
+        # weight, which loads as a missing weight unless --weighted
+        if draw(st.integers(0, 2)) == 0 and (malformed or width == 3):
+            fields[draw(st.sampled_from([0, -1])) if malformed else -1] = ""
+        lines.append(",".join(fields))
     return draw(_csv_text(lines, clean))
 
 
@@ -373,6 +389,18 @@ class TestLoaderAgainstRowParser:
                 graph = _outcome(load_graph, path, weighted, False)
                 assert (graph if isinstance(graph, str) else _graph_parts(graph)) \
                     == _outcome(_oracle_graph, path, weighted, False)
+
+    def test_byte_keys_keep_ids_apart(self, tmp_path):
+        # ids equal but for trailing zero bytes, or in their first 8 or 16 bytes, or
+        # multibyte ones, are numbered apart in first-seen order, short and long alike
+        for ids in (["a", "a\x00", "b", "a\x00\x00"],
+                    _KEY_IDS[1] + ["a", "a\x00"] + _KEY_IDS[2]):
+            text = "".join(f"{src},{dst}\n" for src, dst in zip(ids, ids[1:] + ids[:1]))
+            path = _write(tmp_path, "g.csv", text + text.replace("\n", ",2\n"))
+            for directed in (False, True):
+                graph = load_graph(path, weighted=True, directed=directed)
+                assert graph.nodes == tuple(ids)
+                assert _graph_parts(graph) == _oracle_graph(path, True, directed)
 
     def test_field_counts_are_checked_per_line(self, tmp_path):
         # a 1-field line and a 3-field line hold as many commas as two 2-field lines
@@ -782,11 +810,17 @@ def test_write_csv_cells(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == expected
     write_csv("-", ("i", "x", "empty", "s", "f", "n"), rows)
     assert capsys.readouterr().out == expected
-    # a numeric array takes a faster path that must write the same text
-    array = np.array([[0.1, 1 / 3, 1e-300], [2.0, -0.0, 123456789.125]])
-    write_csv(path, ("a", "b", "c"), array)
-    write_csv(tmp_path / "generic.csv", ("a", "b", "c"), [tuple(r) for r in array])
-    assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    # a numeric array takes a faster path that must write the same text, over
+    # more than one chunk, with one column, with no row, of ints and of bools
+    arrays = [np.array([[0.1, 1 / 3, 1e-300], [2.0, -0.0, 123456789.125]]),
+              np.random.default_rng(0).standard_normal((2500, 2)), np.array([[0.5], [-7.25]]),
+              np.empty((0, 3)), np.arange(-6, 6).reshape(4, 3), np.array([[True, False]])]
+    for array in arrays:
+        header = [f"c{j}" for j in range(array.shape[1])]
+        write_csv(path, header, array)
+        write_csv(tmp_path / "generic.csv", header, [tuple(r) for r in array])
+        assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    assert path.read_text(encoding="utf-8") == "c0,c1\nTrue,False\n"
 
 
 class TestDataset:

@@ -12,11 +12,10 @@ from skg.errors import ArgumentError, NumericError, StateError
 from skg.graph_data import TrainingSet
 from skg.model import SkgModel
 from skg.rff import feature_matrix, sample_bank
-from skg.weights import (WeightTrace, conformity_alpha, contribution_weights,
+from skg.weights import (conformity_alpha, contribution_weights,
                          expected_weight_sum, noise_up_from_run, noise_up_theoretical,
                          probe_weight_traces, similarity, similarity_approx,
-                         similarity_conditional_variance, similarity_matrix,
-                         weighted_prediction_oracle)
+                         similarity_conditional_variance, similarity_matrix)
 
 
 def traces_for_identical_vectors(eta, duration, n_features=64, seed=3):
@@ -205,15 +204,11 @@ class TestContributionWeights:
 
 
 class TestPredictionOracle:
-    def test_zero_weights_give_zero(self):
-        trace = WeightTrace(target=4, weights=np.zeros(3), similarities=np.zeros(3),
-                            alpha=np.full(3, np.nan), alpha_valid=np.zeros(3, bool),
-                            noise_up=0.0)
-        assert weighted_prediction_oracle([1.0, 2.0, 3.0], trace) == 0.0
+    """A prediction is the weighted sum of the values seen before it."""
 
     def test_identical_vector_unit_values(self):
         trace = traces_for_identical_vectors(eta=0.1, duration=3)
-        assert weighted_prediction_oracle(np.ones(3), trace) == pytest.approx(0.488, abs=1e-12)
+        assert np.ones(3) @ trace.weights == pytest.approx(0.488, abs=1e-12)
 
     def test_matches_trainer_predictions(self):
         # the trainer's in-run predictions are weighted sums of earlier values
@@ -226,13 +221,8 @@ class TestPredictionOracle:
         matrix = similarity_matrix(ordered, 0.1)
         y_seq = ts.values[run.order]
         for t in range(2, run.duration + 1):
-            oracle = weighted_prediction_oracle(y_seq[: t - 1], contribution_weights(matrix, t))
+            oracle = y_seq[: t - 1] @ contribution_weights(matrix, t).weights
             assert abs(oracle - run.predictions[t - 1]) <= 1e-9 * max(1.0, abs(run.predictions[t - 1]))
-
-    def test_length_mismatch(self):
-        trace = traces_for_identical_vectors(eta=0.1, duration=3)
-        with pytest.raises(ArgumentError):
-            weighted_prediction_oracle([1.0], trace)
 
 
 class TestExpectedWeightSum:
