@@ -351,8 +351,8 @@ def load_values(path) -> dict:
     """
     text = _read_text(path)
     try:  # whole columns decide if the file is good; a bad one is reread line by line
-        raw, starts, stops = _tokens(text, (2,))
-        tokens = _decode(raw, starts.ravel(), stops.ravel())
+        # every field is decoded, so one split of the buffer does it
+        tokens = _tokens(text, (2,))[0].tobytes().decode("utf-8").replace("\n", ",").split(",")[:-1]
         nodes, values = tokens[0::2], list(map(float, tokens[1::2]))
         table = dict(zip(nodes, values))  # a repeated id makes it shorter
         if "" in table or len(table) < len(nodes) or not all(map(math.isfinite, values)):
@@ -443,22 +443,9 @@ _SCAN_COST = 300
 
 
 def _pair_d_sq(vectors: np.ndarray, first, second) -> np.ndarray:
-    """Squared distances of the pairs (``first``, ``second``) from their differences.
-
-    This is the definitional value every pairwise output reports; the
-    Gram scan only decides which pairs need it.
-    """
+    """The definitional squared distances of the pairs (``first``, ``second``)."""
     diff = vectors[second] - vectors[first]
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def _pair_input(vectors) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {vectors.shape}")
-    if vectors.shape[0] < 2:
-        raise DegenerateInputError("pairwise statistics need at least two vectors")
-    return vectors
 
 
 class _CoOccurrence:
@@ -510,30 +497,27 @@ class _CoOccurrence:
         return (np.zeros(size) if total is None else total).reshape(stop - start, width)
 
 
-def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
-    """Largest and smallest nonzero squared Euclidean distance over all unordered pairs.
+def _gram_blocks(vectors: np.ndarray):
+    """Squared distances of all unordered pairs of rows, one Gram block at a time.
 
-    Distances are scanned as ||a||^2 + ||b||^2 - 2 a.b, one Gram block of
-    ``_SCAN_CHUNK`` rows at a time, so memory stays O(_SCAN_CHUNK * n).
-    The Gram values of the whole matrix come from one of two products,
-    chosen once from its column nonzero counts d: when
-    ``_SCAN_COST * sum(d^2) <= n^2 m`` the products of nonzeros that share
-    a column are added by co-occurrence (its entry list then holds at most
-    n m / sqrt(_SCAN_COST) nonzeros), otherwise each block is one BLAS product.
-    A Gram value differs from the difference-based value by at most
-    8 (m + 2) eps max||a||^2 for m-long vectors, in any summation order.
-    Every pair whose Gram value lies within twice that bound of its block's
-    maximum, of zero or of the block's smallest value above the bound is
-    recomputed from its difference, so both reported distances are exactly
-    those of the definitional pair-by-pair scan, on weighted as on 0/1
-    vectors. On integer entries with 4 m max|a|^2 <= 2^53 every Gram value,
-    norm and distance is exact, so no pair is recomputed.
-    ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
+    Yields ``(start, d_sq, tol)`` per block of ``_SCAN_CHUNK`` rows from
+    ``start``: ``d_sq[i, j]`` is ||a||^2 + ||b||^2 - 2 a.b of rows ``start + i``
+    and ``start + j`` for j > i and NaN for j <= i, in O(_SCAN_CHUNK * n)
+    memory. One product serves the whole matrix, chosen from its column
+    nonzero counts d: co-occurrence, adding the products of nonzeros that
+    share a column, when ``_SCAN_COST * sum(d^2) <= n^2 m`` (its entry list
+    then holds at most n m / sqrt(_SCAN_COST) nonzeros), else BLAS.
+    ``tol`` is 16 (m + 2) eps max||a||^2, twice the most a Gram value can
+    differ from the difference-based value in any summation order, and never
+    0 then, even where tiny norms underflow; it is 0 on integer entries with
+    4 m max|a|^2 <= 2^53, whose every Gram value, norm and distance is exact.
     """
-    vectors = _pair_input(vectors)
+    if vectors.ndim != 2:
+        raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {vectors.shape}")
+    if vectors.shape[0] < 2:
+        raise DegenerateInputError("pairwise statistics need at least two vectors")
     n, m = vectors.shape
     norms = np.einsum("ij,ij->i", vectors, vectors)
-    batch = max(_SCAN_CHUNK, _SCAN_CHUNK * n // max(m, 1))
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, n, _SCAN_CHUNK):
         counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
@@ -541,9 +525,8 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
     entries = vectors if co_occurrence is None else co_occurrence.values  # its nonzeros
     integral = (np.array_equal(entries, np.trunc(entries))
                 and 4.0 * m * float(np.abs(entries).max(initial=0.0)) ** 2 <= 2.0**53)
-    tol = 0.0 if integral else 16.0 * (m + 2) * np.finfo(np.float64).eps * float(norms.max())
+    tol = 0.0 if integral else max(16.0 * (m + 2) * 2.0**-52 * float(norms.max()), 5e-324)
     on_or_below = np.tri(min(_SCAN_CHUNK, n - 1), dtype=bool)
-    d_max, d_min = 0.0, math.inf
     for start in range(0, n - 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n - 1)
         rows = stop - start
@@ -551,38 +534,60 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
                 else (-2.0 * vectors[start:stop]) @ vectors[start:].T)
         d_sq += norms[start:stop, None]
         d_sq += norms[start:]
+        d_sq[:, :rows][on_or_below[:rows, :rows]] = np.nan
+        yield start, d_sq, tol
+
+
+def _pair_rows(vectors):
+    """``(i, d_sq)`` per row i but the last: its :func:`_pair_d_sq` to later rows, read from exact
+    Gram blocks (``tol`` 0) and recomputed from the differences otherwise."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    for start, d_sq, tol in _gram_blocks(vectors):
+        for i, row in enumerate(d_sq, start):
+            yield i, (row[i - start + 1:] if tol == 0.0
+                      else _pair_d_sq(vectors, i, slice(i + 1, None)))
+
+
+def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
+    """Largest and smallest nonzero squared Euclidean distance over all unordered pairs.
+
+    Both are read from :func:`_gram_blocks`. Unless a block is exact (``tol``
+    0), its pairs within ``tol`` of zero, or within ``2 tol`` of its maximum or
+    of its smallest value above ``tol``, are recomputed from their differences,
+    so both equal those of the definitional pair-by-pair scan.
+    ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    d_max, d_min = 0.0, math.inf
+    for start, d_sq, tol in _gram_blocks(vectors):
         # pairs on or below the diagonal read NaN, which the reductions and
         # comparisons below skip; so do near-zero pairs once they are marked
-        d_sq[:, :rows][on_or_below[:rows, :rows]] = np.nan
         high = np.fmax.reduce(d_sq, axis=None)
         recompute = d_sq <= tol
         d_sq[recompute] = np.nan
         low = np.fmin.reduce(d_sq, axis=None)
-        if integral:  # every Gram value is its pair's definitional distance
+        if tol == 0.0:  # every Gram value is its pair's definitional distance
             d_max, d_min = max(d_max, float(high)), float(np.fmin(d_min, low))
             continue
         recompute |= d_sq >= high - 2.0 * tol
         recompute |= d_sq <= low + 2.0 * tol
-        first, second = np.divmod(np.flatnonzero(recompute), n - start)
+        first, second = np.divmod(np.flatnonzero(recompute), d_sq.shape[1])
+        # each run of recomputed differences takes no more memory than the block
+        batch = max(_SCAN_CHUNK, d_sq.size // max(vectors.shape[1], 1))
         for at in range(0, first.size, batch):
             exact = _pair_d_sq(vectors, first[at:at + batch] + start, second[at:at + batch] + start)
             d_max = max(d_max, float(exact.max()))
             d_min = min(d_min, float(exact.min(where=exact > 0.0, initial=math.inf)))
+    n = len(vectors)
     return PairwiseStats(d_sq_max=d_max, d_sq_min_nonzero=None if d_min == math.inf else d_min,
                          n_pairs=n * (n - 1) // 2)
 
 
 def pairwise_histogram(vectors: np.ndarray) -> tuple[tuple[float, int], ...]:
-    """Distinct squared distances over all unordered pairs with their pair counts.
-
-    Every pair is computed from its difference, one row at a time, so the
-    values are exact in the sense of :func:`pairwise_stats`.
-    """
-    vectors = _pair_input(vectors)
-    d_sq = np.concatenate([_pair_d_sq(vectors, i, slice(i + 1, None))
-                           for i in range(vectors.shape[0] - 1)])
+    """Distinct squared distances over all unordered pairs, each exact, with their pair counts."""
+    d_sq = np.concatenate([row for _, row in _pair_rows(vectors)])
     unique, counts = np.unique(d_sq, return_counts=True)
-    return tuple((float(v), int(c)) for v, c in zip(unique, counts))
+    return tuple(zip(unique.tolist(), counts.tolist()))
 
 
 def apply_normalization(policy: str, train_values, other_values=()):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, Graph, TrainingSet, _pair_d_sq, apply_normalization,
+from .graph_data import (Dataset, Graph, TrainingSet, _pair_rows, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, sgd_pass, training_order
 from .rff import feature_matrix, sample_bank, sample_banks
@@ -358,14 +358,10 @@ def write_sweep_csv(path, results, marked_sigma_sq=None) -> None:
 
 
 def export_scatter(training_set: TrainingSet) -> np.ndarray:
-    """Rows (squared distance, |value difference|) over all sampled pairs."""
-    if training_set.n < 2:
-        raise ArgumentError("scatter export needs at least two sampled nodes")
-    vectors, values = training_set.vectors, training_set.values
-    # the exact row loop of pairwise_histogram, one row's pairs at a time
-    return np.concatenate([np.column_stack([_pair_d_sq(vectors, i, slice(i + 1, None)),
-                                            np.abs(values[i + 1:] - values[i])])
-                           for i in range(training_set.n - 1)])
+    """Rows (squared distance, |value difference|) over all sampled pairs, row by row."""
+    values = training_set.values
+    return np.concatenate([np.column_stack([d_sq, np.abs(values[i + 1:] - values[i])])
+                           for i, d_sq in _pair_rows(training_set.vectors)])
 
 
 def write_scatter_csv(path, rows: np.ndarray) -> None:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ArgumentError, DegenerateInputError, NumericError, StateError
 from .graph_data import pairwise_stats
 from .weights import noise_up_theoretical
@@ -166,7 +164,6 @@ def select(vectors, eta: float, n_features: int, *, closeness: float = 0.1,
     evaluates the three regime boundaries; ``closeness`` and
     ``first_order_da`` shape the disturbing/averaging one (see :func:`sigma_da`).
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
     stats = pairwise_stats(vectors)
     if stats.d_sq_max == 0.0:
         raise DegenerateInputError("all adjacency vectors are identical; no nonzero distance")

@@ -172,28 +172,72 @@ class TestStats:
         assert not out.exists() and not hist.exists()
 
 
-def test_select_and_stats_bytes_hold_across_blas_threads(tmp_path):
-    # select and stats report exact distances, so their bytes do not depend on how
-    # many threads BLAS splits its products over; on a graph this dense and this large
-    # the scan takes the BLAS Gram product, and training's feature products, which are
-    # not exact, do change with the thread count
+@pytest.fixture(scope="module")
+def dense_planted_files(tmp_path_factory):
+    """A dense 1000-node planted graph as weighted and as 0/1 edge CSVs, and its values."""
     ds = skg.planted_community_dataset(n_nodes=1000, n_communities=3, p_in=0.5, p_out=0.2,
                                        seed=5)
     weights = np.random.default_rng(5).uniform(0.5, 2.0, ds.graph.num_edges).tolist()
-    edges, values = tmp_path / "edges.csv", tmp_path / "values.csv"
-    edges.write_text("".join(f"{s},{d},{w!r}\n" for (s, d, _), w in zip(ds.graph.edges, weights)))
+    folder = tmp_path_factory.mktemp("dense")
+    weighted, unweighted = folder / "weighted.csv", folder / "unweighted.csv"
+    values = folder / "values.csv"
+    weighted.write_text("".join(f"{s},{d},{w!r}\n"
+                                for (s, d, _), w in zip(ds.graph.edges, weights)))
+    unweighted.write_text("".join(f"{s},{d}\n" for s, d, _ in ds.graph.edges))
     values.write_text("".join(f"{node},{value!r}\n" for node, value in ds.values.items()))
-    python = [sys.executable, "-m", "skg.cli"]
+    return weighted, unweighted, values
+
+
+def _cli_at_blas_threads(threads, *argv):
+    """stdout of ``python -m skg.cli argv`` in a fresh process with that many BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "skg.cli", *map(str, argv)], env=env,
+                          capture_output=True, check=True).stdout
+
+
+def test_select_and_stats_bytes_hold_across_blas_threads(dense_planted_files, tmp_path):
+    # select, stats and the scatter export report exact distances, so their bytes do not
+    # depend on how many threads BLAS splits its products over; on a graph this dense and
+    # this large the scan takes the BLAS Gram product, whose blocks are exact on the 0/1
+    # graph (the histogram and the scatter read them) and only pick the pairs to
+    # recompute on the weighted one. Training's feature products, which are not exact,
+    # do change with the thread count
+    weighted, unweighted, values = dense_planted_files
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        hist = tmp_path / f"hist-{threads}.csv"
-        runs = [subprocess.run(python + argv, env=env, capture_output=True, check=True).stdout
-                for argv in (["select", "--graph", edges, "--values", values, "--weighted"],
-                             ["stats", "--graph", edges, "--weighted", "--hist-out", hist])]
-        outputs.append((*runs, hist.read_bytes()))
+        runs = []
+        for graph, flags in ((weighted, ["--weighted"]), (unweighted, [])):
+            data = ["--graph", graph, *flags]
+            hist, scatter = tmp_path / f"hist-{threads}.csv", tmp_path / f"scatter-{threads}.csv"
+            runs += [_cli_at_blas_threads(threads, "select", *data, "--values", values),
+                     _cli_at_blas_threads(threads, "stats", *data, "--hist-out", hist),
+                     hist.read_bytes(),
+                     _cli_at_blas_threads(threads, "analyze", *data, "--values", values,
+                                          "--sigma-sq", "3.5", "--scatter-out", scatter)
+                     .replace(bytes(scatter), b"scatter.csv"),
+                     scatter.read_bytes()]
+        outputs.append(runs)
     assert outputs[0] == outputs[1]
+
+
+def test_train_and_refine_agree_across_blas_threads(dense_planted_files, tmp_path):
+    # the feature and recursion products of train and select --refine may sum in another
+    # order on another BLAS thread count, so their scores agree only to a few ulps. On
+    # this graph, seeds 0-3 and both weightings, 1 against 2 OpenBLAS 0.3.31 threads on a
+    # 2-vCPU x86-64 box, the largest relative difference measured was 3.8e-16 for
+    # noise_up and 2.0e-16 for test_gnmse; the bound leaves a margin of over 2000
+    weighted, _, values = dense_planted_files
+    data = ["--graph", weighted, "--weighted", "--values", values, "--seed", "1"]
+    scores = []
+    for threads in ("1", "2"):
+        trained = json.loads(_cli_at_blas_threads(threads, "train", *data,
+                                                  "--model-out", tmp_path / "model.json"))
+        refined = json.loads(_cli_at_blas_threads(threads, "select", "--refine", *data))
+        assert refined["noise_up"]["source"] == "refined"
+        scores.append((trained["test_gnmse"], refined["noise_up"]["value"]))
+    for one, two in zip(*scores):
+        assert two == pytest.approx(one, rel=1e-12, abs=0.0)
 
 
 class TestTrainPredict:
@@ -469,8 +513,10 @@ class TestMalformedInputs:
         ("a,b\nb,c\n", ["train"]),
         ("a,b\nb,c\n", ["sweep", "--repeats", "1", "--grid-points", "3"]),
         ("a,b\nb,c\n", ["train", "--sigma-sq", "1", "--fraction", "0.1"]),
+        ("a,b\nb,c\n", ["analyze", "--sigma-sq", "1"]),
     ], ids=["stats-no-node", "stats-one-sampled", "select-one-sampled",
-            "train-auto-one-sampled", "sweep-one-sampled", "train-none-sampled"])
+            "train-auto-one-sampled", "sweep-one-sampled", "train-none-sampled",
+            "analyze-scatter-one-sampled"])
     def test_too_small_a_sample_exits_4(self, tmp_path, capsys, text, argv):
         # a split that samples no node, or one too few to scan, is degenerate input
         edges, values, out = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "out"
@@ -478,7 +524,7 @@ class TestMalformedInputs:
         values.write_text("a,1\nb,2\nc,3\n", encoding="utf-8")
         files = ["--graph", str(edges)] + ["--values", str(values)] * (argv[0] != "stats")
         outputs = {"stats": "--out", "select": "--out", "sweep": "--out",
-                   "train": "--model-out"}
+                   "train": "--model-out", "analyze": "--scatter-out"}
         code, stdout, err = run_cli(capsys, *argv, *files, outputs[argv[0]], str(out))
         assert code == 4 and stdout == "" and "Traceback" not in err
         assert err.startswith("error:") and not out.exists()

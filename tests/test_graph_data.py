@@ -16,6 +16,7 @@ from skg.graph_data import (_SCAN_CHUNK, Dataset, Graph, PairwiseStats, Training
                             build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
                             load_values, pairwise_histogram, pairwise_stats,
                             read_split_manifest, split_sample, write_csv, write_split_manifest)
+from skg.harness import export_scatter
 
 from conftest import require_data
 
@@ -641,28 +642,31 @@ class TestPairwiseStats:
     def test_integer_scan_needs_no_recompute(self, n, m, values, density, duplicates,
                                              zero_rows, seed):
         # integers with 4 m max|a|^2 <= 2^53 give exact Gram values on either product, so
-        # no pair is recomputed from its difference; one past that bound, pairs are
-        rng = np.random.default_rng(seed)
-        peak = math.isqrt(2**53 // (4 * m)) + (values == "past-bound")
-        low, high = {"binary": (1, 1), "signed": (-3, 3)}.get(values, (-peak, peak))
-        vectors = (rng.random((n, m)) < density) * rng.integers(low, high + 1, (n, m))
-        vectors = vectors.astype(np.float64)
-        for _ in range(duplicates):
-            i, j = rng.integers(0, n, 2)
-            vectors[j] = vectors[i]
-        vectors[rng.integers(0, n, zero_rows)] = 0.0
-        if values.endswith("bound"):  # the largest distance the peak allows
-            vectors[0], vectors[1] = peak, -peak
+        # no pair is recomputed from its difference, for the extremes, the histogram or
+        # the scatter; one past that bound, pairs are
+        vectors = _scan_vectors(np.random.default_rng(seed), n, m, values, density,
+                                duplicates, zero_rows)
         recomputed, pair_d_sq = [], graph_data._pair_d_sq
 
         def spy(*args):
             recomputed.append(args)
             return pair_d_sq(*args)
 
-        with mock.patch.object(graph_data, "_pair_d_sq", spy):
-            stats = pairwise_stats(vectors)
-        assert _bits(stats) == _bits(_loop_stats(vectors))
-        assert bool(recomputed) == (values == "past-bound")
+        for scan, oracle in ((pairwise_stats, _loop_stats), (pairwise_histogram, _loop_histogram),
+                             (lambda v: export_scatter(TrainingSet(v, np.zeros(n))), None)):
+            recomputed.clear()
+            with mock.patch.object(graph_data, "_pair_d_sq", spy):
+                result = scan(vectors)
+            if oracle is not None:
+                assert repr(result) == repr(oracle(vectors))
+            assert bool(recomputed) == (values == "past-bound")
+
+    def test_subnormal_norms_are_not_taken_as_exact(self):
+        # entries near 1e-160 have subnormal norms, whose Gram tolerance would underflow
+        # to 0; the blocks must still count as inexact, for the extremes and the histogram
+        vectors = np.random.default_rng(0).random((50, 5)) * 1e-160
+        assert _bits(pairwise_stats(vectors)) == _bits(_loop_stats(vectors))
+        assert repr(pairwise_histogram(vectors)) == repr(_loop_histogram(vectors))
 
     def test_one_gram_product_per_matrix(self, monkeypatch):
         # co-occurrence builds the Gram blocks of a matrix when
@@ -726,15 +730,49 @@ def _bits(stats):
             None if stats.d_sq_min_nonzero is None else stats.d_sq_min_nonzero.hex())
 
 
-def _loop_stats(vectors):
+def _loop_d_sq(vectors):
     """The definitional scan: every pair from its difference, one row at a time."""
-    d_sq = np.concatenate([np.einsum("ij,ij->i", vectors[i + 1:] - vectors[i],
+    return np.concatenate([np.einsum("ij,ij->i", vectors[i + 1:] - vectors[i],
                                      vectors[i + 1:] - vectors[i])
                            for i in range(vectors.shape[0] - 1)])
+
+
+def _loop_stats(vectors):
+    d_sq = _loop_d_sq(vectors)
     nonzero = d_sq[d_sq > 0.0]
     return PairwiseStats(d_sq_max=float(d_sq.max()),
                          d_sq_min_nonzero=float(nonzero.min()) if nonzero.size else None,
                          n_pairs=int(d_sq.size))
+
+
+def _loop_histogram(vectors):
+    unique, counts = np.unique(_loop_d_sq(vectors), return_counts=True)
+    return tuple((float(v), int(c)) for v, c in zip(unique, counts))
+
+
+def _scan_vectors(rng, n, m, values, density, duplicates, zero_rows):
+    """An (n, m) matrix of one kind of entries, with copied and zero rows.
+
+    ``values`` is "binary", "signed" (integers in [-3, 3]), "at-bound" (the
+    largest integers with 4 m max|a|^2 <= 2^53, which keep Gram values exact),
+    "past-bound" (one unit larger) or "lognormal"; ``density`` is the share
+    of nonzero entries. The bound kinds put the largest distance their peak
+    allows between rows 0 and 1.
+    """
+    peak = math.isqrt(2**53 // (4 * m)) + (values == "past-bound")
+    nonzero = rng.random((n, m)) < density
+    if values == "lognormal":
+        vectors = nonzero * rng.lognormal(0.0, 2.0, (n, m))
+    else:
+        low, high = {"binary": (1, 1), "signed": (-3, 3)}.get(values, (-peak, peak))
+        vectors = (nonzero * rng.integers(low, high + 1, (n, m))).astype(np.float64)
+    for _ in range(duplicates):
+        i, j = rng.integers(0, n, 2)
+        vectors[j] = vectors[i]
+    vectors[rng.integers(0, n, zero_rows)] = 0.0
+    if values.endswith("bound"):
+        vectors[0], vectors[1] = peak, -peak
+    return vectors
 
 
 class TestNormalizeValues:

@@ -19,6 +19,7 @@ from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
 from skg.synthetic import planted_community_dataset
 
 from conftest import require_data
+from test_graph_data import _loop_histogram, _scan_vectors
 
 
 class TestGnmse:
@@ -425,8 +426,31 @@ class TestExports:
         ts = TrainingSet(np.ones((2, 3)), np.array([0.0, 1.0]))
         rows = export_scatter(ts)
         assert rows.tolist() == [[0.0, 1.0]]
-        with pytest.raises(ArgumentError):
+        # one sampled node is a sample too small to scan, as for the pairwise statistics
+        with pytest.raises(DegenerateInputError):
             export_scatter(TrainingSet(np.ones((1, 3)), np.ones(1)))
+
+    @given(n=st.integers(2, 600), m=st.integers(1, 60),
+           values=st.sampled_from(["binary", "signed", "at-bound", "past-bound", "lognormal"]),
+           density=st.sampled_from([0.02, 0.3, 1.0]), duplicates=st.integers(0, 20),
+           zero_rows=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @example(n=257, m=30, values="binary", density=0.3, duplicates=5, zero_rows=2, seed=1)
+    @example(n=258, m=30, values="lognormal", density=0.3, duplicates=5, zero_rows=2, seed=2)
+    @example(n=258, m=8, values="past-bound", density=1.0, duplicates=0, zero_rows=0, seed=3)
+    @example(n=600, m=40, values="at-bound", density=0.02, duplicates=20, zero_rows=5, seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_and_scatter_equal_the_row_loop(self, n, m, values, density, duplicates,
+                                                      zero_rows, seed):
+        # both read the Gram blocks of the pairwise scan, in row-major order: on exact
+        # blocks (integers within 4 m max|a|^2 <= 2^53) the Gram values, otherwise each
+        # row's differences; every value must be the row loop's, bit for bit
+        rng = np.random.default_rng(seed)
+        vectors = _scan_vectors(rng, n, m, values, density, duplicates, zero_rows)
+        node_values = rng.standard_normal(n)
+        assert repr(skg.pairwise_histogram(vectors)) == repr(_loop_histogram(vectors))
+        rows = export_scatter(TrainingSet(vectors, node_values))
+        expected = _scatter_rows(vectors, node_values)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
 
     def test_scatter_counts_all_pairs(self):
         rng = np.random.default_rng(0)
