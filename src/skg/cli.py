@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, build_adjacency_vectors,
+from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, _Nonzeros, build_adjacency_vectors,
                          drop_isolated, load_dataset, load_graph, load_values,
                          pairwise_histogram, read_split_manifest, split_sample, write_csv,
                          write_split_manifest)
@@ -151,7 +151,7 @@ def cmd_stats(args) -> int:
     graph = _load_graph(args)
     sampled, _ = split_sample(graph.nodes, config.sample_fraction, seed)
     # the histogram's values are exact, so its ends are pairwise_stats' extremes
-    histogram = pairwise_histogram(build_adjacency_vectors(graph, sampled, sampled))
+    histogram = pairwise_histogram(_Nonzeros.of_graph(graph, sampled, sampled))
     _emit({
         "n_sampled": len(sampled),
         "n_pairs": len(sampled) * (len(sampled) - 1) // 2,

@@ -9,6 +9,7 @@ set pairs adjacency vectors of sampled nodes with their known nodal values.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -136,13 +137,14 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        missing = [n for n in self.graph.nodes if n not in self.values]
-        if missing:
+        # key views decide; the lists only name the first offender
+        if not self.graph._index.keys() <= self.values.keys():
+            missing = [n for n in self.graph.nodes if n not in self.values]
             raise DataError(
                 f"{len(missing)} graph nodes have no nodal value (first: {missing[0]!r})"
             )
-        extra = [n for n in self.values if n not in self.graph]
-        if extra:
+        if not self.values.keys() <= self.graph._index.keys():
+            extra = [n for n in self.values if n not in self.graph]
             raise DataError(
                 f"{len(extra)} value entries refer to unknown nodes (first: {extra[0]!r})"
             )
@@ -164,11 +166,7 @@ def _read_text(path) -> str:
                         ) from None
 
 
-# "#", a blank line and every ASCII character str.strip removes but the line feed
-_UNCLEAN = ("#", "\n\n", *(c for c in map(chr, range(128)) if c.isspace() and c != "\n"))
-
-
-def _tokens(text: str, widths: tuple[int, ...], fill: str = ""
+def _tokens(text: str, widths: tuple[int, ...], fill: str = "", clean: bool = False
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The data lines as UTF-8 bytes, and the byte span of every stripped field.
 
@@ -177,25 +175,30 @@ def _tokens(text: str, widths: tuple[int, ...], fill: str = ""
     ``raw[starts[i, j]:stops[i, j]]``, followed by its comma or line feed.
     Blank lines and ``#`` comments are skipped. Raises ``ValueError`` if a
     data line does not have one of ``widths`` fields; a line narrower than
-    the widest is padded with ``fill`` fields. A clean text (ASCII, with no
-    leading line feed and no ``_UNCLEAN`` string) is split in one pass; any
-    other is first rewritten to that form. Fields are split over the UTF-8
-    bytes: no multibyte character holds a comma or line feed byte.
+    the widest is padded with ``fill`` fields. A text that is ``clean``, or
+    whose bytes hold no blank line, ``#``, non-ASCII byte or whitespace but
+    the line feed, is split in one pass; any other is first rewritten to
+    that form. Fields are split over the UTF-8 bytes: no multibyte
+    character holds a comma or line feed byte.
     """
-    if not text.isascii() or text[:1] == "\n" or any(map(text.__contains__, _UNCLEAN)):
-        lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
-        text = re.sub(r"[^\S\n]*,[^\S\n]*", ",", "\n".join(lines))  # \s is str.strip's set
-    text = text.removesuffix("\n")
-    raw = np.frombuffer((text + "\n").encode("utf-8") if text else b"", dtype=np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # the byte after each field
-    commas = np.diff(np.flatnonzero(raw[ends] == ord("\n")), prepend=-1) - 1  # per line
+    data = text.encode("utf-8")
+    raw = np.frombuffer(data if data.endswith(b"\n") or not data else data + b"\n", np.uint8)
+    feeds = raw == ord("\n")
+    # a blank line, "#", a byte no ASCII text has, or one str.strip removes (9-13, 28-32)
+    if not clean and (feeds[:1].any() or (feeds[1:] & feeds[:-1]).any()
+                      or raw.max(initial=0) >= 128 or (raw == ord("#")).any()
+                      or (((raw - 9) <= 4) ^ feeds).any() or ((raw - 28) <= 4).any()):
+        kept = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
+        return _tokens(re.sub(r"[^\S\n]*,[^\S\n]*", ",", "\n".join(kept)), widths, fill, True)
+    ends = np.flatnonzero(feeds | (raw == ord(",")))  # the byte after each field
+    commas = np.diff(np.flatnonzero(feeds[ends]), prepend=-1) - 1  # per line
     if not np.isin(commas, np.subtract(widths, 1)).all():
         raise ValueError("a data line has the wrong number of fields")
     width = int(commas.max(initial=min(widths) - 1)) + 1
     if commas.size and commas.min() < width - 1:
         return _tokens("\n".join(line + ("," + fill) * (width - 1 - count)
                                  for line, count in zip(text.split("\n"), commas.tolist())),
-                       (width,))
+                       (width,), clean=True)
     return raw, np.concatenate(([0], ends + 1))[:-1].reshape(-1, width), ends.reshape(-1, width)
 
 
@@ -374,7 +377,8 @@ def load_dataset(graph_path, values_path, weighted=False, directed=False,
     if drop_isolated_nodes:
         graph = drop_isolated(graph)
     values = load_values(values_path)
-    values = {n: v for n, v in values.items() if n in graph}
+    if not values.keys() <= graph._index.keys():
+        values = {n: v for n, v in values.items() if n in graph}
     return Dataset(graph=graph, values=values, name=name or Path(graph_path).stem)
 
 
@@ -403,25 +407,7 @@ def build_adjacency_vectors(graph: Graph, sampled: Sequence[NodeId],
     nodes are not connected. An edge given more than once, in either
     direction on undirected graphs, takes the weight it was given last.
     """
-    if len(referencing) == 0:
-        raise ArgumentError("referencing set must be non-empty")
-    if len(set(referencing)) != len(referencing):
-        raise ArgumentError("referencing nodes must be unique")
-    rows, columns = _node_index(graph, "sampled", sampled), _node_index(graph, "referencing",
-                                                                         referencing)
-    # row and column position of each graph node; -1 outside the two sets
-    position = np.full((2, graph.num_nodes), -1, dtype=np.int64)
-    position[0, rows], position[1, columns] = np.arange(len(rows)), np.arange(len(columns))
-    heads, tails, weights = graph._arcs()
-    heads, tails = position[0, heads], position[1, tails]
-    arcs = np.flatnonzero((heads >= 0) & (tails >= 0))[::-1]
-    # np.unique keeps the first of each key in reverse arc order: the last edge wins
-    keys, last = np.unique(heads[arcs] * len(referencing) + tails[arcs], return_index=True)
-    vectors = np.zeros((len(sampled), len(referencing)), dtype=np.float64)
-    np.put(vectors, keys, weights[arcs[last]])
-    # a node sampled more than once had its edges written to one of its rows
-    rows = position[0, rows]
-    return vectors if np.array_equal(rows, np.arange(len(sampled))) else vectors[rows]
+    return _Nonzeros.of_graph(graph, sampled, referencing).dense()
 
 
 def _node_index(graph: Graph, role: str, nodes: Sequence[NodeId]) -> np.ndarray:
@@ -429,6 +415,74 @@ def _node_index(graph: Graph, role: str, nodes: Sequence[NodeId]) -> np.ndarray:
         return np.fromiter(map(graph._index.__getitem__, nodes), np.int64, len(nodes))
     except KeyError as exc:
         raise DataError(f"{role} node {exc.args[0]!r} is not in the graph") from None
+
+
+class _Nonzeros:
+    """The nonzero entries of an (n, m) matrix, the pair scan's one input: their row-major
+    indices ``flat``, in order, and their ``values``, with no 0.0 or -0.0. A record of a
+    dense array keeps it as ``source``. ``tol`` is 16 (m + 2) eps max||a||^2, twice the most
+    a Gram value can differ from the difference-based value in any summation order, and
+    never 0 then, even where tiny norms underflow; it is 0 on integer entries with
+    4 m max|a|^2 <= 2^53, whose every Gram value, norm and distance is exact.
+    """
+
+    def __init__(self, shape: tuple[int, int], flat: np.ndarray, values: np.ndarray,
+                 source: np.ndarray | None = None):
+        self.shape, self.flat, self.values, self.source = shape, flat, values, source
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return np.bincount(self.flat // max(self.shape[1], 1), self.values * self.values,
+                           minlength=self.shape[0])
+
+    @functools.cached_property
+    def tol(self) -> float:
+        values, m = self.values, self.shape[1]
+        if (np.array_equal(values, np.trunc(values))
+                and 4.0 * m * float(np.abs(values).max(initial=0.0)) ** 2 <= 2.0**53):
+            return 0.0
+        return max(16.0 * (m + 2) * 2.0**-52 * float(self.norms.max()), 5e-324)
+
+    @classmethod
+    def of_graph(cls, graph: Graph, sampled: Sequence[NodeId],
+                 referencing: Sequence[NodeId]) -> _Nonzeros:
+        """The record of :func:`build_adjacency_vectors`' matrix, from one sort of the arcs."""
+        if len(referencing) == 0:
+            raise ArgumentError("referencing set must be non-empty")
+        if len(set(referencing)) != len(referencing):
+            raise ArgumentError("referencing nodes must be unique")
+        rows, columns = _node_index(graph, "sampled", sampled), _node_index(graph, "referencing",
+                                                                             referencing)
+        # row and column position of each graph node; -1 outside the two sets
+        position = np.full((2, graph.num_nodes), -1, dtype=np.int64)
+        position[0, rows], position[1, columns] = np.arange(len(rows)), np.arange(len(columns))
+        heads, tails, weights = graph._arcs()
+        heads, tails = position[0, heads], position[1, tails]
+        arcs = np.flatnonzero((heads >= 0) & (tails >= 0))[::-1]
+        # np.unique keeps the first of each key in reverse arc order: the last edge wins,
+        # and one given 0.0 or -0.0 last leaves no entry
+        keys, last = np.unique(heads[arcs] * len(referencing) + tails[arcs], return_index=True)
+        values = weights[arcs[last]]
+        record = cls((len(sampled), len(referencing)), keys[values != 0.0], values[values != 0.0])
+        # a node sampled more than once had its edges written to one of its rows
+        rows = position[0, rows]
+        return record if np.array_equal(rows, np.arange(len(sampled))) else _scan_input(
+            record.dense(rows))
+
+    def dense(self, rows=None) -> np.ndarray:
+        """The matrix, or its ``rows`` (indices or a slice), as rows of ``source`` or made dense."""
+        if self.source is not None:
+            return self.source if rows is None else self.source[rows]
+        (n, m), flat, values = self.shape, self.flat, self.values
+        if rows is not None:  # each row's entries, moved to its place in the result
+            rows = np.arange(n)[rows]
+            lo, hi = np.searchsorted(flat, (rows * m, rows * m + m))
+            at = np.repeat(hi - np.cumsum(hi - lo), hi - lo) + np.arange(np.sum(hi - lo))
+            n, flat = rows.size, flat[at] + np.repeat((np.arange(rows.size) - rows) * m, hi - lo)
+            values = values[at]
+        vectors = np.zeros((n, m))
+        np.put(vectors, flat, values)
+        return vectors
 
 
 # Rows per Gram block of the pairwise scan; its memory is O(_SCAN_CHUNK * n).
@@ -442,9 +496,23 @@ _SCAN_CHUNK = 256
 _SCAN_COST = 300
 
 
-def _pair_d_sq(vectors: np.ndarray, first, second) -> np.ndarray:
-    """The definitional squared distances of the pairs (``first``, ``second``)."""
-    diff = vectors[second] - vectors[first]
+def _scan_input(vectors) -> _Nonzeros:
+    """The record a pair scan reads: ``vectors`` itself, or that of a dense 2-d array, read
+    in one ``!= 0`` pass."""
+    if not isinstance(vectors, _Nonzeros):
+        array = np.asarray(vectors, dtype=np.float64)
+        if array.ndim != 2:
+            raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {array.shape}")
+        flat = np.flatnonzero(array != 0.0)
+        vectors = _Nonzeros(array.shape, flat, array[np.divmod(flat, array.shape[1])], array)
+    if vectors.shape[0] < 2:
+        raise DegenerateInputError("pairwise statistics need at least two vectors")
+    return vectors
+
+
+def _pair_d_sq(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The definitional squared distances of the rows of ``first`` and ``second``, broadcast."""
+    diff = second - first
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -458,10 +526,10 @@ class _CoOccurrence:
     the entries before it.
     """
 
-    def __init__(self, vectors: np.ndarray):
-        m = vectors.shape[1]
-        self.rows, cols = np.divmod(np.flatnonzero(vectors != 0.0), m)
-        self.values = vectors[self.rows, cols]
+    def __init__(self, nonzeros: _Nonzeros):
+        m = nonzeros.shape[1]
+        self.rows, cols = np.divmod(nonzeros.flat, m)
+        self.values = nonzeros.values
         by_column = np.argsort(cols, kind="stable")
         position = np.empty_like(by_column)
         position[by_column] = np.arange(by_column.size)
@@ -497,35 +565,23 @@ class _CoOccurrence:
         return (np.zeros(size) if total is None else total).reshape(stop - start, width)
 
 
-def _gram_blocks(vectors: np.ndarray):
+def _gram_blocks(nonzeros: _Nonzeros):
     """Squared distances of all unordered pairs of rows, one Gram block at a time.
 
-    Yields ``(start, d_sq, tol)`` per block of ``_SCAN_CHUNK`` rows from
+    Yields ``(start, d_sq)`` per block of ``_SCAN_CHUNK`` rows from
     ``start``: ``d_sq[i, j]`` is ||a||^2 + ||b||^2 - 2 a.b of rows ``start + i``
-    and ``start + j`` for j > i and NaN for j <= i, in O(_SCAN_CHUNK * n)
-    memory. One product serves the whole matrix, chosen from its column
-    nonzero counts d: co-occurrence, adding the products of nonzeros that
-    share a column, when ``_SCAN_COST * sum(d^2) <= n^2 m`` (its entry list
-    then holds at most n m / sqrt(_SCAN_COST) nonzeros), else BLAS.
-    ``tol`` is 16 (m + 2) eps max||a||^2, twice the most a Gram value can
-    differ from the difference-based value in any summation order, and never
-    0 then, even where tiny norms underflow; it is 0 on integer entries with
-    4 m max|a|^2 <= 2^53, whose every Gram value, norm and distance is exact.
+    and ``start + j`` for j > i and NaN for j <= i, within ``nonzeros.tol``
+    of its definitional value, in O(_SCAN_CHUNK * n) memory. One product
+    serves the whole matrix, chosen from its column nonzero counts d:
+    co-occurrence, adding the products of nonzeros that share a column,
+    when ``_SCAN_COST * sum(d^2) <= n^2 m`` (the record then holds at most
+    n m / sqrt(_SCAN_COST) nonzeros), else BLAS on the matrix made dense.
     """
-    if vectors.ndim != 2:
-        raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {vectors.shape}")
-    if vectors.shape[0] < 2:
-        raise DegenerateInputError("pairwise statistics need at least two vectors")
-    n, m = vectors.shape
-    norms = np.einsum("ij,ij->i", vectors, vectors)
-    counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, n, _SCAN_CHUNK):
-        counts += (vectors[start:start + _SCAN_CHUNK] != 0.0).sum(axis=0, dtype=np.int32)
-    co_occurrence = _CoOccurrence(vectors) if _SCAN_COST * (counts @ counts) <= n * n * m else None
-    entries = vectors if co_occurrence is None else co_occurrence.values  # its nonzeros
-    integral = (np.array_equal(entries, np.trunc(entries))
-                and 4.0 * m * float(np.abs(entries).max(initial=0.0)) ** 2 <= 2.0**53)
-    tol = 0.0 if integral else max(16.0 * (m + 2) * 2.0**-52 * float(norms.max()), 5e-324)
+    n, m = nonzeros.shape
+    counts = np.bincount(nonzeros.flat % max(m, 1), minlength=m)
+    co_occurrence = _CoOccurrence(nonzeros) if _SCAN_COST * (counts @ counts) <= n * n * m else None
+    vectors = None if co_occurrence else nonzeros.dense()
+    norms = nonzeros.norms
     on_or_below = np.tri(min(_SCAN_CHUNK, n - 1), dtype=bool)
     for start in range(0, n - 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, n - 1)
@@ -535,20 +591,27 @@ def _gram_blocks(vectors: np.ndarray):
         d_sq += norms[start:stop, None]
         d_sq += norms[start:]
         d_sq[:, :rows][on_or_below[:rows, :rows]] = np.nan
-        yield start, d_sq, tol
+        yield start, d_sq
 
 
 def _pair_rows(vectors):
     """``(i, d_sq)`` per row i but the last: its :func:`_pair_d_sq` to later rows, read from exact
-    Gram blocks (``tol`` 0) and recomputed from the differences otherwise."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    for start, d_sq, tol in _gram_blocks(vectors):
-        for i, row in enumerate(d_sq, start):
-            yield i, (row[i - start + 1:] if tol == 0.0
-                      else _pair_d_sq(vectors, i, slice(i + 1, None)))
+    Gram blocks (``tol`` 0) and otherwise, with no Gram block built, computed from differences.
+
+    Those need dense rows, so a record read from the arcs is made dense here: distances that
+    are not exact integers are mostly distinct, and the histogram or scatter holding them
+    outweighs the matrix.
+    """
+    nonzeros = _scan_input(vectors)
+    if nonzeros.tol == 0.0:
+        for start, d_sq in _gram_blocks(nonzeros):
+            yield from ((i, row[i - start + 1:]) for i, row in enumerate(d_sq, start))
+    else:
+        rows = nonzeros.dense()
+        yield from ((i, _pair_d_sq(rows[i], rows[i + 1:])) for i in range(len(rows) - 1))
 
 
-def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
+def pairwise_stats(vectors) -> PairwiseStats:
     """Largest and smallest nonzero squared Euclidean distance over all unordered pairs.
 
     Both are read from :func:`_gram_blocks`. Unless a block is exact (``tol``
@@ -557,9 +620,10 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
     so both equal those of the definitional pair-by-pair scan.
     ``d_sq_min_nonzero`` is ``None`` when every pair coincides.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    nonzeros = _scan_input(vectors)
+    tol = nonzeros.tol
     d_max, d_min = 0.0, math.inf
-    for start, d_sq, tol in _gram_blocks(vectors):
+    for start, d_sq in _gram_blocks(nonzeros):
         # pairs on or below the diagonal read NaN, which the reductions and
         # comparisons below skip; so do near-zero pairs once they are marked
         high = np.fmax.reduce(d_sq, axis=None)
@@ -573,20 +637,25 @@ def pairwise_stats(vectors: np.ndarray) -> PairwiseStats:
         recompute |= d_sq <= low + 2.0 * tol
         first, second = np.divmod(np.flatnonzero(recompute), d_sq.shape[1])
         # each run of recomputed differences takes no more memory than the block
-        batch = max(_SCAN_CHUNK, d_sq.size // max(vectors.shape[1], 1))
+        batch = max(_SCAN_CHUNK, d_sq.size // max(nonzeros.shape[1], 1))
         for at in range(0, first.size, batch):
-            exact = _pair_d_sq(vectors, first[at:at + batch] + start, second[at:at + batch] + start)
+            exact = _pair_d_sq(nonzeros.dense(first[at:at + batch] + start),
+                               nonzeros.dense(second[at:at + batch] + start))
             d_max = max(d_max, float(exact.max()))
             d_min = min(d_min, float(exact.min(where=exact > 0.0, initial=math.inf)))
-    n = len(vectors)
+    n = nonzeros.shape[0]
     return PairwiseStats(d_sq_max=d_max, d_sq_min_nonzero=None if d_min == math.inf else d_min,
                          n_pairs=n * (n - 1) // 2)
 
 
-def pairwise_histogram(vectors: np.ndarray) -> tuple[tuple[float, int], ...]:
-    """Distinct squared distances over all unordered pairs, each exact, with their pair counts."""
-    d_sq = np.concatenate([row for _, row in _pair_rows(vectors)])
-    unique, counts = np.unique(d_sq, return_counts=True)
+def pairwise_histogram(vectors) -> tuple[tuple[float, int], ...]:
+    """Distinct squared distances over all unordered pairs, each exact, with their pair counts,
+    counted per ``_SCAN_CHUNK`` rows and merged."""
+    blocks = itertools.groupby(_pair_rows(vectors), lambda row: row[0] // _SCAN_CHUNK)
+    parts = [np.unique(np.concatenate([d_sq for _, d_sq in rows]), return_counts=True)
+             for _, rows in blocks]
+    unique, inverse = np.unique(np.concatenate([part[0] for part in parts]), return_inverse=True)
+    counts = np.bincount(inverse, np.concatenate([part[1] for part in parts])).astype(np.int64)
     return tuple(zip(unique.tolist(), counts.tolist()))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, Graph, TrainingSet, _pair_rows, apply_normalization,
+from .graph_data import (Dataset, Graph, TrainingSet, _Nonzeros, _pair_rows, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, sgd_pass, training_order
 from .rff import feature_matrix, sample_bank, sample_banks
@@ -128,20 +128,30 @@ class PreparedSplit:
     """Everything a run needs before the bank is drawn, for one split.
 
     ``vectors`` are the sampled nodes' adjacency vectors and
-    ``test_vectors`` the tested nodes' (built from ``graph`` on first read,
-    which plain selection never makes), both against the sampled
-    (referencing) set; ``train_values`` and ``test_values`` are normalized
-    by ``value_scale``. The arrays are read-only so that one record can
-    serve every grid variance of a seed.
+    ``test_vectors`` the tested nodes', both against the sampled
+    (referencing) set and built from ``graph`` on first read: plain
+    selection scans the sampled matrix's nonzeros and builds neither.
+    ``train_values`` and ``test_values`` are normalized by ``value_scale``.
+    The arrays are read-only so that one record can serve every grid
+    variance of a seed.
     """
 
     sampled: tuple
     tested: tuple
-    vectors: np.ndarray
     train_values: np.ndarray
     test_values: np.ndarray
     value_scale: float
     graph: Graph
+
+    @functools.cached_property
+    def _nonzeros(self) -> _Nonzeros:
+        return _Nonzeros.of_graph(self.graph, self.sampled, self.sampled)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        vectors = self._nonzeros.dense()
+        vectors.flags.writeable = False
+        return vectors
 
     @functools.cached_property
     def test_vectors(self) -> np.ndarray:
@@ -151,17 +161,15 @@ class PreparedSplit:
 
 
 def prepare(dataset: Dataset, config: RunConfig, seed: int) -> PreparedSplit:
-    """Split the nodes by the seed, build adjacency vectors and normalize the values."""
+    """Split the nodes by the seed and normalize the values; vectors are built on first read."""
     sampled, tested = map(tuple, split_sample(dataset.node_ids, config.sample_fraction, seed))
-    vectors = build_adjacency_vectors(dataset.graph, sampled, sampled)
     scale, train_values, test_values = apply_normalization(
         config.normalization, dataset.value_array(sampled), dataset.value_array(tested)
     )
-    for array in (vectors, train_values, test_values):
+    for array in (train_values, test_values):
         array.flags.writeable = False
-    return PreparedSplit(sampled=sampled, tested=tested, vectors=vectors,
-                         train_values=train_values, test_values=test_values,
-                         value_scale=scale, graph=dataset.graph)
+    return PreparedSplit(sampled=sampled, tested=tested, train_values=train_values,
+                         test_values=test_values, value_scale=scale, graph=dataset.graph)
 
 
 def resolve_sigma_sq(dataset: Dataset, config: RunConfig, seed: int) -> SelectionReport:
@@ -181,7 +189,7 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
     re-measures the noise ceiling: the largest |minimum weight| over the
     tested nodes, or over the sampled ones when none is tested.
     """
-    report = select(prepared.vectors, config.eta, config.n_features,
+    report = select(prepared._nonzeros, config.eta, config.n_features,
                     closeness=config.closeness, first_order_da=config.first_order_da)
     if not config.refine_noise:
         return report

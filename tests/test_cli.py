@@ -39,16 +39,16 @@ def strict_json(text):
 
 @pytest.fixture
 def adjacency_builds(monkeypatch):
-    """Records every adjacency-vector build the CLI makes, through any skg module."""
+    """Records every adjacency build the CLI makes: each goes through one sort of the arcs,
+    whether it ends as a dense matrix or as the sampled matrix's nonzeros."""
     calls = []
-    original = skg.graph_data.build_adjacency_vectors
+    original = skg.graph_data._Nonzeros.of_graph
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return original(*args, **kwargs)
+    def counted(graph, sampled, referencing):
+        calls.append((sampled, referencing))
+        return original(graph, sampled, referencing)
 
-    for module in (skg.graph_data, skg.harness, skg.cli):
-        monkeypatch.setattr(module, "build_adjacency_vectors", counted)
+    monkeypatch.setattr(skg.graph_data._Nonzeros, "of_graph", staticmethod(counted))
     return calls
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -193,6 +194,10 @@ def _graph_parts(graph):
     return nodes, graph.edges, full
 
 
+def _graph_parts_of(path):
+    return _graph_parts(load_graph(path))
+
+
 def _outcome(load, *args):
     try:
         return load(*args)
@@ -382,6 +387,22 @@ class TestLoaderAgainstRowParser:
         clean, unclean = _write(tmp_path, "v.csv", values), _write(tmp_path, "w.csv", padded_values)
         assert list(load_values(unclean).items()) == list(load_values(clean).items())
 
+    def test_one_pass_is_decided_per_byte(self, tmp_path, monkeypatch):
+        # the tokenizer rewrites a text first exactly when _one_pass refuses it: each ASCII
+        # character in an id and beside a comma, "#", blank lines and non-ASCII ones
+        rewrites, sub = [], re.sub
+        monkeypatch.setattr(graph_data.re, "sub", lambda *args: rewrites.append(1) or sub(*args))
+        texts = ["a,b\n\nc,d\n", "\na,b\n", "a,b\n\n", "a,b", "a,b\n", "\n", ""]
+        for char in [chr(code) for code in range(128) if chr(code) not in "\r\n,"] + [
+                "é", "\x85", "\xa0", "\u2028", "日"]:
+            texts += [f"a{char}b,c\nd,e\n", f"a,{char}\nb,c{char}\n", f"{char}a,b\n"]
+        for text in texts:
+            rewrites.clear()
+            path = _write(tmp_path, "g.csv", text)
+            assert _outcome(_graph_parts_of, path) == _outcome(_oracle_graph, path, False, False)
+            graph_data._tokens(text, (2, 3), fill="1")
+            assert bool(rewrites) == (not _one_pass(text)), repr(text)
+
     def test_empty_fields_at_line_ends(self, tmp_path):
         # stripping an empty first or last field must not strip the line feed beside it
         for text in ("a,a,\na,a \n", "a,b,\nc,d \n , e\n", "a,b,\n,c \nd,e\n"):
@@ -522,6 +543,67 @@ class TestAdjacencyVectors:
             kept = _oracle_out(pruned.edges, directed, keep)
             assert np.array_equal(build_adjacency_vectors(pruned, keep, keep),
                                   _oracle_vectors(kept, keep, keep))
+
+
+class TestArcRecord:
+    """The sampled matrix's nonzeros as the scan reads them, built from the graph's arcs."""
+
+    @given(n_nodes=st.integers(2, 300), density=st.sampled_from([0.005, 0.03, 0.3]),
+           weights=st.sampled_from(["unweighted", "float", "at-bound", "past-bound"]),
+           directed=st.booleans(), repeats=st.integers(0, 30), loops=st.integers(0, 5),
+           fraction=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(n_nodes=300, density=0.03, weights="float", directed=False, repeats=10, loops=3,
+             fraction=0.95, seed=1)
+    @example(n_nodes=290, density=0.03, weights="past-bound", directed=True, repeats=10,
+             loops=3, fraction=0.95, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_record_and_scan_equal_the_dense_oracle(self, n_nodes, density, weights, directed,
+                                                    repeats, loops, fraction, seed):
+        # edges repeated in either direction with another weight, a later 0.0 or -0.0
+        # over an earlier nonzero, and self-loops; integer weights at the bound
+        # 4 m max|a|^2 <= 2^53 (exact Gram blocks) or one past it (recomputed pairs)
+        rng = np.random.default_rng(seed)
+        sampled = rng.permutation(n_nodes)[:max(2, round(fraction * n_nodes))].tolist()
+        peak = math.isqrt(2**53 // (4 * len(sampled))) + (weights == "past-bound")
+
+        def weight():
+            if weights == "unweighted":
+                return 1.0
+            if weights == "float":
+                return float(rng.lognormal(0.0, 1.0))
+            return float(rng.integers(1, peak + 1))
+
+        pairs = rng.integers(0, n_nodes, (int(density * n_nodes * n_nodes), 2)).tolist()
+        edges = [(src, dst, weight()) for src, dst in pairs]
+        for src, dst, _ in (edges[i] for i in rng.integers(0, len(edges), repeats * bool(edges))):
+            later = [weight(), 0.0, -0.0][rng.integers(0, 3)]
+            edges.append((dst, src, later) if rng.random() < 0.5 else (src, dst, later))
+        edges += [(node, node, weight()) for node in rng.integers(0, n_nodes, loops).tolist()]
+        if weights.endswith("bound"):
+            edges.append((sampled[0], sampled[1], float(peak)))
+        graph = Graph(edges, directed=directed, nodes=range(n_nodes))
+        record = graph_data._Nonzeros.of_graph(graph, sampled, sampled)
+        dense = build_adjacency_vectors(graph, sampled, sampled)
+        oracle = _oracle_vectors(_oracle_out(edges, directed, range(n_nodes)), sampled, sampled)
+        flat = np.flatnonzero(oracle)
+        assert record.shape == dense.shape == oracle.shape
+        assert record.flat.tolist() == flat.tolist() == np.flatnonzero(dense).tolist()
+        assert record.values.tobytes() == oracle.ravel()[flat].tobytes()
+        assert dense.ravel()[flat].tobytes() == oracle.ravel()[flat].tobytes()
+        assert _bits(pairwise_stats(record)) == _bits(_loop_stats(dense))
+        assert repr(pairwise_histogram(record)) == repr(_loop_histogram(dense))
+
+    def test_repeated_sampled_nodes(self):
+        # a node sampled twice gets its edges in both rows, on the dense and the sparse side
+        graph = Graph([("a", "b", 2.0), ("b", "c", 0.5), ("c", "a", 1.0), ("b", "a", 0.0)])
+        sampled = ["b", "a", "b", "c"]
+        record = graph_data._Nonzeros.of_graph(graph, sampled, ["a", "b", "c"])
+        dense = build_adjacency_vectors(graph, sampled, ["a", "b", "c"])
+        assert dense.tolist() == [[0.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.5],
+                                  [1.0, 0.5, 0.0]]
+        assert record.flat.tolist() == np.flatnonzero(dense).tolist()
+        assert record.values.tolist() == dense[dense != 0].tolist()
+        assert pairwise_histogram(record) == pairwise_histogram(dense) == _loop_histogram(dense)
 
 
 class TestPairwiseStats:
@@ -686,16 +768,19 @@ class TestPairwiseStats:
         mixed[rng.integers(0, 80, 3), np.arange(3)] = 1.0  # three columns of one nonzero
         built = []
 
-        def spy(vectors):
-            built.append(vectors.shape)
-            return _CoOccurrence(vectors)
+        def spy(nonzeros):
+            # it reads the matrix's nonzeros, in row-major order, from the scan's one record
+            built.append((nonzeros.shape, nonzeros.flat.tolist(), nonzeros.values.tolist()))
+            return _CoOccurrence(nonzeros)
 
         monkeypatch.setattr(graph_data, "_CoOccurrence", spy)
         for vectors, co_occurrence in ((hubs, True), (cora, True), (signed, True),
                                        (dense, False), (mixed, False)):
             built.clear()
             assert pairwise_stats(vectors) == _loop_stats(vectors)
-            assert built == ([vectors.shape] if co_occurrence else [])
+            flat = np.flatnonzero(vectors)
+            entries = (vectors.shape, flat.tolist(), vectors.ravel()[flat].tolist())
+            assert built == ([entries] if co_occurrence else [])
 
     def test_block_products_in_several_runs(self, monkeypatch):
         # 600 columns of 17 nonzeros give the first block more products than
@@ -706,7 +791,7 @@ class TestPairwiseStats:
         vectors = np.zeros((n, m))
         for column in range(m):
             vectors[rng.choice(n, 17, replace=False), column] = 1.0
-        co_occurrence = _CoOccurrence(vectors)
+        co_occurrence = _CoOccurrence(graph_data._scan_input(vectors))
         runs, bincount = [], np.bincount
 
         def recorded(index, weights=None, minlength=0):

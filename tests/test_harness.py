@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,40 @@ class TestRunOnce:
         moved = dataclasses.replace(refined, train_values=-refined.train_values)
         assert "test_vectors" not in moved.__dict__ and moved.graph is refined.graph
         assert np.array_equal(moved.test_vectors, expected)
+
+    def test_sampled_vectors_are_built_on_first_read(self, planted_small_dataset):
+        # plain selection scans the sampled matrix's nonzeros, read from the graph's arcs
+        cfg = RunConfig(n_features=64)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        report = select_prepared(prepared, cfg, seed=3)
+        assert "vectors" not in prepared.__dict__ and "test_vectors" not in prepared.__dict__
+        expected = build_adjacency_vectors(planted_small_dataset.graph, prepared.sampled,
+                                           prepared.sampled)
+        assert np.array_equal(prepared.vectors, expected)
+        assert prepared.vectors is prepared.vectors  # built once
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prepared.vectors = expected
+        assert report == skg.select(expected, cfg.eta, cfg.n_features, closeness=cfg.closeness)
+
+    def test_selection_peaks_below_one_dense_sampled_matrix(self):
+        # 3000 sampled nodes of a sparse directed graph: the dense sampled matrix alone
+        # would take n^2 * 8 = 72 MB; selection reads its nonzeros from the arcs instead
+        rng = np.random.default_rng(11)
+        n_nodes = 7500
+        ends = rng.integers(0, n_nodes, (8 * n_nodes, 2)).tolist()
+        graph = skg.Graph(ends, directed=True, nodes=range(n_nodes))
+        dataset = skg.Dataset(graph, {node: float(node % 7) for node in range(n_nodes)})
+        cfg = RunConfig()
+        tracemalloc.start()
+        try:
+            report = skg.resolve_sigma_sq(dataset, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(prepare(dataset, cfg, seed=0).sampled)
+        assert n == 3000 and peak < n * n * 8, peak
+        vectors = prepare(dataset, cfg, seed=0).vectors
+        assert report == skg.select(vectors, cfg.eta, cfg.n_features, closeness=cfg.closeness)
 
     def test_fixed_split_override(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
@@ -383,7 +418,9 @@ class TestLockstepGrid:
         elif case == "non-finite vector":
             vectors = prepared.vectors.copy()
             vectors[2, 1] = math.inf
-            prepared = dataclasses.replace(prepared, vectors=vectors)
+            # a split whose lazily built vectors read this (no finite edge weight gives it)
+            prepared = dataclasses.replace(prepared)
+            object.__setattr__(prepared, "vectors", vectors)
         sigma_sq = math.inf if case == "infinite variance" else 2.0
         with np.errstate(invalid="ignore"):  # sin/cos of an infinite phase
             with pytest.raises(SkgError) as single:

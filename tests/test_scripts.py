@@ -48,15 +48,15 @@ def test_synthetic_experiment_writes_every_table(tmp_path, capsys):
 def test_base_seed_split_is_prepared_once(tmp_path, monkeypatch, capsys):
     # selection prepares the run seed (2 builds), the sweep reuses it and prepares
     # only the second repeat's seed (2 more); traces and scatter build nothing
+    # (every adjacency build, dense or not, is one sort of the graph's arcs)
     builds = []
-    original = skg.graph_data.build_adjacency_vectors
+    original = skg.graph_data._Nonzeros.of_graph
 
-    def counted(*args, **kwargs):
-        builds.append(args[1:])
-        return original(*args, **kwargs)
+    def counted(graph, sampled, referencing):
+        builds.append((sampled, referencing))
+        return original(graph, sampled, referencing)
 
-    for module in (skg.graph_data, skg.harness):
-        monkeypatch.setattr(module, "build_adjacency_vectors", counted)
+    monkeypatch.setattr(skg.graph_data._Nonzeros, "of_graph", staticmethod(counted))
     code = load_script().main(["--out", str(tmp_path / "experiment"), "--nodes", "40",
                                "--repeats", "2", "--grid-points", "3"])
     assert code == 0 and "selected variance" in capsys.readouterr().out
