@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -275,7 +276,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process; ``main`` looks up ``cmd_<command>`` per call."""
     parser = argparse.ArgumentParser(
         prog="skg",
         description="Single-kernel Gradraker: train and analyze a random-feature "
@@ -289,13 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_stats, include_selection=False)
     p_stats.add_argument("--out", help="also write the JSON summary here")
     p_stats.add_argument("--hist-out", help="write the full distance histogram CSV here")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_select = sub.add_parser("select", help="closed-form kernel-variance selection")
     _add_dataset_flags(p_select)
     _add_config_flags(p_select)
     p_select.add_argument("--out", help="also write the report JSON here")
-    p_select.set_defaults(func=cmd_select)
 
     p_train = sub.add_parser("train", help="train a model on a seeded split")
     _add_dataset_flags(p_train)
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model-out", required=True, help="write the model JSON here")
     p_train.add_argument("--split-out", help="write the split manifest JSON here")
     p_train.add_argument("--trace-out", help="write the training trace CSV here")
-    p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="predict nodal values with a trained model")
     p_predict.add_argument("--model", required=True, help="model JSON from 'train'")
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--nodes", help="comma-separated target node ids")
     p_predict.add_argument("--split", help="split manifest; predict its tested nodes")
     p_predict.add_argument("--out", help="prediction CSV path (default: stdout)")
-    p_predict.set_defaults(func=cmd_predict)
 
     p_sweep = sub.add_parser("sweep", help="repeated runs over a variance grid")
     _add_dataset_flags(p_sweep)
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fixed-split", action="store_true",
                          help="pin the split of the base seed for all repeats")
     p_sweep.add_argument("--out", required=True, help="sweep CSV path")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_analyze = sub.add_parser("analyze", help="diagnostic exports for one run")
     _add_dataset_flags(p_analyze)
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--test-node", help="tested node whose weight trace to export")
     p_analyze.add_argument("--trace-out", help="weight-trace CSV path")
     p_analyze.add_argument("--scatter-out", help="distance/value-difference scatter CSV path")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     return parser
 
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SkgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -709,8 +709,7 @@ def write_split_manifest(path, sampled, tested, seed: int, fraction: float) -> N
         "tested": list(tested),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_json(path, fmt: str, what: str) -> dict:

@@ -117,15 +117,16 @@ def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
     features (n, S, D), row s on ``features[:, s]``, with predictions
     (T, S). Each row of the (S, D) form steps bit for bit as the (D,) form
     would on its own: its dot is a batched ``matmul`` of 1-D rows, which
-    numpy evaluates as the same dot product as the (D,) form's ``z @ state``.
+    numpy evaluates as the same BLAS dot as the (D,) form's ``z.dot(state)``.
     """
     predictions = np.empty(order.shape + state.shape[:-1], dtype=np.float64)
     gain = 2.0 * eta
     step = np.empty_like(state)
-    if state.ndim == 1:
+    if state.ndim == 1:  # Python-float scalars and z.dot: the doubles of z @ state, faster
+        targets = targets.tolist()
         for t, idx in enumerate(order.tolist()):
             z = features[idx]
-            pred = z @ state
+            pred = float(z.dot(state))
             np.multiply(z, gain * (targets[idx] - pred), out=step)
             state += step
             predictions[t] = pred
@@ -161,9 +162,8 @@ def save_model(path, model: SkgModel, referencing=None, value_scale=None) -> Non
         payload["referencing"] = list(referencing)
     if value_scale is not None:
         payload["value_scale"] = float(value_scale).hex()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+    with open(path, "w", encoding="utf-8") as handle:  # dumps runs json's C encoder, dump never
+        handle.write(json.dumps(payload) + "\n")
 
 
 def load_model(path):

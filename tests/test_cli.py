@@ -762,3 +762,42 @@ class TestParser:
         assert report["sigma_sq_da"]["source"] == "first-order"
         d_sq_max = report["d_sq_max"]["value"]
         assert report["sigma_sq_da"]["value"] == pytest.approx(d_sq_max / 0.2, rel=1e-12)
+
+
+class TestRepeatedMain:
+    """``main`` may run many times in one process; it builds its parser once."""
+
+    def test_command_replaced_after_a_call_runs(self, monkeypatch, tmp_path, capsys):
+        # the cached parser holds no command function: main looks up cmd_stats per call
+        assert run_cli(capsys, "stats", "--graph", str(tmp_path / "missing.csv"))[0] == 3
+        graphs = []
+        monkeypatch.setattr(skg.cli, "cmd_stats", lambda args: graphs.append(args.graph) or 0)
+        assert run_cli(capsys, "stats", "--graph", "g") == (0, "", "")
+        assert graphs == ["g"]
+
+    def test_no_option_value_leaks_between_calls(self, tiny_dataset_files, monkeypatch,
+                                                 capsys):
+        jobs = []
+        monkeypatch.setattr(skg.cli, "cmd_sweep", lambda args: jobs.append(args.jobs) or 0)
+        sweep = ["sweep", "--graph", "g", "--values", "v", "--out", "s"]
+        assert run_cli(capsys, *sweep, "--jobs", "2")[0] == run_cli(capsys, *sweep)[0] == 0
+        assert jobs == [2, 1]
+        edges, values = tiny_dataset_files
+        select = ["select", "--graph", str(edges), "--values", str(values), "--features", "64"]
+        plain = run_cli(capsys, *select)
+        refined = run_cli(capsys, *select, "--refine")
+        assert plain[0] == refined[0] == 0
+        assert json.loads(refined[1])["noise_up"]["source"] == "refined"
+        assert json.loads(plain[1])["noise_up"]["source"] != "refined"
+        assert run_cli(capsys, *select) == plain
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], [], ["select", "--bogus"], ["train", "--graph", "g"],
+        *([command, "--help"] for command in
+          ("stats", "select", "train", "predict", "sweep", "analyze")),
+    ])
+    def test_help_and_errors_same_on_first_and_later_calls(self, argv, capsys):
+        skg.cli.build_parser.cache_clear()
+        first = run_cli(capsys, *argv)
+        assert first[1].startswith(("usage: skg", "skg ")) or first[2].startswith("usage: skg")
+        assert [run_cli(capsys, *argv) for _ in range(2)] == [first, first]
