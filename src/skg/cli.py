@@ -21,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, _Nonzeros, build_adjacency_vectors,
-                         drop_isolated, load_dataset, load_graph, load_values,
-                         pairwise_histogram, read_split_manifest, split_sample, write_csv,
-                         write_split_manifest)
+from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, _Nonzeros, _node_index,
+                         build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
+                         load_values, pairwise_histogram, read_split_manifest, split_sample,
+                         write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
@@ -213,6 +213,7 @@ def cmd_predict(args) -> int:
         missing = [n for n in targets if n not in dataset_values]
         if missing:
             raise DataError(f"{len(missing)} target nodes have no value (first: {missing[0]!r})")
+    _node_index(graph, "target", targets)  # an unknown target is named as one
     vectors = build_adjacency_vectors(graph, targets, referencing)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
         predictions = scale * model.predict_batch(vectors)
@@ -265,13 +266,14 @@ def cmd_analyze(args) -> int:
     summary = {"sigma_sq": sigma_sq}
     if args.trace_out:
         result = fit_prepared(prepared, config, sigma_sq, seed, probe_node=args.test_node)
-        write_bf_trace_csv(args.trace_out, export_bf_trace(result))
         summary.update(trace_out=args.trace_out, trace_rows=result.training_trace.duration,
                        gnmse=result.gnmse)
     if args.scatter_out:
         rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values))
         write_scatter_csv(args.scatter_out, rows)
         summary.update(scatter_out=args.scatter_out, scatter_rows=int(rows.shape[0]))
+    if args.trace_out:  # after the scatter, which can fail: a failing run writes no file
+        write_bf_trace_csv(args.trace_out, export_bf_trace(result))
     _emit(summary)
     return 0
 

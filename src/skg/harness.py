@@ -4,11 +4,12 @@ A run is: split the nodes, build adjacency vectors against the sampled
 (referencing) set, normalize values, sample a feature bank, train, and
 score the tested nodes with the generalization normalized mean squared
 error. Sweeps repeat runs over a variance grid with independent seeds.
-A sweep prepares each seed's split once and trains the seed's grid
-variances in lockstep, in chunks whose stacked training features stay
-under a fixed byte budget: one bank draw per chunk, scaled to each
-variance, and one SGD step loop over the chunk's stacked features. Each
-sweep cell equals the single run at its variance and seed bit for bit.
+Every run trains on one path, the lockstep grid: a seed's variances train
+in chunks whose stacked training features stay under a fixed byte budget,
+with one bank draw per chunk, scaled to each variance, and one SGD step
+loop over the chunk's stacked features. A single run is the grid's
+one-variance case; a sweep prepares each seed's split once and scores
+each variance's model as the grid yields it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
 from .graph_data import (Dataset, Graph, TrainingSet, _Nonzeros, _pair_rows, apply_normalization,
                          build_adjacency_vectors, split_sample, write_csv)
-from .model import SkgModel, TrainingTrace, sgd_pass, training_order
+from .model import SkgModel, TrainingTrace, _train_lockstep, training_order
 from .rff import feature_matrix, sample_bank, sample_banks
 from .variance import SelectionReport, select
 from .weights import WeightTrace, noise_up_from_run, probe_weight_traces
@@ -204,26 +205,25 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
 
 def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, seed: int, *,
                  probe_node=None) -> RunResult:
-    """Sample the bank, train on the prepared split and score its tested nodes.
+    """Train on the prepared split at one variance and score its tested nodes.
 
-    Naming a tested ``probe_node`` keeps that node's weight trace.
+    The run is the one-variance case of the sweep's lockstep grid. Naming
+    a tested ``probe_node`` keeps that node's weight trace.
     """
     tested = prepared.tested
-    if not tested:
-        raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    if probe_node is not None and probe_node not in tested:
+    # with no tested node the grid raises DegenerateInputError before this check
+    if probe_node is not None and tested and probe_node not in tested:
         raise DataError(f"probe node {probe_node!r} is not among the tested nodes")
-    bank = sample_bank(float(sigma_sq), config.n_features, len(prepared.sampled), seed)
-    skg = SkgModel(bank=bank, eta=config.eta)
-    training_trace = skg.train(TrainingSet(prepared.vectors, prepared.train_values),
-                               config.epochs, seed)
+    (skg, training_trace, features), = _fit_grid(prepared, config, (sigma_sq,), seed)
+    # the probe pass reads them in visit order; freed before the tested ones: lower peak
+    ordered = None if probe_node is None else features[training_trace.order]
+    del features
     predictions = skg.predict_batch(prepared.test_vectors)
 
     trace = None
     if probe_node is not None:
-        ordered = feature_matrix(bank, prepared.vectors)[training_trace.order]
         probe_vec = prepared.test_vectors[tested.index(probe_node)][None, :]
-        trace = probe_weight_traces(ordered, feature_matrix(bank, probe_vec), config.eta)[0]
+        trace = probe_weight_traces(ordered, feature_matrix(skg.bank, probe_vec), config.eta)[0]
 
     return RunResult(
         gnmse=gnmse(prepared.test_values, predictions), sampled=prepared.sampled, tested=tested,
@@ -262,45 +262,36 @@ def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -
 _GRID_BYTES = 4 << 20
 
 
-def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values,
-              seed: int) -> list[float]:
-    """The error of :func:`fit_prepared` at each variance, trained in lockstep.
-
-    The variances share the seed's bank draw and visit order, so one step
-    loop trains them together over features stacked (n, S, D); chunks of
-    variances keep the stack under ``_GRID_BYTES``. Each score equals
-    ``fit_prepared(prepared, config, sigma_sq, seed).gnmse`` bit for bit.
+def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values, seed: int):
+    """Train the run at each variance; yields its model, training trace and
+    training features (n, D), one variance at a time. The variances share
+    the seed's bank draw and visit order, so one step loop trains them
+    together over features stacked (n, S, D); chunks of variances keep the
+    stack under ``_GRID_BYTES``. No run depends on the others or the chunks.
     """
     if not prepared.tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
     n, m = prepared.vectors.shape
     width = 2 * config.n_features
-    # with no sampled node, sample_banks raises the error the single run raises
-    per_chunk = max(1, _GRID_BYTES // (max(n, 1) * width * 8))
-    order = training_order(n, config.epochs, seed)
-    test_vectors = prepared.test_vectors  # built before the feature stacks: lower peak memory
-    scores = []
+    per_chunk = max(1, _GRID_BYTES // (n * width * 8))
     for start in range(0, len(sigma_sq_values), per_chunk):
         banks = sample_banks(sigma_sq_values[start:start + per_chunk], config.n_features, m, seed)
         features = np.empty((n, len(banks), width), dtype=np.float64)
         for s, bank in enumerate(banks):
             features[:, s] = feature_matrix(bank, prepared.vectors)
-        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(prepared.train_values)):
-            raise NumericError("non-finite features or values in training set")
         state = np.zeros((len(banks), width), dtype=np.float64)
-        sgd_pass(features, order, prepared.train_values, state, config.eta)
-        # predict_batch's product: stacking the test features would raise peak memory
-        scores += [gnmse(prepared.test_values,
-                         feature_matrix(bank, test_vectors) @ theta)
-                   for bank, theta in zip(banks, state)]
-    return scores
+        traces = _train_lockstep(features, prepared.train_values, config.epochs, seed, state,
+                                 config.eta)
+        for s, (bank, trace) in enumerate(zip(banks, traces)):
+            yield SkgModel(bank=bank, eta=config.eta, theta=state[s]), trace, features[:, s]
 
 
 def _sweep_seed(args) -> list[float]:
     dataset, config, sigma_sq_values, seed, prepared = args
     if prepared is None:
         prepared = prepare(dataset, config, seed)
-    return _fit_grid(prepared, config, sigma_sq_values, seed)
+    return [gnmse(prepared.test_values, skg.predict_batch(prepared.test_vectors))
+            for skg, _, _ in _fit_grid(prepared, config, sigma_sq_values, seed)]
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,

@@ -88,17 +88,20 @@ class SkgModel:
         """
         if epochs < 1:
             raise ArgumentError(f"epochs must be at least 1, got {epochs}")
-        if training_set.m != self.bank.input_dim:
-            raise ArgumentError(
-                f"training vectors have length {training_set.m}, bank expects {self.bank.input_dim}"
-            )
         features = feature_matrix(self.bank, training_set.vectors)
-        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(training_set.values)):
-            raise NumericError("non-finite features or values in training set")
-        order = training_order(training_set.n, epochs, seed)
-        predictions = sgd_pass(features, order, training_set.values, self.theta, self.eta)
-        errors = training_set.values[order] - predictions
-        return TrainingTrace(order=order, predictions=predictions, errors=errors)
+        return _train_lockstep(features[:, None], training_set.values, epochs, seed,
+                               self.theta[None], self.eta)[0]
+
+
+def _train_lockstep(features, values, epochs: int, seed: int, state, eta: float) -> list:
+    """Every run's training: the rows of ``state`` (S, D), trained in place on features
+    (n, S, D) in the seed's visit order, as :func:`sgd_pass`; one trace per row."""
+    if not np.all(np.isfinite(features)) or not np.all(np.isfinite(values)):
+        raise NumericError("non-finite features or values in training set")
+    order = training_order(len(values), epochs, seed)
+    predictions = sgd_pass(features, order, values, state, eta)
+    errors = values[order][:, None] - predictions
+    return [TrainingTrace(order, predictions[:, s], errors[:, s]) for s in range(len(state))]
 
 
 def training_order(n: int, epochs: int, seed: int) -> np.ndarray:
@@ -115,22 +118,25 @@ def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
     prediction) along z. ``state`` is one coefficient vector (D,) over
     features (n, D), or S of them (S, D) trained side by side over
     features (n, S, D), row s on ``features[:, s]``, with predictions
-    (T, S). Each row of the (S, D) form steps bit for bit as the (D,) form
-    would on its own: its dot is a batched ``matmul`` of 1-D rows, which
-    numpy evaluates as the same BLAS dot as the (D,) form's ``z.dot(state)``.
+    (T, S). Each row steps bit for bit as it would on its own: one row, (D,)
+    or (1, D), on Python floats and ``z.dot``, in half the time of the
+    batched ``matmul`` of 1-D rows, which numpy evaluates as the same BLAS dot.
     """
     predictions = np.empty(order.shape + state.shape[:-1], dtype=np.float64)
     gain = 2.0 * eta
-    step = np.empty_like(state)
-    if state.ndim == 1:  # Python-float scalars and z.dot: the doubles of z @ state, faster
+    if state.size == state.shape[-1]:
+        theta, rows, out = (state, features, predictions) if state.ndim == 1 else (
+            state[0], features[:, 0], predictions[:, 0])
+        step = np.empty_like(theta)
         targets = targets.tolist()
         for t, idx in enumerate(order.tolist()):
-            z = features[idx]
-            pred = float(z.dot(state))
+            z = rows[idx]
+            pred = float(z.dot(theta))
             np.multiply(z, gain * (targets[idx] - pred), out=step)
-            state += step
-            predictions[t] = pred
+            theta += step
+            out[t] = pred
         return predictions
+    step = np.empty_like(state)
     column = state[:, :, None]
     for t, idx in enumerate(order.tolist()):
         z = features[idx]

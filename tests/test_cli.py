@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import skg
@@ -299,6 +299,16 @@ class TestTrainPredict:
         rows = stdout.strip().splitlines()[1:]
         assert all(float(row.split(",")[1]) == 0.0 for row in rows)
 
+    def test_unknown_target_node_exits_3(self, tiny_dataset_files, tmp_path, capsys):
+        edges, _ = tiny_dataset_files
+        model_path, preds = tmp_path / "zero.json", tmp_path / "preds.csv"
+        save_model(model_path, SkgModel(bank=sample_bank(2.0, 16, 3, seed=0), eta=0.1),
+                   referencing=["0", "1", "2"], value_scale=1.0)
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model_path), "--graph",
+                                    str(edges), "--nodes", "3,zzz", "--out", str(preds))
+        assert (code, stdout, err) == (3, "", "error: target node 'zzz' is not in the graph\n")
+        assert not preds.exists()
+
     def test_train_is_byte_reproducible(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
         models = []
@@ -543,33 +553,49 @@ class TestMalformedInputs:
         assert sorted(manifest["sampled"] + manifest["tested"]) == ["a", "b", "c", "d"]
 
 
-class TestMalformedCsvContract:
-    """``stats`` and ``select`` on random, often malformed, CSVs against the row parser."""
+# each data command's output flags; the run options keep every training run small
+_CONTRACT_OUTPUTS = {
+    "stats": ["--out", "out.json"], "select": ["--out", "out.json"],
+    "train": ["--features", "8", "--model-out", "model.json"],
+    "sweep": ["--features", "8", "--repeats", "1", "--grid-points", "2", "--out", "sweep.csv"],
+    "analyze": ["--features", "8", "--scatter-out", "scatter.csv", "--trace-out", "trace.csv"],
+}
 
-    @given(data=st.data(), command=st.sampled_from(["stats", "select"]),
+
+class TestMalformedCsvContract:
+    """Each data command on random, often malformed, CSVs against the row parser."""
+
+    @given(data=st.data(), command=st.sampled_from(sorted(_CONTRACT_OUTPUTS)),
            malformed=st.booleans(), weighted=st.booleans(), directed=st.booleans())
-    @settings(max_examples=200, deadline=None,
+    @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_code_message_and_output(self, tmp_path_factory, capsys, data, command,
                                           malformed, weighted, directed):
         folder = tmp_path_factory.mktemp("contract")
-        graph, values, out = folder / "g.csv", folder / "v.csv", folder / "out.json"
+        graph, values = folder / "g.csv", folder / "v.csv"
         graph.write_bytes(data.draw(_edge_file(malformed)).encode("utf-8"))
-        argv = [command, "--graph", str(graph), "--out", str(out)]
+        outputs = [str(folder / flag) if flag.endswith((".json", ".csv")) else flag
+                   for flag in _CONTRACT_OUTPUTS[command]]
+        argv = [command, "--graph", str(graph), *outputs]
         argv += ["--weighted"] * weighted + ["--directed"] * directed
         expected, nodes = None, ()
         try:
             nodes = _oracle_graph(str(graph), weighted, directed)[0]
         except DataError as exc:
             expected = f"error: {exc}\n"
-        if command == "select":  # the value file holds the graph's node ids
+        if command != "stats":  # the value file holds the graph's node ids
             values.write_bytes(data.draw(_value_file(malformed, nodes)).encode("utf-8"))
             argv += ["--values", str(values)]
             try:
                 _oracle_values(str(values))
             except DataError as exc:
                 expected = expected or f"error: {exc}\n"
+        if command in ("train", "analyze"):  # a set variance trains on one sampled node too
+            argv += ["--sigma-sq", data.draw(st.sampled_from(["auto", "1"]))]
+        if command == "analyze":  # the probe node may be sampled, or not in the graph
+            argv += ["--test-node", data.draw(st.sampled_from(list(nodes) + ["a"]))]
         code, stdout, err = run_cli(capsys, *argv)
+        event(f"{command}: exit {code}")
         assert code in (0, 2, 3, 4) and "Traceback" not in err
         if expected is not None:
             assert (code, err) == (3, expected)
@@ -577,8 +603,8 @@ class TestMalformedCsvContract:
             assert code != 2, err
         if code == 0:
             strict_json(stdout)
-        else:
-            assert not out.exists()
+        else:  # a failing run writes no file
+            assert {path.name for path in folder.iterdir()} <= {graph.name, values.name}, err
 
 
 class TestSweepCommand:
@@ -664,6 +690,29 @@ class TestAnalyze:
                                str(values), "--seed", "1", "--test-node", "no-such-node",
                                "--trace-out", str(tmp_path / "t.csv"))
         assert code == 3 and "error:" in err
+
+    def test_no_tested_nodes_exits_4_before_the_probe_check(self, tiny_dataset_files, tmp_path,
+                                                            capsys):
+        edges, values = tiny_dataset_files
+        trace = tmp_path / "t.csv"
+        code, stdout, err = run_cli(capsys, "analyze", "--graph", str(edges), "--values",
+                                    str(values), "--fraction", "1.0", "--test-node", "3",
+                                    "--trace-out", str(trace), "--sigma-sq", "1")
+        assert (code, stdout) == (4, "") and "no tested nodes" in err
+        assert not trace.exists()
+
+    def test_failing_scatter_writes_no_trace(self, tmp_path, capsys):
+        # one sampled node trains the probe's run, but is a sample too small to scan
+        edges, values = tmp_path / "g.csv", tmp_path / "v.csv"
+        edges.write_text("a,b\nb,c\n", encoding="utf-8")
+        values.write_text("a,1\nb,2\nc,3\n", encoding="utf-8")
+        tested = skg.split_sample(["a", "b", "c"], 0.4, 0)[1][0]
+        trace, scatter = tmp_path / "t.csv", tmp_path / "s.csv"
+        code, stdout, err = run_cli(capsys, "analyze", "--graph", str(edges), "--values",
+                                    str(values), "--sigma-sq", "1", "--test-node", tested,
+                                    "--trace-out", str(trace), "--scatter-out", str(scatter))
+        assert (code, stdout) == (4, "") and "need at least two vectors" in err
+        assert not trace.exists() and not scatter.exists()
 
     def test_no_outputs_requested_exits_2(self, tiny_dataset_files, tmp_path, capsys,
                                           adjacency_builds):

@@ -150,6 +150,21 @@ class TestRunOnce:
             with pytest.raises(DataError):
                 fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=not_tested)
 
+    def test_probe_run_builds_the_sampled_features_once(self, planted_small_dataset,
+                                                         monkeypatch):
+        cfg = RunConfig(n_features=64)
+        prepared = prepare(planted_small_dataset, cfg, seed=3)
+        sampled_builds = []
+
+        def spy(bank, vectors):
+            sampled_builds.append(vectors is prepared.vectors)
+            return skg.rff.feature_matrix(bank, vectors)
+
+        for module in (harness, skg.model):  # each module that builds features
+            monkeypatch.setattr(module, "feature_matrix", spy)
+        fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[1])
+        assert sampled_builds.count(True) == 1
+
     def test_needs_tested_nodes(self, planted_small_dataset):
         with pytest.raises(DegenerateInputError):
             run_once(planted_small_dataset, RunConfig(sample_fraction=1.0), 5.0, seed=0)
@@ -371,7 +386,7 @@ class TestLockstepGrid:
         prepared = {seed: prepare(small_ds, cfg, seed) for seed in seeds}
         per_variance = {len(p.sampled) * 2 * cfg.n_features * 8 for p in prepared.values()}
         assert len(per_variance) == 1  # every seed samples as many nodes
-        chunks, original = [], harness.sgd_pass
+        chunks, original = [], skg.model.sgd_pass
 
         def spy(features, order, targets, state, eta):
             chunks.append(state.shape[0])
@@ -379,8 +394,9 @@ class TestLockstepGrid:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "_GRID_BYTES", per_chunk * per_variance.pop())
-            patch.setattr(harness, "sgd_pass", spy)
-            grid = [harness._fit_grid(prepared[seed], cfg, values, seed) for seed in seeds]
+            patch.setattr(skg.model, "sgd_pass", spy)
+            grid = [harness._sweep_seed((small_ds, cfg, values, seed, prepared[seed]))
+                    for seed in seeds]
             results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg),
                             repeats=repeats, base_seed=base_seed)
         cells = _cells(small_ds, cfg, values, seeds)
@@ -406,11 +422,15 @@ class TestLockstepGrid:
         assert [r.gnmse_mean for r in results] == [row.mean() for row in cells]
         assert [r.gnmse_std for r in results] == [row.std(ddof=1) for row in cells]
 
-    @pytest.mark.parametrize("case", ["no tested nodes", "non-finite value",
-                                      "non-finite vector", "infinite variance"])
+    @pytest.mark.parametrize("case", ["no tested nodes", "no tested nodes, a probe node",
+                                      "non-finite value", "non-finite vector",
+                                      "infinite variance"])
     def test_errors_match_fit_prepared(self, small_ds, case):
-        cfg = RunConfig(n_features=16, sample_fraction=1.0 if case == "no tested nodes" else 0.4)
+        untested = case.startswith("no tested nodes")
+        cfg = RunConfig(n_features=16, sample_fraction=1.0 if untested else 0.4)
         prepared = prepare(small_ds, cfg, 0)
+        # a split with no tested node is degenerate before any probe node is checked
+        probe = {"probe_node": prepared.sampled[0]} if case.endswith("probe node") else {}
         if case == "non-finite value":
             values = prepared.train_values.copy()
             values[3] = math.nan
@@ -424,11 +444,11 @@ class TestLockstepGrid:
         sigma_sq = math.inf if case == "infinite variance" else 2.0
         with np.errstate(invalid="ignore"):  # sin/cos of an infinite phase
             with pytest.raises(SkgError) as single:
-                fit_prepared(prepared, cfg, sigma_sq, 0)
+                fit_prepared(prepared, cfg, sigma_sq, 0, **probe)
             with pytest.raises(type(single.value)):
-                harness._fit_grid(prepared, cfg, (1.0, sigma_sq), 0)
-        assert type(single.value) is {"no tested nodes": DegenerateInputError,
-                                      "infinite variance": ArgumentError}.get(case, NumericError)
+                list(harness._fit_grid(prepared, cfg, (1.0, sigma_sq), 0))
+        assert type(single.value) is (DegenerateInputError if untested else {
+            "infinite variance": ArgumentError}.get(case, NumericError))
 
 
 class TestRunConfig:
