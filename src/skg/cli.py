@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
 from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, _Nonzeros, _node_index,
-                         build_adjacency_vectors, drop_isolated, load_dataset, load_graph,
-                         load_values, pairwise_histogram, read_split_manifest, split_sample,
-                         write_csv, write_split_manifest)
+                         drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
+                         read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
+from .rff import _fill_features
 
 
 def _add_dataset_flags(parser, values_required=True):
@@ -196,6 +196,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.nodes is not None and not args.nodes.replace(",", "").strip():
+        raise ArgumentError("--nodes names no target node")
     model, meta = load_model(args.model)
     referencing = meta.get("referencing")
     if referencing is None:
@@ -205,18 +207,16 @@ def cmd_predict(args) -> int:
     graph = _load_graph(args)
     if args.nodes:
         targets = [n.strip() for n in args.nodes.split(",") if n.strip()]
-    elif args.split:
-        _, targets, _, _ = read_split_manifest(args.split)
     else:
-        targets = [n for n in graph.nodes]
+        targets = read_split_manifest(args.split)[1] if args.split else graph.nodes
     if dataset_values is not None:
         missing = [n for n in targets if n not in dataset_values]
         if missing:
             raise DataError(f"{len(missing)} target nodes have no value (first: {missing[0]!r})")
     _node_index(graph, "target", targets)  # an unknown target is named as one
-    vectors = build_adjacency_vectors(graph, targets, referencing)
+    record = _Nonzeros.of_graph(graph, targets, referencing)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
-        predictions = scale * model.predict_batch(vectors)
+        predictions = scale * (_fill_features(model.bank, record) @ model.theta)
     if not np.all(np.isfinite(predictions)):
         raise NumericError("predictions are not finite: the model's coefficients overflow")
     score = None if dataset_values is None else gnmse(

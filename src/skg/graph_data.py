@@ -466,22 +466,28 @@ class _Nonzeros:
         record = cls((len(sampled), len(referencing)), keys[values != 0.0], values[values != 0.0])
         # a node sampled more than once had its edges written to one of its rows
         rows = position[0, rows]
-        return record if np.array_equal(rows, np.arange(len(sampled))) else _scan_input(
-            record.dense(rows))
+        return record if np.array_equal(rows, np.arange(len(sampled))) else record.take(rows)
+
+    def take(self, rows) -> _Nonzeros:
+        """The record of the matrix's ``rows``, indices or a slice; one of step 1 is one run."""
+        (n, m), flat, values = self.shape, self.flat, self.values
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            start, stop, _ = rows.indices(n)
+            lo, hi = np.searchsorted(flat, (start * m, max(start, stop) * m))
+            return _Nonzeros((max(stop - start, 0), m), flat[lo:hi] - start * m, values[lo:hi])
+        rows = np.arange(n)[rows]  # each row's entries, moved to its place in the result
+        lo, hi = np.searchsorted(flat, (rows * m, rows * m + m))
+        at = np.repeat(hi - np.cumsum(hi - lo), hi - lo) + np.arange(np.sum(hi - lo))
+        shift = np.repeat((np.arange(rows.size) - rows) * m, hi - lo)
+        return _Nonzeros((rows.size, m), flat[at] + shift, values[at])
 
     def dense(self, rows=None) -> np.ndarray:
-        """The matrix, or its ``rows`` (indices or a slice), as rows of ``source`` or made dense."""
+        """The matrix, or its ``rows`` (see :meth:`take`), as rows of ``source`` or made dense."""
         if self.source is not None:
             return self.source if rows is None else self.source[rows]
-        (n, m), flat, values = self.shape, self.flat, self.values
-        if rows is not None:  # each row's entries, moved to its place in the result
-            rows = np.arange(n)[rows]
-            lo, hi = np.searchsorted(flat, (rows * m, rows * m + m))
-            at = np.repeat(hi - np.cumsum(hi - lo), hi - lo) + np.arange(np.sum(hi - lo))
-            n, flat = rows.size, flat[at] + np.repeat((np.arange(rows.size) - rows) * m, hi - lo)
-            values = values[at]
-        vectors = np.zeros((n, m))
-        np.put(vectors, flat, values)
+        record = self if rows is None else self.take(rows)
+        vectors = np.zeros(record.shape)
+        np.put(vectors, record.flat, record.values)
         return vectors
 
 

@@ -1,15 +1,16 @@
 """End-to-end evaluation: seeded pipeline runs, variance sweeps, exports.
 
-A run is: split the nodes, build adjacency vectors against the sampled
-(referencing) set, normalize values, sample a feature bank, train, and
-score the tested nodes with the generalization normalized mean squared
-error. Sweeps repeat runs over a variance grid with independent seeds.
-Every run trains on one path, the lockstep grid: a seed's variances train
-in chunks whose stacked training features stay under a fixed byte budget,
-with one bank draw per chunk, scaled to each variance, and one SGD step
-loop over the chunk's stacked features. A single run is the grid's
-one-variance case; a sweep prepares each seed's split once and scores
-each variance's model as the grid yields it.
+A run is: split the nodes, record the nonzeros of the adjacency vectors
+against the sampled (referencing) set, normalize values, draw a feature
+bank, train on features made from the record in row blocks, and score the
+tested nodes by the generalization normalized mean squared error. Sweeps
+repeat runs over a variance grid with independent seeds. Every run trains
+on one path, the lockstep grid: a seed's variances train in chunks whose
+stacked training features stay under a fixed byte budget, with one bank
+draw per chunk, scaled to each variance, and one SGD step loop over the
+chunk's stacked features. A single run is the grid's one-variance case; a
+sweep prepares each seed's split once and scores each variance's model as
+the grid yields it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
 from .graph_data import (Dataset, Graph, TrainingSet, _Nonzeros, _pair_rows, apply_normalization,
-                         build_adjacency_vectors, split_sample, write_csv)
+                         split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, _train_lockstep, training_order
-from .rff import feature_matrix, sample_bank, sample_banks
+from .rff import _fill_features, feature_matrix, sample_bank, sample_banks
 from .variance import SelectionReport, select
 from .weights import WeightTrace, noise_up_from_run, probe_weight_traces
 
@@ -130,11 +131,11 @@ class PreparedSplit:
 
     ``vectors`` are the sampled nodes' adjacency vectors and
     ``test_vectors`` the tested nodes', both against the sampled
-    (referencing) set and built from ``graph`` on first read: plain
-    selection scans the sampled matrix's nonzeros and builds neither.
-    ``train_values`` and ``test_values`` are normalized by ``value_scale``.
-    The arrays are read-only so that one record can serve every grid
-    variance of a seed.
+    (referencing) set and made dense only on first read: runs and
+    selection read the nonzero records of the two matrices, built from
+    ``graph`` on first use. ``train_values`` and ``test_values`` are
+    normalized by ``value_scale``. The arrays are read-only, so that one
+    split serves every grid variance of a seed.
     """
 
     sampled: tuple
@@ -149,6 +150,10 @@ class PreparedSplit:
         return _Nonzeros.of_graph(self.graph, self.sampled, self.sampled)
 
     @functools.cached_property
+    def _test_nonzeros(self) -> _Nonzeros:
+        return _Nonzeros.of_graph(self.graph, self.tested, self.sampled)
+
+    @functools.cached_property
     def vectors(self) -> np.ndarray:
         vectors = self._nonzeros.dense()
         vectors.flags.writeable = False
@@ -156,7 +161,7 @@ class PreparedSplit:
 
     @functools.cached_property
     def test_vectors(self) -> np.ndarray:
-        vectors = build_adjacency_vectors(self.graph, self.tested, self.sampled)
+        vectors = self._test_nonzeros.dense()
         vectors.flags.writeable = False
         return vectors
 
@@ -197,8 +202,8 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
     # the weights depend on the run's bank and order only, not on its targets,
     # so the forward pass is not needed
     bank = sample_bank(report.sigma_sq_ed, config.n_features, len(prepared.sampled), seed)
-    features = feature_matrix(bank, prepared.vectors)
-    probes = feature_matrix(bank, prepared.test_vectors) if prepared.tested else features
+    features = _fill_features(bank, prepared._nonzeros)
+    probes = _fill_features(bank, prepared._test_nonzeros) if prepared.tested else features
     order = training_order(len(prepared.sampled), config.epochs, seed)
     return report.refined(noise_up_from_run(features, order, probes, config.eta))
 
@@ -218,11 +223,11 @@ def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, se
     # the probe pass reads them in visit order; freed before the tested ones: lower peak
     ordered = None if probe_node is None else features[training_trace.order]
     del features
-    predictions = skg.predict_batch(prepared.test_vectors)
+    predictions = _fill_features(skg.bank, prepared._test_nonzeros) @ skg.theta
 
     trace = None
     if probe_node is not None:
-        probe_vec = prepared.test_vectors[tested.index(probe_node)][None, :]
+        probe_vec = prepared._test_nonzeros.dense([tested.index(probe_node)])
         trace = probe_weight_traces(ordered, feature_matrix(skg.bank, probe_vec), config.eta)[0]
 
     return RunResult(
@@ -271,14 +276,14 @@ def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values, seed:
     """
     if not prepared.tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    n, m = prepared.vectors.shape
+    n, m = prepared._nonzeros.shape
     width = 2 * config.n_features
     per_chunk = max(1, _GRID_BYTES // (n * width * 8))
     for start in range(0, len(sigma_sq_values), per_chunk):
         banks = sample_banks(sigma_sq_values[start:start + per_chunk], config.n_features, m, seed)
         features = np.empty((n, len(banks), width), dtype=np.float64)
         for s, bank in enumerate(banks):
-            features[:, s] = feature_matrix(bank, prepared.vectors)
+            _fill_features(bank, prepared._nonzeros, features[:, s])
         state = np.zeros((len(banks), width), dtype=np.float64)
         traces = _train_lockstep(features, prepared.train_values, config.epochs, seed, state,
                                  config.eta)
@@ -290,7 +295,8 @@ def _sweep_seed(args) -> list[float]:
     dataset, config, sigma_sq_values, seed, prepared = args
     if prepared is None:
         prepared = prepare(dataset, config, seed)
-    return [gnmse(prepared.test_values, skg.predict_batch(prepared.test_vectors))
+    record = prepared._test_nonzeros
+    return [gnmse(prepared.test_values, _fill_features(skg.bank, record) @ skg.theta)
             for skg, _, _ in _fit_grid(prepared, config, sigma_sq_values, seed)]
 
 

@@ -90,11 +90,22 @@ def feature_matrix(bank: RandomFeatureBank, vectors) -> np.ndarray:
     a = np.asarray(vectors, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != bank.input_dim:
         raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {a.shape}")
-    phase = a @ bank.frequencies.T
-    # sin and cos go straight into the two halves, scaled in place: no concatenated copy
-    out = np.empty((a.shape[0], 2 * bank.n_features), dtype=np.float64)
-    np.sin(phase, out=out[:, :bank.n_features])
-    np.cos(phase, out=out[:, bank.n_features:])
+    return _fill_features(bank, a)
+
+
+def _fill_features(bank: RandomFeatureBank, rows, out=None) -> np.ndarray:
+    """:func:`feature_matrix` of ``rows``, a 2-d array or a nonzero record (graph_data._Nonzeros),
+    written into ``out`` from blocks of 256 to 511 rows (all, when fewer) made dense one at a time.
+    Shorter blocks, or a bank of 3 or 199 features at any block size, can change the bits that one
+    whole phase product gives, so every feature matrix is made from the same blocks."""
+    out = np.empty((rows.shape[0], 2 * bank.n_features)) if out is None else out
+    cuts = [*range(0, max(len(out) // 256, 1) * 256, 256), len(out)]
+    for start, stop in zip(cuts, cuts[1:]):
+        block = rows[start:stop] if isinstance(rows, np.ndarray) else rows.dense(slice(start, stop))
+        phase = block @ bank.frequencies.T
+        # sin and cos go straight into the two halves: no concatenated copy
+        np.sin(phase, out=out[start:stop, :bank.n_features])
+        np.cos(phase, out=out[start:stop, bank.n_features:])
     out /= math.sqrt(bank.n_features)
     return out
 

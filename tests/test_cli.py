@@ -240,6 +240,48 @@ def test_train_and_refine_agree_across_blas_threads(dense_planted_files, tmp_pat
         assert two == pytest.approx(one, rel=1e-12, abs=0.0)
 
 
+def test_no_command_makes_more_than_511_rows_dense(tmp_path, capsys, monkeypatch):
+    # features are made from the nonzero records 256 to 511 rows at a time, so no command
+    # but analyze --scatter-out builds a whole dense adjacency matrix; 560 sampled and 840
+    # tested nodes of a sparse directed graph, whose exact pair scan reads co-occurrences
+    rng = np.random.default_rng(4)
+    edges, values = tmp_path / "g.csv", tmp_path / "v.csv"
+    edges.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(0, 1400, (8400, 2)).tolist()))
+    values.write_text("".join(f"{node},{node % 5}\n" for node in range(1400)))
+    data = ["--graph", str(edges), "--values", str(values), "--directed"]
+    run = ["--features", "16", "--sigma-sq", "20"]
+    model, split = str(tmp_path / "m.json"), tmp_path / "split.json"
+    rows = []
+    dense = skg.graph_data._Nonzeros.dense
+
+    def counted(record, taken=None):
+        block = dense(record, taken)
+        rows.append(block.shape[0])
+        return block
+
+    monkeypatch.setattr(skg.graph_data._Nonzeros, "dense", counted)
+    assert run_cli(capsys, "train", *data, *run, "--model-out", model,
+                   "--split-out", str(split), "--trace-out", str(tmp_path / "t.csv"))[0] == 0
+    assert 256 <= max(rows) <= 511, rows
+    tested = json.loads(split.read_text())["tested"]
+    nodes = ",".join(tested[:1] + tested)  # all 840 tested nodes, the first one twice
+    for argv in (["select", *data], ["select", "--refine", *data],
+                 ["stats", *data, "--hist-out", str(tmp_path / "h.csv")],
+                 ["predict", "--model", model, *data, "--split", str(split)],
+                 ["predict", "--model", model, *data],
+                 ["predict", "--model", model, *data, "--nodes", nodes],
+                 ["analyze", *data, *run, "--test-node", tested[0],
+                  "--trace-out", str(tmp_path / "bf.csv")],
+                 ["sweep", *data, *run[:2], "--repeats", "2", "--grid-points", "2",
+                  "--out", str(tmp_path / "s.csv")]):
+        rows.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv[:2], err)
+        assert max(rows, default=0) <= 511, (argv[:2], max(rows))
+        if argv[0] in ("predict", "sweep"):
+            assert max(rows) >= 256, (argv[:2], rows)
+
+
 class TestTrainPredict:
     def test_round_trip(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
@@ -307,6 +349,21 @@ class TestTrainPredict:
         code, stdout, err = run_cli(capsys, "predict", "--model", str(model_path), "--graph",
                                     str(edges), "--nodes", "3,zzz", "--out", str(preds))
         assert (code, stdout, err) == (3, "", "error: target node 'zzz' is not in the graph\n")
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("nodes", [",", " , ,", ""])
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_nodes_naming_no_target_exit_2(self, tiny_dataset_files, tmp_path, capsys, nodes,
+                                           scored):
+        # refused up front, with or without values to score against: never a header-only CSV
+        edges, values = tiny_dataset_files
+        model_path, preds = tmp_path / "zero.json", tmp_path / "preds.csv"
+        save_model(model_path, SkgModel(bank=sample_bank(2.0, 16, 3, seed=0), eta=0.1),
+                   referencing=["0", "1", "2"], value_scale=1.0)
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model_path), "--graph",
+                                    str(edges), *(["--values", str(values)] * scored),
+                                    "--nodes", nodes, "--out", str(preds))
+        assert (code, stdout, err) == (2, "", "error: --nodes names no target node\n")
         assert not preds.exists()
 
     def test_train_is_byte_reproducible(self, tiny_dataset_files, tmp_path, capsys):
@@ -559,6 +616,7 @@ _CONTRACT_OUTPUTS = {
     "train": ["--features", "8", "--model-out", "model.json"],
     "sweep": ["--features", "8", "--repeats", "1", "--grid-points", "2", "--out", "sweep.csv"],
     "analyze": ["--features", "8", "--scatter-out", "scatter.csv", "--trace-out", "trace.csv"],
+    "predict": ["--out", "predictions.csv"],
 }
 
 
@@ -594,17 +652,58 @@ class TestMalformedCsvContract:
             argv += ["--sigma-sq", data.draw(st.sampled_from(["auto", "1"]))]
         if command == "analyze":  # the probe node may be sampled, or not in the graph
             argv += ["--test-node", data.draw(st.sampled_from(list(nodes) + ["a"]))]
+        named_none = False
+        if command == "predict":
+            named_none = self._predict_argv(data, capsys, tmp_path_factory, argv, nodes)
         code, stdout, err = run_cli(capsys, *argv)
         event(f"{command}: exit {code}")
         assert code in (0, 2, 3, 4) and "Traceback" not in err
-        if expected is not None:
+        if named_none:
+            assert (code, err) == (2, "error: --nodes names no target node\n")
+        elif expected is not None and command == "predict":
+            # predict reads the model first, which train, failing on these files, never wrote
+            assert code == 3 and err.startswith("error: "), err
+        elif expected is not None:
             assert (code, err) == (3, expected)
         else:  # the argv is valid, so what the files hold never exits 2
             assert code != 2, err
-        if code == 0:
-            strict_json(stdout)
-        else:  # a failing run writes no file
+        if code != 0:  # a failing run writes no file
             assert {path.name for path in folder.iterdir()} <= {graph.name, values.name}, err
+        elif command != "predict":
+            strict_json(stdout)
+        else:  # one finite prediction per target; a score only against values
+            assert stdout == "" if "--values" not in argv else strict_json(stdout)["gnmse"] >= 0
+            # ids may hold a character that splitlines() takes for a line break
+            rows = (folder / "predictions.csv").read_text(encoding="utf-8").split("\n")[:-1]
+            assert rows[0] == "node_id,prediction" and len(rows) > 1
+            if "--nodes" in argv:
+                listed = argv[argv.index("--nodes") + 1].split(",")
+                assert len(rows) - 1 == sum(1 for node in listed if node.strip())
+            assert all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows[1:]), rows
+
+    @staticmethod
+    def _predict_argv(data, capsys, tmp_path_factory, argv, nodes):
+        """Completes ``argv`` of a predict run: a model trained on the same files, with or
+        without its split, values and a drawn ``--nodes`` list (repeats, unknown ids and ids
+        with spaces, padded or not). Returns whether the list names no node."""
+        models = tmp_path_factory.mktemp("model")
+        model, split = models / "model.json", models / "split.json"
+        files = [argv[argv.index(flag) + 1] for flag in ("--graph", "--values")]
+        run_cli(capsys, "train", "--graph", files[0], "--values", files[1],
+                *[flag for flag in argv if flag in ("--weighted", "--directed")],
+                "--features", "8", "--sigma-sq", "1", "--model-out", str(model),
+                "--split-out", str(split))
+        argv += ["--model", str(model)]
+        if data.draw(st.booleans()):
+            argv += ["--split", str(split)]
+        if not data.draw(st.booleans()):
+            del argv[argv.index("--values"):argv.index("--values") + 2]
+        if not data.draw(st.booleans()):
+            return False
+        ids = st.sampled_from(list(nodes) + ["zz", "a b", " a ", "\tb", ""])
+        listed = data.draw(st.lists(ids, max_size=4))
+        argv += ["--nodes", ",".join(listed)]
+        return not any(node.strip() for node in listed)
 
 
 class TestSweepCommand:

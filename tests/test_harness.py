@@ -156,14 +156,13 @@ class TestRunOnce:
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         sampled_builds = []
 
-        def spy(bank, vectors):
-            sampled_builds.append(vectors is prepared.vectors)
-            return skg.rff.feature_matrix(bank, vectors)
+        def spy(bank, record, out=None):
+            sampled_builds.append(record is prepared._nonzeros)
+            return skg.rff._fill_features(bank, record, out)
 
-        for module in (harness, skg.model):  # each module that builds features
-            monkeypatch.setattr(module, "feature_matrix", spy)
+        monkeypatch.setattr(harness, "_fill_features", spy)
         fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[1])
-        assert sampled_builds.count(True) == 1
+        assert sampled_builds == [True, False]  # the sampled record, then the tested one
 
     def test_needs_tested_nodes(self, planted_small_dataset):
         with pytest.raises(DegenerateInputError):
@@ -187,7 +186,10 @@ class TestRunOnce:
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         select_prepared(prepared, cfg, seed=3)
-        assert "test_vectors" not in prepared.__dict__  # plain selection never builds them
+        assert "_test_nonzeros" not in prepared.__dict__  # plain selection never reads them
+        # a run scores the tested record block by block, with no dense tested matrix
+        fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
+        assert "_test_nonzeros" in prepared.__dict__ and "test_vectors" not in prepared.__dict__
         expected = build_adjacency_vectors(planted_small_dataset.graph, prepared.tested,
                                            prepared.sampled)
         assert np.array_equal(prepared.test_vectors, expected)
@@ -198,10 +200,10 @@ class TestRunOnce:
             prepared.test_vectors = expected
         refined = prepare(planted_small_dataset, cfg, seed=3)
         select_prepared(refined, dataclasses.replace(cfg, refine_noise=True), seed=3)
-        assert "test_vectors" in refined.__dict__
+        assert "_test_nonzeros" in refined.__dict__ and "test_vectors" not in refined.__dict__
         # a replaced record builds its own tested vectors from the same graph
         moved = dataclasses.replace(refined, train_values=-refined.train_values)
-        assert "test_vectors" not in moved.__dict__ and moved.graph is refined.graph
+        assert "_test_nonzeros" not in moved.__dict__ and moved.graph is refined.graph
         assert np.array_equal(moved.test_vectors, expected)
 
     def test_sampled_vectors_are_built_on_first_read(self, planted_small_dataset):
@@ -436,11 +438,13 @@ class TestLockstepGrid:
             values[3] = math.nan
             prepared = dataclasses.replace(prepared, train_values=values)
         elif case == "non-finite vector":
-            vectors = prepared.vectors.copy()
-            vectors[2, 1] = math.inf
-            # a split whose lazily built vectors read this (no finite edge weight gives it)
+            record = prepared._nonzeros
+            values = record.values.copy()
+            values[1] = math.inf
+            # a split whose lazily built record reads this (no finite edge weight gives it)
             prepared = dataclasses.replace(prepared)
-            object.__setattr__(prepared, "vectors", vectors)
+            object.__setattr__(prepared, "_nonzeros",
+                               skg.graph_data._Nonzeros(record.shape, record.flat, values))
         sigma_sq = math.inf if case == "infinite variance" else 2.0
         with np.errstate(invalid="ignore"):  # sin/cos of an infinite phase
             with pytest.raises(SkgError) as single:

@@ -1,6 +1,11 @@
 """Feature bank sampling, the sin/cos map, and the exact kernel."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+import skg
 from skg import streams
 from skg.errors import ArgumentError
-from skg.rff import feature_map, feature_matrix, kernel_exact, sample_bank, sample_banks
+from skg.graph_data import Graph, _Nonzeros
+from skg.rff import (_fill_features, feature_map, feature_matrix, kernel_exact, sample_bank,
+                     sample_banks)
+
+from test_graph_data import _oracle_out, _oracle_vectors
 
 
 class TestSampleBank:
@@ -142,6 +152,101 @@ class TestFeatureMap:
             approx = feature_map(bank, a1) @ feature_map(bank, a2)
             errors.append(abs(approx - kernel_exact(a1, a2, 2.0)))
         assert np.mean(np.array(errors) < 0.03) >= 0.99
+
+
+# Per (n, m): the rows of each dense block of a record's features, whether the record-fed
+# features equal feature_matrix of the dense matrix (and, written into a grid variance's slot
+# of a training stack, too), and whether both equal one whole phase product, bit for bit.
+_BLOCKS_SCRIPT = """
+import json
+import math
+import numpy as np
+from skg import graph_data, rff
+
+class Counted(graph_data._Nonzeros):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.blocks = []
+
+    def dense(self, rows=None):
+        block = super().dense(rows)
+        self.blocks.append(block.shape[0])
+        return block
+
+results = []
+for n in (1, 255, 256, 257, 258, 513, 769, 1080, 1620):
+    for m in (80, 1080, 2000):
+        rng = np.random.default_rng([n, m])
+        dense = (rng.random((n, m)) < 0.02) * rng.uniform(0.5, 2.0, (n, m))
+        flat = np.flatnonzero(dense)
+        record = Counted(dense.shape, flat, dense.ravel()[flat])
+        bank = rff.sample_bank(2.0, 200, m, seed=1)
+        matrix = rff.feature_matrix(bank, dense)
+        fed = rff._fill_features(bank, record)
+        blocks = list(record.blocks)
+        stack = np.empty((n, 3, 400))
+        rff._fill_features(bank, record, stack[:, 1])
+        phase = dense @ bank.frequencies.T
+        whole = np.concatenate([np.sin(phase), np.cos(phase)], axis=1) / math.sqrt(200)
+        results.append([n, m, blocks,
+                        fed.tobytes() == matrix.tobytes() == stack[:, 1].tobytes(),
+                        matrix.tobytes() == whole.tobytes()])
+print(json.dumps(results))
+"""
+
+
+class TestRecordFeatures:
+    """Features made 256 to 511 rows at a time, from a nonzero record or a dense matrix."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blocks_keep_the_bits_at_1_and_2_blas_threads(self, threads):
+        # at a fixed BLAS thread count, blocks of 256 to 511 rows (a 1- or 2-row tail joins
+        # the last block) give the bits of one whole phase product at the default bank size;
+        # measured with OpenBLAS 0.3.31 on a 2-vCPU x86-64 box. Shorter tails did not
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _BLOCKS_SCRIPT], env=env,
+                             capture_output=True, check=True, text=True).stdout
+        for n, m, blocks, fed_equal, whole_equal in json.loads(out):
+            assert fed_equal and whole_equal, (n, m)
+            assert sum(blocks) == n, (n, m, blocks)
+            assert blocks == [n] if n < 256 else all(256 <= b <= 511 for b in blocks), blocks
+
+    @given(n_nodes=st.integers(1, 400), density=st.sampled_from([0.0, 0.005, 0.05]),
+           weighted=st.booleans(), directed=st.booleans(), repeats=st.integers(0, 20),
+           twice=st.booleans(), n_targets=st.integers(0, 700), n_features=st.integers(1, 12),
+           start=st.integers(-800, 800), stop=st.integers(-800, 800) | st.none(),
+           step=st.sampled_from([None, 1, 2, -1, -3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_record_features_equal_the_dense_definitional_path(
+            self, n_nodes, density, weighted, directed, repeats, twice, n_targets, n_features,
+            start, stop, step, seed):
+        # edges repeated in either direction with another weight, the last one winning,
+        # later weights of 0.0 or -0.0 (no entry, read as +0.0), nodes with no edge (all-zero
+        # rows) and, when ``twice``, targets listed more than once
+        rng = np.random.default_rng(seed)
+        weight = (lambda: float(rng.lognormal(0.0, 1.0))) if weighted else (lambda: 1.0)
+        pairs = rng.integers(0, n_nodes, (int(density * n_nodes * n_nodes), 2)).tolist()
+        edges = [(src, dst, weight()) for src, dst in pairs]
+        for src, dst, _ in (edges[i] for i in rng.integers(0, len(edges), repeats * bool(edges))):
+            later = [weight(), 0.0, -0.0][rng.integers(0, 3)]
+            edges.append((dst, src, later) if rng.random() < 0.5 else (src, dst, later))
+        graph = Graph(edges, directed=directed, nodes=range(n_nodes))
+        referencing = rng.permutation(n_nodes)[:rng.integers(1, n_nodes + 1)].tolist()
+        targets = (rng.integers(0, n_nodes, n_targets) if twice
+                   else rng.permutation(n_nodes)[:n_targets]).tolist()
+        oracle = _oracle_vectors(_oracle_out(edges, directed, range(n_nodes)), targets,
+                                 referencing) + 0.0
+        record = _Nonzeros.of_graph(graph, targets, referencing)
+        assert record.source is None and record.dense().tobytes() == oracle.tobytes()
+        rows = slice(start, stop, step)
+        assert record.dense(rows).tobytes() == oracle[rows].tobytes()
+        assert record.dense(np.arange(len(targets))[rows]).tobytes() == oracle[rows].tobytes()
+        bank = sample_bank(2.0, n_features, len(referencing), seed)
+        stack = np.empty((len(targets), 2, 2 * n_features))
+        _fill_features(bank, record, stack[:, 0])
+        assert _fill_features(bank, record).tobytes() == feature_matrix(bank, oracle).tobytes()
+        assert stack[:, 0].tobytes() == feature_matrix(bank, oracle).tobytes()
 
 
 class TestKernelExact:
