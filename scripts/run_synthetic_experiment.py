@@ -87,7 +87,8 @@ def main(argv=None) -> int:
         print(f"trace[{name}] sigma_sq={sigma_sq:.4f} gnmse={result.gnmse:.4f} "
               f"probe={result.probe_node}")
 
-    rows = skg.export_scatter(skg.TrainingSet(prepared.vectors, prepared.train_values))
+    # the sampled matrix's nonzero record, already built for selection: no second arc sort
+    rows = skg.export_scatter(prepared._nonzeros, prepared.train_values)
     write_scatter_csv(out_dir / "scatter.csv", rows)
     print(f"wrote {out_dir}/: edges, values, selection_report, sweep, traces, scatter")
     return 0

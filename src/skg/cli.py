@@ -21,14 +21,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, TrainingSet, _Nonzeros, _node_index,
-                         drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
+from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, drop_isolated,
+                         load_dataset, load_graph, load_values, pairwise_histogram,
                          read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
                       write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
-from .rff import _fill_features
 
 
 def _add_dataset_flags(parser, values_required=True):
@@ -214,9 +213,8 @@ def cmd_predict(args) -> int:
         if missing:
             raise DataError(f"{len(missing)} target nodes have no value (first: {missing[0]!r})")
     _node_index(graph, "target", targets)  # an unknown target is named as one
-    record = _Nonzeros.of_graph(graph, targets, referencing)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
-        predictions = scale * (_fill_features(model.bank, record) @ model.theta)
+        predictions = scale * model.predict_batch(_Nonzeros.of_graph(graph, targets, referencing))
     if not np.all(np.isfinite(predictions)):
         raise NumericError("predictions are not finite: the model's coefficients overflow")
     score = None if dataset_values is None else gnmse(
@@ -269,7 +267,7 @@ def cmd_analyze(args) -> int:
         summary.update(trace_out=args.trace_out, trace_rows=result.training_trace.duration,
                        gnmse=result.gnmse)
     if args.scatter_out:
-        rows = export_scatter(TrainingSet(prepared.vectors, prepared.train_values))
+        rows = export_scatter(prepared._nonzeros, prepared.train_values)
         write_scatter_csv(args.scatter_out, rows)
         summary.update(scatter_out=args.scatter_out, scatter_rows=int(rows.shape[0]))
     if args.trace_out:  # after the scatter, which can fail: a failing run writes no file

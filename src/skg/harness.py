@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, Graph, TrainingSet, _Nonzeros, _pair_rows, apply_normalization,
+from .graph_data import (Dataset, Graph, _Nonzeros, _pair_rows, _scan_input, apply_normalization,
                          split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, _train_lockstep, training_order
 from .rff import _fill_features, feature_matrix, sample_bank, sample_banks
@@ -129,13 +129,11 @@ def gnmse(y_true, y_pred) -> float:
 class PreparedSplit:
     """Everything a run needs before the bank is drawn, for one split.
 
-    ``vectors`` are the sampled nodes' adjacency vectors and
-    ``test_vectors`` the tested nodes', both against the sampled
-    (referencing) set and made dense only on first read: runs and
-    selection read the nonzero records of the two matrices, built from
-    ``graph`` on first use. ``train_values`` and ``test_values`` are
-    normalized by ``value_scale``. The arrays are read-only, so that one
-    split serves every grid variance of a seed.
+    The sampled and the tested nodes' adjacency vectors against the sampled
+    (referencing) set are read from ``graph`` into nonzero records on first
+    use, never as dense matrices. ``train_values`` and ``test_values`` are
+    normalized by ``value_scale`` and read-only: one split serves every grid
+    variance of a seed.
     """
 
     sampled: tuple
@@ -153,21 +151,9 @@ class PreparedSplit:
     def _test_nonzeros(self) -> _Nonzeros:
         return _Nonzeros.of_graph(self.graph, self.tested, self.sampled)
 
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        vectors = self._nonzeros.dense()
-        vectors.flags.writeable = False
-        return vectors
-
-    @functools.cached_property
-    def test_vectors(self) -> np.ndarray:
-        vectors = self._test_nonzeros.dense()
-        vectors.flags.writeable = False
-        return vectors
-
 
 def prepare(dataset: Dataset, config: RunConfig, seed: int) -> PreparedSplit:
-    """Split the nodes by the seed and normalize the values; vectors are built on first read."""
+    """Split the nodes by the seed and normalize the values; records are built on first read."""
     sampled, tested = map(tuple, split_sample(dataset.node_ids, config.sample_fraction, seed))
     scale, train_values, test_values = apply_normalization(
         config.normalization, dataset.value_array(sampled), dataset.value_array(tested)
@@ -202,8 +188,8 @@ def select_prepared(prepared: PreparedSplit, config: RunConfig, seed: int) -> Se
     # the weights depend on the run's bank and order only, not on its targets,
     # so the forward pass is not needed
     bank = sample_bank(report.sigma_sq_ed, config.n_features, len(prepared.sampled), seed)
-    features = _fill_features(bank, prepared._nonzeros)
-    probes = _fill_features(bank, prepared._test_nonzeros) if prepared.tested else features
+    features = feature_matrix(bank, prepared._nonzeros)
+    probes = feature_matrix(bank, prepared._test_nonzeros) if prepared.tested else features
     order = training_order(len(prepared.sampled), config.epochs, seed)
     return report.refined(noise_up_from_run(features, order, probes, config.eta))
 
@@ -223,7 +209,7 @@ def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, se
     # the probe pass reads them in visit order; freed before the tested ones: lower peak
     ordered = None if probe_node is None else features[training_trace.order]
     del features
-    predictions = _fill_features(skg.bank, prepared._test_nonzeros) @ skg.theta
+    predictions = skg.predict_batch(prepared._test_nonzeros)
 
     trace = None
     if probe_node is not None:
@@ -295,8 +281,7 @@ def _sweep_seed(args) -> list[float]:
     dataset, config, sigma_sq_values, seed, prepared = args
     if prepared is None:
         prepared = prepare(dataset, config, seed)
-    record = prepared._test_nonzeros
-    return [gnmse(prepared.test_values, _fill_features(skg.bank, record) @ skg.theta)
+    return [gnmse(prepared.test_values, skg.predict_batch(prepared._test_nonzeros))
             for skg, _, _ in _fit_grid(prepared, config, sigma_sq_values, seed)]
 
 
@@ -362,11 +347,20 @@ def write_sweep_csv(path, results, marked_sigma_sq=None) -> None:
                 "true" if res.sigma_sq == marked_sigma_sq else "false") for res in results))
 
 
-def export_scatter(training_set: TrainingSet) -> np.ndarray:
-    """Rows (squared distance, |value difference|) over all sampled pairs, row by row."""
-    values = training_set.values
+def export_scatter(vectors, values) -> np.ndarray:
+    """Rows (squared distance, |value difference|) over all pairs of rows, row by row.
+
+    ``vectors`` (a 2-d array or a nonzero record) is read as the histogram reads it:
+    exact (0/1, say) entries from the scan's Gram blocks, others from differences of
+    the matrix made dense once. ``values`` holds one value per row.
+    """
+    nonzeros = _scan_input(vectors)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (nonzeros.shape[0],):
+        raise ArgumentError(f"values shape {values.shape} does not match "
+                            f"{nonzeros.shape[0]} vectors")
     return np.concatenate([np.column_stack([d_sq, np.abs(values[i + 1:] - values[i])])
-                           for i, d_sq in _pair_rows(training_set.vectors)])
+                           for i, d_sq in _pair_rows(nonzeros)])
 
 
 def write_scatter_csv(path, rows: np.ndarray) -> None:

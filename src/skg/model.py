@@ -76,7 +76,7 @@ class SkgModel:
             )
 
     def predict_batch(self, vectors) -> np.ndarray:
-        """Predicted nodal values for the rows of ``vectors``."""
+        """Predicted nodal values for the rows of ``vectors``, an array or a nonzero record."""
         return feature_matrix(self.bank, vectors) @ self.theta
 
     def train(self, training_set: TrainingSet, epochs: int, seed: int) -> TrainingTrace:
@@ -181,16 +181,23 @@ def load_model(path):
     value raises :class:`DataError` naming it.
     """
     payload = _read_json(path, "skg-model-v1", "a model file")
+    referencing = payload.get("referencing")
     try:
         if not isinstance(payload["theta"], list):
             raise DataError(f"{path}: theta must be a list of hex floats")
         theta = np.array([float.fromhex(x) for x in payload["theta"]], dtype=np.float64)
-        bank = sample_bank(
-            sigma_sq=float.fromhex(payload["sigma_sq"]),
-            n_features=int(payload["n_features"]),
-            input_dim=int(payload["input_dim"]),
-            seed=int(payload["bank_seed"]),
-        )
+        for key in ("n_features", "input_dim", "bank_seed"):
+            if type(payload[key]) is not int:  # a bool is an int to isinstance, 7.0 is not
+                raise DataError(f"{path}: {key} must be an integer, got {payload[key]!r}")
+        n_features, input_dim = payload["n_features"], payload["input_dim"]
+        # checked before the bank is drawn, which takes n_features * input_dim floats
+        if theta.shape != (2 * n_features,):
+            raise DataError(f"{path}: theta must have length {2 * n_features}, got {theta.shape}")
+        if referencing is not None and not (_is_node_list(referencing) and
+                                            len(set(referencing)) == len(referencing) == input_dim):
+            raise DataError(f"{path}: referencing must list {input_dim} distinct node ids")
+        bank = sample_bank(float.fromhex(payload["sigma_sq"]), n_features, input_dim,
+                           payload["bank_seed"])
         model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
         scale = payload.get("value_scale")
         scale = float.fromhex(scale) if scale is not None else None
@@ -198,10 +205,6 @@ def load_model(path):
         raise DataError(f"{path}: model lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # ArgumentError is a ValueError
         raise DataError(f"{path}: {exc}") from exc
-    referencing = payload.get("referencing")
-    if referencing is not None and not (_is_node_list(referencing) and
-                                        len(set(referencing)) == len(referencing) == bank.input_dim):
-        raise DataError(f"{path}: referencing must list {bank.input_dim} distinct node ids")
     if scale is not None and not (0.0 < scale < math.inf):
         raise DataError(f"{path}: value_scale must be positive and finite, got {scale}")
     return model, {"referencing": referencing, "value_scale": scale}

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import streams
 from .errors import ArgumentError
+from .graph_data import _Nonzeros
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,12 @@ def feature_map(bank: RandomFeatureBank, vector) -> np.ndarray:
 def feature_matrix(bank: RandomFeatureBank, vectors) -> np.ndarray:
     """Feature vectors for the rows of ``vectors``, shape (n, 2*n_features).
 
-    Each row is the sin block followed by the cos block, scaled by
-    1/sqrt(n_features); it has unit squared norm up to rounding.
+    ``vectors`` is a 2-d array or a nonzero record (graph_data._Nonzeros);
+    both give the same bits. Each row is the sin block followed by the cos
+    block, scaled by 1/sqrt(n_features); it has unit squared norm up to rounding.
     """
-    a = np.asarray(vectors, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != bank.input_dim:
+    a = vectors if isinstance(vectors, _Nonzeros) else np.asarray(vectors, dtype=np.float64)
+    if len(a.shape) != 2 or a.shape[1] != bank.input_dim:
         raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {a.shape}")
     return _fill_features(bank, a)
 

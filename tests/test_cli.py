@@ -242,8 +242,8 @@ def test_train_and_refine_agree_across_blas_threads(dense_planted_files, tmp_pat
 
 def test_no_command_makes_more_than_511_rows_dense(tmp_path, capsys, monkeypatch):
     # features are made from the nonzero records 256 to 511 rows at a time, so no command
-    # but analyze --scatter-out builds a whole dense adjacency matrix; 560 sampled and 840
-    # tested nodes of a sparse directed graph, whose exact pair scan reads co-occurrences
+    # builds a whole dense adjacency matrix; 560 sampled and 840 tested nodes of a sparse
+    # directed graph, whose exact pair scan (and scatter) reads co-occurrences
     rng = np.random.default_rng(4)
     edges, values = tmp_path / "g.csv", tmp_path / "v.csv"
     edges.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(0, 1400, (8400, 2)).tolist()))
@@ -272,6 +272,7 @@ def test_no_command_makes_more_than_511_rows_dense(tmp_path, capsys, monkeypatch
                  ["predict", "--model", model, *data, "--nodes", nodes],
                  ["analyze", *data, *run, "--test-node", tested[0],
                   "--trace-out", str(tmp_path / "bf.csv")],
+                 ["analyze", *data, *run, "--scatter-out", str(tmp_path / "scatter.csv")],
                  ["sweep", *data, *run[:2], "--repeats", "2", "--grid-points", "2",
                   "--out", str(tmp_path / "s.csv")]):
         rows.clear()
@@ -541,6 +542,13 @@ class TestMalformedInputs:
         ("model", _setting("referencing", "0,1")),
         ("model", _setting("referencing", [["0"], ["1"]])),
         ("model", _setting("value_scale", "inf")),
+        ("model", _setting("bank_seed", True)),
+        ("model", _setting("bank_seed", 7.9)),
+        ("model", _setting("bank_seed", "7")),
+        ("model", _setting("n_features", 16.0)),
+        ("model", _setting("input_dim", 80.6)),
+        ("model", _setting("input_dim", 10**9)),
+        ("model", _setting("n_features", 10**8)),
         ("split", None),
         ("split", _without("sampled")),
         ("split", _without("tested")),
@@ -548,7 +556,9 @@ class TestMalformedInputs:
         ("split", _setting("tested", [["5"]])),
     ], ids=["model-not-json", "model-no-theta", "model-bad-hex", "model-theta-not-list",
             "model-sigma-not-hex", "model-referencing-not-list",
-            "model-referencing-unhashable", "model-infinite-scale", "split-not-json",
+            "model-referencing-unhashable", "model-infinite-scale", "model-seed-bool",
+            "model-seed-fraction", "model-seed-string", "model-features-float",
+            "model-dim-fraction", "model-dim-huge", "model-features-huge", "split-not-json",
             "split-no-sampled", "split-no-tested", "split-tested-not-list",
             "split-tested-unhashable"])
     def test_malformed_model_or_split_exits_3(self, tiny_dataset_files, tmp_path, capsys,

@@ -735,7 +735,7 @@ class TestPairwiseStats:
             return pair_d_sq(*args)
 
         for scan, oracle in ((pairwise_stats, _loop_stats), (pairwise_histogram, _loop_histogram),
-                             (lambda v: export_scatter(TrainingSet(v, np.zeros(n))), None)):
+                             (lambda v: export_scatter(v, np.zeros(n)), None)):
             recomputed.clear()
             with mock.patch.object(graph_data, "_pair_d_sq", spy):
                 result = scan(vectors)

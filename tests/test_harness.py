@@ -13,7 +13,7 @@ import skg
 from skg import harness
 from skg.errors import (ArgumentError, DataError, DegenerateInputError, NumericError, SkgError,
                         StateError)
-from skg.graph_data import TrainingSet, apply_normalization, build_adjacency_vectors
+from skg.graph_data import apply_normalization, build_adjacency_vectors
 from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
                          export_scatter, fit_prepared, gnmse, prepare, run_once,
                          select_prepared, sweep, write_bf_trace_csv, write_sweep_csv)
@@ -154,15 +154,17 @@ class TestRunOnce:
                                                          monkeypatch):
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
-        sampled_builds = []
+        sampled_builds, fill = [], skg.rff._fill_features
 
         def spy(bank, record, out=None):
             sampled_builds.append(record is prepared._nonzeros)
-            return skg.rff._fill_features(bank, record, out)
+            return fill(bank, record, out)
 
         monkeypatch.setattr(harness, "_fill_features", spy)
+        monkeypatch.setattr(skg.rff, "_fill_features", spy)  # feature_matrix's blocks
         fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[1])
-        assert sampled_builds == [True, False]  # the sampled record, then the tested one
+        # the sampled record, the tested one, then the probe's vector
+        assert sampled_builds == [True, False, False]
 
     def test_needs_tested_nodes(self, planted_small_dataset):
         with pytest.raises(DegenerateInputError):
@@ -173,14 +175,14 @@ class TestRunOnce:
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         sampled, tested = skg.split_sample(planted_small_dataset.node_ids, 0.4, 3)
         assert prepared.sampled == tuple(sampled) and prepared.tested == tuple(tested)
-        assert prepared.vectors.shape == (len(sampled), len(sampled))
-        assert prepared.test_vectors.shape == (len(tested), len(sampled))
+        assert prepared._nonzeros.shape == (len(sampled), len(sampled))
+        assert prepared._test_nonzeros.shape == (len(tested), len(sampled))
         assert np.abs(prepared.train_values).max() == 1.0
         with pytest.raises(ValueError):
-            prepared.vectors[0, 0] = 5.0  # shared across a seed's grid cells
+            prepared.train_values[0] = 5.0  # shared across a seed's grid cells
         again = prepare(planted_small_dataset, cfg, seed=3)  # a pinned split is its seed's
         assert again.sampled == prepared.sampled
-        assert np.array_equal(again.test_vectors, prepared.test_vectors)
+        assert np.array_equal(again._test_nonzeros.dense(), prepared._test_nonzeros.dense())
 
     def test_tested_vectors_are_built_on_first_read(self, planted_small_dataset):
         cfg = RunConfig(n_features=64)
@@ -189,35 +191,32 @@ class TestRunOnce:
         assert "_test_nonzeros" not in prepared.__dict__  # plain selection never reads them
         # a run scores the tested record block by block, with no dense tested matrix
         fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
-        assert "_test_nonzeros" in prepared.__dict__ and "test_vectors" not in prepared.__dict__
+        assert "_test_nonzeros" in prepared.__dict__
         expected = build_adjacency_vectors(planted_small_dataset.graph, prepared.tested,
                                            prepared.sampled)
-        assert np.array_equal(prepared.test_vectors, expected)
-        assert prepared.test_vectors is prepared.test_vectors  # built once
-        with pytest.raises(ValueError):
-            prepared.test_vectors[0, 0] = 5.0
+        assert np.array_equal(prepared._test_nonzeros.dense(), expected)
+        assert prepared._test_nonzeros is prepared._test_nonzeros  # built once
         with pytest.raises(dataclasses.FrozenInstanceError):
-            prepared.test_vectors = expected
+            prepared.tested = prepared.sampled
         refined = prepare(planted_small_dataset, cfg, seed=3)
         select_prepared(refined, dataclasses.replace(cfg, refine_noise=True), seed=3)
-        assert "_test_nonzeros" in refined.__dict__ and "test_vectors" not in refined.__dict__
-        # a replaced record builds its own tested vectors from the same graph
+        assert "_test_nonzeros" in refined.__dict__
+        # a replaced split builds its own tested record from the same graph
         moved = dataclasses.replace(refined, train_values=-refined.train_values)
         assert "_test_nonzeros" not in moved.__dict__ and moved.graph is refined.graph
-        assert np.array_equal(moved.test_vectors, expected)
+        assert np.array_equal(moved._test_nonzeros.dense(), expected)
 
     def test_sampled_vectors_are_built_on_first_read(self, planted_small_dataset):
         # plain selection scans the sampled matrix's nonzeros, read from the graph's arcs
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
+        assert "_nonzeros" not in prepared.__dict__
         report = select_prepared(prepared, cfg, seed=3)
-        assert "vectors" not in prepared.__dict__ and "test_vectors" not in prepared.__dict__
+        assert "_nonzeros" in prepared.__dict__ and "_test_nonzeros" not in prepared.__dict__
         expected = build_adjacency_vectors(planted_small_dataset.graph, prepared.sampled,
                                            prepared.sampled)
-        assert np.array_equal(prepared.vectors, expected)
-        assert prepared.vectors is prepared.vectors  # built once
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            prepared.vectors = expected
+        assert np.array_equal(prepared._nonzeros.dense(), expected)
+        assert prepared._nonzeros is prepared._nonzeros  # built once
         assert report == skg.select(expected, cfg.eta, cfg.n_features, closeness=cfg.closeness)
 
     def test_selection_peaks_below_one_dense_sampled_matrix(self):
@@ -235,9 +234,9 @@ class TestRunOnce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = len(prepare(dataset, cfg, seed=0).sampled)
-        assert n == 3000 and peak < n * n * 8, peak
-        vectors = prepare(dataset, cfg, seed=0).vectors
+        sampled = prepare(dataset, cfg, seed=0).sampled
+        assert len(sampled) == 3000 and peak < len(sampled) ** 2 * 8, peak
+        vectors = build_adjacency_vectors(graph, sampled, sampled)
         assert report == skg.select(vectors, cfg.eta, cfg.n_features, closeness=cfg.closeness)
 
     def test_fixed_split_override(self, planted_small_dataset):
@@ -484,12 +483,15 @@ def _scatter_rows(vectors, values):
 
 class TestExports:
     def test_scatter_single_pair(self):
-        ts = TrainingSet(np.ones((2, 3)), np.array([0.0, 1.0]))
-        rows = export_scatter(ts)
+        rows = export_scatter(np.ones((2, 3)), [0.0, 1.0])
         assert rows.tolist() == [[0.0, 1.0]]
         # one sampled node is a sample too small to scan, as for the pairwise statistics
         with pytest.raises(DegenerateInputError):
-            export_scatter(TrainingSet(np.ones((1, 3)), np.ones(1)))
+            export_scatter(np.ones((1, 3)), np.ones(1))
+        # the values are checked as a training set checks them
+        for vectors in (np.ones((2, 3)), skg.graph_data._scan_input(np.ones((2, 3)))):
+            with pytest.raises(ArgumentError):
+                export_scatter(vectors, np.ones(3))
 
     @given(n=st.integers(2, 600), m=st.integers(1, 60),
            values=st.sampled_from(["binary", "signed", "at-bound", "past-bound", "lognormal"]),
@@ -509,19 +511,18 @@ class TestExports:
         vectors = _scan_vectors(rng, n, m, values, density, duplicates, zero_rows)
         node_values = rng.standard_normal(n)
         assert repr(skg.pairwise_histogram(vectors)) == repr(_loop_histogram(vectors))
-        rows = export_scatter(TrainingSet(vectors, node_values))
+        rows = export_scatter(vectors, node_values)
         expected = _scatter_rows(vectors, node_values)
         assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
 
     def test_scatter_counts_all_pairs(self):
         rng = np.random.default_rng(0)
-        ts = TrainingSet(rng.random((9, 3)), rng.standard_normal(9))
-        assert export_scatter(ts).shape == (36, 2)
+        assert export_scatter(rng.random((9, 3)), rng.standard_normal(9)).shape == (36, 2)
         # every row equals the row-loop reference, on 0/1 and on weighted vectors
         binary = (rng.random((30, 45)) < 0.3).astype(np.float64)
         values = rng.standard_normal(30)
         for vectors in (binary, binary * rng.uniform(0.5, 2.0, binary.shape)):
-            rows = export_scatter(TrainingSet(vectors, values))
+            rows = export_scatter(vectors, values)
             assert np.array_equal(rows, _scatter_rows(vectors, values))
 
     def test_bf_trace_rows_and_state_error(self, planted_small_dataset):
@@ -592,7 +593,7 @@ def test_temperature_scatter_aligns_distance_and_values_if_installed():
     _, normalized, _ = apply_normalization(
         "max-abs", dataset.value_array(sampled), dataset.value_array(tested)
     )
-    rows = export_scatter(TrainingSet(vectors, normalized))
+    rows = export_scatter(vectors, normalized)
     close = rows[rows[:, 0] <= 5.0, 1]
     far = rows[rows[:, 0] >= 15.0, 1]
     assert close.size > 0 and far.size > 0

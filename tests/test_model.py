@@ -1,11 +1,14 @@
 """Sequential trainer: update rule, traces, reproducibility, serialization."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skg.errors import ArgumentError, NumericError
+from skg.errors import ArgumentError, DataError, NumericError
 from skg.graph_data import TrainingSet
 from skg.model import SkgModel, load_model, save_model, sgd_pass, write_training_trace_csv
 from skg.rff import feature_matrix, sample_bank
@@ -213,6 +216,27 @@ class TestSerialization:
         assert meta["value_scale"] == 2.0
         probe = rng.random((3, 4))
         assert np.array_equal(loaded.predict_batch(probe), model.predict_batch(probe))
+
+    @pytest.mark.parametrize("key, value", [
+        ("bank_seed", True), ("bank_seed", 7.9), ("bank_seed", "7"), ("n_features", 32.0),
+        ("input_dim", 80.6), ("input_dim", 10**9), ("n_features", 10**8)])
+    def test_bad_sizes_are_refused_before_the_bank_is_drawn(self, tmp_path, key, value):
+        # a non-integer is named by its key; a size that theta or the referencing list
+        # contradicts is refused before the bank's n_features * input_dim floats
+        path = tmp_path / "model.json"
+        save_model(path, make_model(), referencing=["a", "b", "c", "d"])
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as refused:
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(refused.value) and peak < 1 << 20, peak
+        assert (key in str(refused.value)) == (type(value) is not int), str(refused.value)
 
     def test_trace_csv_layout(self, tmp_path):
         ts = TrainingSet(np.ones((2, 4)), np.array([1.0, -1.0]))

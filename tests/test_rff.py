@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -17,6 +17,8 @@ import skg
 from skg import streams
 from skg.errors import ArgumentError
 from skg.graph_data import Graph, _Nonzeros
+from skg.harness import export_scatter
+from skg.model import SkgModel
 from skg.rff import (_fill_features, feature_map, feature_matrix, kernel_exact, sample_bank,
                      sample_banks)
 
@@ -217,6 +219,13 @@ class TestRecordFeatures:
            twice=st.booleans(), n_targets=st.integers(0, 700), n_features=st.integers(1, 12),
            start=st.integers(-800, 800), stop=st.integers(-800, 800) | st.none(),
            step=st.sampled_from([None, 1, 2, -1, -3]), seed=st.integers(0, 2**32 - 1))
+    # 0/1 entries whose exact pair scan takes co-occurrence, then BLAS; weighted entries
+    @example(n_nodes=400, density=0.005, weighted=False, directed=False, repeats=3, twice=False,
+             n_targets=300, n_features=5, start=0, stop=None, step=None, seed=1)
+    @example(n_nodes=400, density=0.05, weighted=False, directed=False, repeats=3, twice=True,
+             n_targets=300, n_features=5, start=0, stop=None, step=None, seed=2)
+    @example(n_nodes=300, density=0.05, weighted=True, directed=False, repeats=3, twice=False,
+             n_targets=300, n_features=5, start=0, stop=None, step=None, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_record_features_equal_the_dense_definitional_path(
             self, n_nodes, density, weighted, directed, repeats, twice, n_targets, n_features,
@@ -247,6 +256,13 @@ class TestRecordFeatures:
         _fill_features(bank, record, stack[:, 0])
         assert _fill_features(bank, record).tobytes() == feature_matrix(bank, oracle).tobytes()
         assert stack[:, 0].tobytes() == feature_matrix(bank, oracle).tobytes()
+        model = SkgModel(bank, 0.1, rng.standard_normal(2 * n_features))
+        assert model.predict_batch(record).tobytes() == model.predict_batch(oracle).tobytes()
+        # the scatter of at most 150 rows: n(n-1)/2 rows each
+        head, values = slice(0, 150), rng.standard_normal(min(len(targets), 150))
+        if values.size >= 2:
+            assert (export_scatter(record.take(head), values).tobytes()
+                    == export_scatter(oracle[head], values).tobytes())
 
 
 class TestKernelExact:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import skg
 from skg.errors import ArgumentError, DegenerateInputError, NumericError, StateError
-from skg.graph_data import TrainingSet
+from skg.graph_data import TrainingSet, build_adjacency_vectors
 from skg.harness import RunConfig, prepare, select_prepared
 from skg.model import SkgModel
 from skg.rff import feature_matrix, sample_bank
@@ -110,12 +110,13 @@ class TestSelect:
         for fraction in (0.4, 1.0):
             config = RunConfig(n_features=100, sample_fraction=fraction, refine_noise=True)
             prepared = prepare(planted_small_dataset, config, seed=2)
-            plain = select(prepared.vectors, eta=0.1, n_features=100)
-            bank = sample_bank(plain.sigma_sq_ed, 100, prepared.vectors.shape[1], seed=2)
+            vectors, probes = _dense_split(planted_small_dataset, prepared)
+            plain = select(vectors, eta=0.1, n_features=100)
+            bank = sample_bank(plain.sigma_sq_ed, 100, vectors.shape[1], seed=2)
             run = SkgModel(bank=bank, eta=0.1).train(
-                TrainingSet(prepared.vectors, prepared.train_values), epochs=3, seed=2)
-            probes = prepared.test_vectors if prepared.tested else prepared.vectors
-            traces = probe_weight_traces(feature_matrix(bank, prepared.vectors)[run.order],
+                TrainingSet(vectors, prepared.train_values), epochs=3, seed=2)
+            probes = probes if prepared.tested else vectors
+            traces = probe_weight_traces(feature_matrix(bank, vectors)[run.order],
                                          feature_matrix(bank, probes), 0.1)
             # the largest |min F| over the probes, from the full traces
             noise = max(abs(trace.weights.min()) for trace in traces)
@@ -182,10 +183,17 @@ class TestSelect:
         for seed in range(10):
             prepared = prepare(planted_small_dataset, config, seed)
             first = select_prepared(prepared, config, seed)
-            second = _refine_once_more(first, prepared.vectors, prepared.train_values,
-                                       prepared.test_vectors, seed)
+            vectors, probes = _dense_split(planted_small_dataset, prepared)
+            second = _refine_once_more(first, vectors, prepared.train_values, probes, seed)
             changes.append(abs(second - first.sigma_sq_ed) / first.sigma_sq_ed)
         assert np.mean(changes) < 0.20
+
+
+def _dense_split(dataset, prepared):
+    """The prepared split's sampled and tested adjacency vectors, made dense."""
+    graph, sampled = dataset.graph, prepared.sampled
+    return (build_adjacency_vectors(graph, sampled, sampled),
+            build_adjacency_vectors(graph, prepared.tested, sampled))
 
 
 def _refine_once_more(report, vectors, values, probes, seed):
