@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, drop_isolated,
-                         load_dataset, load_graph, load_values, pairwise_histogram,
+from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _read_json,
+                         drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
                          read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
                       fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
@@ -197,11 +197,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     if args.nodes is not None and not args.nodes.replace(",", "").strip():
         raise ArgumentError("--nodes names no target node")
-    model, meta = load_model(args.model)
-    referencing = meta.get("referencing")
-    if referencing is None:
+    # the bank's size is checked against this list, so it is refused before the bank is drawn
+    if _read_json(args.model, "skg-model-v1", "a model file").get("referencing") is None:
         raise DataError(f"{args.model}: model lacks a referencing node list")
-    scale = meta.get("value_scale") or 1.0
+    model, meta = load_model(args.model)
+    referencing, scale = meta["referencing"], meta["value_scale"] or 1.0
     dataset_values = load_values(args.values) if args.values else None
     graph = _load_graph(args)
     if args.nodes:

@@ -418,17 +418,26 @@ def _node_index(graph: Graph, role: str, nodes: Sequence[NodeId]) -> np.ndarray:
 
 
 class _Nonzeros:
-    """The nonzero entries of an (n, m) matrix, the pair scan's one input: their row-major
-    indices ``flat``, in order, and their ``values``, with no 0.0 or -0.0. A record of a
-    dense array keeps it as ``source``. ``tol`` is 16 (m + 2) eps max||a||^2, twice the most
-    a Gram value can differ from the difference-based value in any summation order, and
-    never 0 then, even where tiny norms underflow; it is 0 on integer entries with
-    4 m max|a|^2 <= 2^53, whose every Gram value, norm and distance is exact.
+    """The nonzero entries of an (n, m) matrix, the one adjacency form inside the library: their
+    row-major indices ``flat``, in order, and their ``values``, with no 0.0 or -0.0. ``tol`` is
+    16 (m + 2) eps max||a||^2, twice the most a Gram value can differ from the difference-based
+    value in any summation order, and never 0 then, even where tiny norms underflow; it is 0 on
+    integer entries with 4 m max|a|^2 <= 2^53, whose every Gram value, norm and distance is exact.
     """
 
-    def __init__(self, shape: tuple[int, int], flat: np.ndarray, values: np.ndarray,
-                 source: np.ndarray | None = None):
-        self.shape, self.flat, self.values, self.source = shape, flat, values, source
+    def __init__(self, shape: tuple[int, int], flat: np.ndarray, values: np.ndarray):
+        self.shape, self.flat, self.values = shape, flat, values
+
+    @classmethod
+    def of(cls, vectors) -> _Nonzeros:
+        """``vectors`` itself, or the record of a 2-d array, read in one ``!= 0`` pass."""
+        if isinstance(vectors, _Nonzeros):
+            return vectors
+        array = np.asarray(vectors, dtype=np.float64)
+        if array.ndim != 2:
+            raise ArgumentError(f"vectors must be a 2-d array, got shape {array.shape}")
+        flat = np.flatnonzero(array != 0.0)
+        return cls(array.shape, flat, array[np.divmod(flat, array.shape[1])])
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
@@ -482,9 +491,7 @@ class _Nonzeros:
         return _Nonzeros((rows.size, m), flat[at] + shift, values[at])
 
     def dense(self, rows=None) -> np.ndarray:
-        """The matrix, or its ``rows`` (see :meth:`take`), as rows of ``source`` or made dense."""
-        if self.source is not None:
-            return self.source if rows is None else self.source[rows]
+        """The matrix, or its ``rows`` (see :meth:`take`), made dense."""
         record = self if rows is None else self.take(rows)
         vectors = np.zeros(record.shape)
         np.put(vectors, record.flat, record.values)
@@ -503,14 +510,8 @@ _SCAN_COST = 300
 
 
 def _scan_input(vectors) -> _Nonzeros:
-    """The record a pair scan reads: ``vectors`` itself, or that of a dense 2-d array, read
-    in one ``!= 0`` pass."""
-    if not isinstance(vectors, _Nonzeros):
-        array = np.asarray(vectors, dtype=np.float64)
-        if array.ndim != 2:
-            raise ArgumentError(f"pairwise statistics need a 2-d array, got shape {array.shape}")
-        flat = np.flatnonzero(array != 0.0)
-        vectors = _Nonzeros(array.shape, flat, array[np.divmod(flat, array.shape[1])], array)
+    """The record a pair scan reads (see :meth:`_Nonzeros.of`), of two rows or more."""
+    vectors = _Nonzeros.of(vectors)
     if vectors.shape[0] < 2:
         raise DegenerateInputError("pairwise statistics need at least two vectors")
     return vectors

@@ -213,8 +213,8 @@ def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, se
 
     trace = None
     if probe_node is not None:
-        probe_vec = prepared._test_nonzeros.dense([tested.index(probe_node)])
-        trace = probe_weight_traces(ordered, feature_matrix(skg.bank, probe_vec), config.eta)[0]
+        probe = feature_matrix(skg.bank, prepared._test_nonzeros.take([tested.index(probe_node)]))
+        trace = probe_weight_traces(ordered, probe, config.eta)[0]
 
     return RunResult(
         gnmse=gnmse(prepared.test_values, predictions), sampled=prepared.sampled, tested=tested,
@@ -254,22 +254,19 @@ _GRID_BYTES = 4 << 20
 
 
 def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values, seed: int):
-    """Train the run at each variance; yields its model, training trace and
-    training features (n, D), one variance at a time. The variances share
-    the seed's bank draw and visit order, so one step loop trains them
-    together over features stacked (n, S, D); chunks of variances keep the
-    stack under ``_GRID_BYTES``. No run depends on the others or the chunks.
+    """Train the run at each variance; yields its model, training trace and training features
+    (n, D), one variance at a time. The variances share the seed's bank draw and visit order,
+    so one step loop trains them together over features stacked (n, S, D), each record block
+    made dense once per chunk of variances; chunks keep the stack under ``_GRID_BYTES``. No run
+    depends on the others or the chunks.
     """
     if not prepared.tested:
         raise DegenerateInputError("no tested nodes; lower the sample fraction")
-    n, m = prepared._nonzeros.shape
-    width = 2 * config.n_features
+    (n, m), width = prepared._nonzeros.shape, 2 * config.n_features
     per_chunk = max(1, _GRID_BYTES // (n * width * 8))
     for start in range(0, len(sigma_sq_values), per_chunk):
         banks = sample_banks(sigma_sq_values[start:start + per_chunk], config.n_features, m, seed)
-        features = np.empty((n, len(banks), width), dtype=np.float64)
-        for s, bank in enumerate(banks):
-            _fill_features(bank, prepared._nonzeros, features[:, s])
+        features = _fill_features(banks, prepared._nonzeros, np.empty((n, len(banks), width)))
         state = np.zeros((len(banks), width), dtype=np.float64)
         traces = _train_lockstep(features, prepared.train_values, config.epochs, seed, state,
                                  config.eta)
@@ -350,9 +347,9 @@ def write_sweep_csv(path, results, marked_sigma_sq=None) -> None:
 def export_scatter(vectors, values) -> np.ndarray:
     """Rows (squared distance, |value difference|) over all pairs of rows, row by row.
 
-    ``vectors`` (a 2-d array or a nonzero record) is read as the histogram reads it:
-    exact (0/1, say) entries from the scan's Gram blocks, others from differences of
-    the matrix made dense once. ``values`` holds one value per row.
+    ``vectors`` (a nonzero record, or a 2-d array read as one) is read as the histogram
+    reads it: exact (0/1, say) entries from the scan's Gram blocks, others from differences
+    of the matrix made dense once. ``values`` holds one value per row.
     """
     nonzeros = _scan_input(vectors)
     values = np.asarray(values, dtype=np.float64)

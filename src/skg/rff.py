@@ -85,30 +85,32 @@ def feature_map(bank: RandomFeatureBank, vector) -> np.ndarray:
 def feature_matrix(bank: RandomFeatureBank, vectors) -> np.ndarray:
     """Feature vectors for the rows of ``vectors``, shape (n, 2*n_features).
 
-    ``vectors`` is a 2-d array or a nonzero record (graph_data._Nonzeros);
-    both give the same bits. Each row is the sin block followed by the cos
-    block, scaled by 1/sqrt(n_features); it has unit squared norm up to rounding.
+    ``vectors`` is a nonzero record (graph_data._Nonzeros) or a 2-d array, read as the record
+    of its entries ``!= 0``, so a -0.0 entry reads as +0.0. Each row is the sin block followed
+    by the cos block, scaled by 1/sqrt(n_features); it has unit squared norm up to rounding.
     """
-    a = vectors if isinstance(vectors, _Nonzeros) else np.asarray(vectors, dtype=np.float64)
-    if len(a.shape) != 2 or a.shape[1] != bank.input_dim:
-        raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {a.shape}")
-    return _fill_features(bank, a)
+    record = _Nonzeros.of(vectors)
+    if record.shape[1] != bank.input_dim:
+        raise ArgumentError(f"expected (n, {bank.input_dim}) vectors, got shape {record.shape}")
+    out = np.empty((record.shape[0], 1, 2 * bank.n_features))
+    return _fill_features((bank,), record, out)[:, 0]
 
 
-def _fill_features(bank: RandomFeatureBank, rows, out=None) -> np.ndarray:
-    """:func:`feature_matrix` of ``rows``, a 2-d array or a nonzero record (graph_data._Nonzeros),
-    written into ``out`` from blocks of 256 to 511 rows (all, when fewer) made dense one at a time.
-    Shorter blocks, or a bank of 3 or 199 features at any block size, can change the bits that one
-    whole phase product gives, so every feature matrix is made from the same blocks."""
-    out = np.empty((rows.shape[0], 2 * bank.n_features)) if out is None else out
+def _fill_features(banks, record: _Nonzeros, out: np.ndarray) -> np.ndarray:
+    """The features of ``record``'s rows under each of ``banks`` (of one size) in ``out``
+    (n, S, 2*n_features), from blocks of 256 to 511 rows (all, when fewer), each made dense once
+    for all banks. Shorter blocks, or a bank of 3 or 199 features at any block size, can change
+    the bits that one whole phase product gives, so every feature matrix is made from these."""
+    half = out.shape[-1] // 2
     cuts = [*range(0, max(len(out) // 256, 1) * 256, 256), len(out)]
     for start, stop in zip(cuts, cuts[1:]):
-        block = rows[start:stop] if isinstance(rows, np.ndarray) else rows.dense(slice(start, stop))
-        phase = block @ bank.frequencies.T
-        # sin and cos go straight into the two halves: no concatenated copy
-        np.sin(phase, out=out[start:stop, :bank.n_features])
-        np.cos(phase, out=out[start:stop, bank.n_features:])
-    out /= math.sqrt(bank.n_features)
+        block = record.dense(slice(start, stop))
+        for s, bank in enumerate(banks):
+            phase = block @ bank.frequencies.T
+            # sin and cos go straight into the two halves: no concatenated copy
+            np.sin(phase, out=out[start:stop, s, :half])
+            np.cos(phase, out=out[start:stop, s, half:])
+    out /= math.sqrt(half)
     return out
 
 

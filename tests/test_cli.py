@@ -583,6 +583,29 @@ class TestMalformedInputs:
         assert err.startswith("error:") and str(broken) in err
         assert not preds.exists()
 
+    @pytest.mark.parametrize("input_dim", [None, 10**9])
+    def test_model_without_referencing_exits_3_before_the_bank_is_drawn(
+            self, tiny_dataset_files, tmp_path, capsys, monkeypatch, input_dim):
+        # without the list, input_dim (n_features * input_dim floats for the bank) has
+        # nothing to be checked against; a drawn 10**9-column bank raised MemoryError
+        edges, values = tiny_dataset_files
+        model = tmp_path / "m.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--seed", "1", "--model-out", str(model))
+        payload = json.loads(model.read_text())
+        del payload["referencing"]
+        payload["input_dim"] = input_dim or payload["input_dim"]
+        model.write_text(json.dumps(payload))
+
+        def drawn(*args):
+            raise AssertionError("the bank was drawn")
+
+        monkeypatch.setattr(skg.model, "sample_bank", drawn)
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model),
+                                    "--graph", str(edges))
+        assert (code, stdout) == (3, "")
+        assert err == f"error: {model}: model lacks a referencing node list\n"
+
     @pytest.mark.parametrize("text, argv", [
         ("# only a comment\n", ["stats"]),
         ("a,b\nb,c\n", ["stats"]),

@@ -156,9 +156,9 @@ class TestRunOnce:
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         sampled_builds, fill = [], skg.rff._fill_features
 
-        def spy(bank, record, out=None):
+        def spy(banks, record, out):
             sampled_builds.append(record is prepared._nonzeros)
-            return fill(bank, record, out)
+            return fill(banks, record, out)
 
         monkeypatch.setattr(harness, "_fill_features", spy)
         monkeypatch.setattr(skg.rff, "_fill_features", spy)  # feature_matrix's blocks
@@ -408,6 +408,25 @@ class TestLockstepGrid:
         for res, row in zip(results, cells):
             assert res.gnmse_mean == row.mean()
             assert res.gnmse_std == (row.std(ddof=1) if row.size > 1 else 0.0)
+
+    def test_each_record_block_is_made_dense_once_per_chunk(self, monkeypatch):
+        # one chunk of three variances reads the sampled record's two blocks (256 and 304
+        # of 560 rows) once each and runs every bank on them, not once per variance
+        ds = planted_community_dataset(n_nodes=1400, n_communities=4, p_in=0.02, p_out=0.002,
+                                       seed=5)
+        cfg = RunConfig(n_features=16)
+        prepared = prepare(ds, cfg, seed=2)
+        record, dense, blocks = prepared._nonzeros, skg.graph_data._Nonzeros.dense, []
+
+        def counted(self, rows=None):
+            made = dense(self, rows)
+            if self is record:
+                blocks.append(len(made))
+            return made
+
+        monkeypatch.setattr(skg.graph_data._Nonzeros, "dense", counted)
+        cells = list(harness._fit_grid(prepared, cfg, (0.5, 2.0, 8.0), seed=2))
+        assert len(cells) == 3 and blocks == [256, 304]
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_parallel_pinned_split_cells_equal_fit_prepared(self, small_ds, monkeypatch,

@@ -1,5 +1,6 @@
 """Feature bank sampling, the sin/cos map, and the exact kernel."""
 
+import inspect
 import json
 import math
 import os
@@ -131,6 +132,20 @@ class TestFeatureMap:
         bank = sample_bank(2.0, 200, input_dim, seed=1)
         assert np.array_equal(feature_matrix(bank, vectors), _concatenated(bank, vectors))
 
+    def test_negative_zero_entries_read_as_positive_zero(self):
+        # a dense array is read as the record of its entries != 0, as the graph's arcs are:
+        # a -0.0 entry is no entry, so even a row of them has +0.0 phases
+        rng = np.random.default_rng(5)
+        vectors = np.where(rng.random((300, 40)) < 0.3, rng.uniform(-2.0, 2.0, (300, 40)), -0.0)
+        vectors[7] = -0.0
+        assert np.signbit(vectors[vectors == 0.0]).all()
+        assert "source" not in vars(_Nonzeros.of(vectors))
+        for bank in (sample_bank(2.0, 16, 40, seed=3), sample_bank(2.0, 200, 40, seed=3)):
+            assert (feature_matrix(bank, vectors).tobytes()
+                    == feature_matrix(bank, vectors + 0.0).tobytes())
+        bank = sample_bank(1.0, 1, 1, seed=0)
+        assert feature_matrix(bank, [[-0.0]]).tobytes() == feature_matrix(bank, [[0.0]]).tobytes()
+
     def test_dimension_mismatch(self):
         bank = sample_bank(1.0, 4, 3, seed=0)
         with pytest.raises(ArgumentError):
@@ -156,15 +171,26 @@ class TestFeatureMap:
         assert np.mean(np.array(errors) < 0.03) >= 0.99
 
 
-# Per (n, m): the rows of each dense block of a record's features, whether the record-fed
-# features equal feature_matrix of the dense matrix (and, written into a grid variance's slot
-# of a training stack, too), and whether both equal one whole phase product, bit for bit.
+def _blocked_features(dense, bank):
+    """The definitional features of a dense matrix: rows cut into blocks of 256 with a tail
+    shorter than 256 folded into the last block, each block's phase product, then sin/cos."""
+    cuts = [*range(0, max(len(dense) // 256, 1) * 256, 256), len(dense)]
+    out = np.empty((len(dense), 2 * bank.n_features))
+    for start, stop in zip(cuts, cuts[1:]):
+        phase = dense[start:stop] @ bank.frequencies.T
+        out[start:stop] = np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    return out / math.sqrt(bank.n_features)
+
+
+# Per (n, m): the rows of each dense block of a record's features and of a two-bank stack,
+# whether the record's features, the stack's slot of that bank and predict_batch equal those
+# of _blocked_features, and whether those equal one whole phase product, bit for bit.
 _BLOCKS_SCRIPT = """
 import json
 import math
 import numpy as np
-from skg import graph_data, rff
-
+from skg import graph_data, model, rff
+""" + inspect.getsource(_blocked_features) + """
 class Counted(graph_data._Nonzeros):
     def __init__(self, *args):
         super().__init__(*args)
@@ -182,17 +208,20 @@ for n in (1, 255, 256, 257, 258, 513, 769, 1080, 1620):
         dense = (rng.random((n, m)) < 0.02) * rng.uniform(0.5, 2.0, (n, m))
         flat = np.flatnonzero(dense)
         record = Counted(dense.shape, flat, dense.ravel()[flat])
-        bank = rff.sample_bank(2.0, 200, m, seed=1)
-        matrix = rff.feature_matrix(bank, dense)
-        fed = rff._fill_features(bank, record)
+        other, bank = rff.sample_banks((0.5, 2.0), 200, m, seed=1)
+        oracle = _blocked_features(dense, bank)
+        fed = rff.feature_matrix(bank, record)
         blocks = list(record.blocks)
-        stack = np.empty((n, 3, 400))
-        rff._fill_features(bank, record, stack[:, 1])
+        stack = rff._fill_features((other, bank), record, np.empty((n, 2, 400)))
+        stack_blocks = record.blocks[len(blocks):]
+        theta = rng.standard_normal(400)
+        predicted = model.SkgModel(bank, 0.1, theta).predict_batch(record)
         phase = dense @ bank.frequencies.T
         whole = np.concatenate([np.sin(phase), np.cos(phase)], axis=1) / math.sqrt(200)
-        results.append([n, m, blocks,
-                        fed.tobytes() == matrix.tobytes() == stack[:, 1].tobytes(),
-                        matrix.tobytes() == whole.tobytes()])
+        results.append([n, m, blocks, stack_blocks,
+                        fed.tobytes() == oracle.tobytes() == stack[:, 1].tobytes(),
+                        predicted.tobytes() == (oracle @ theta).tobytes(),
+                        oracle.tobytes() == whole.tobytes()])
 print(json.dumps(results))
 """
 
@@ -209,9 +238,9 @@ class TestRecordFeatures:
             [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", _BLOCKS_SCRIPT], env=env,
                              capture_output=True, check=True, text=True).stdout
-        for n, m, blocks, fed_equal, whole_equal in json.loads(out):
-            assert fed_equal and whole_equal, (n, m)
-            assert sum(blocks) == n, (n, m, blocks)
+        for n, m, blocks, stack_blocks, fed_equal, predicted_equal, whole_equal in json.loads(out):
+            assert fed_equal and predicted_equal and whole_equal, (n, m)
+            assert sum(blocks) == n and stack_blocks == blocks, (n, m, blocks, stack_blocks)
             assert blocks == [n] if n < 256 else all(256 <= b <= 511 for b in blocks), blocks
 
     @given(n_nodes=st.integers(1, 400), density=st.sampled_from([0.0, 0.005, 0.05]),
@@ -247,17 +276,19 @@ class TestRecordFeatures:
         oracle = _oracle_vectors(_oracle_out(edges, directed, range(n_nodes)), targets,
                                  referencing) + 0.0
         record = _Nonzeros.of_graph(graph, targets, referencing)
-        assert record.source is None and record.dense().tobytes() == oracle.tobytes()
+        assert record.dense().tobytes() == oracle.tobytes()
         rows = slice(start, stop, step)
         assert record.dense(rows).tobytes() == oracle[rows].tobytes()
         assert record.dense(np.arange(len(targets))[rows]).tobytes() == oracle[rows].tobytes()
-        bank = sample_bank(2.0, n_features, len(referencing), seed)
-        stack = np.empty((len(targets), 2, 2 * n_features))
-        _fill_features(bank, record, stack[:, 0])
-        assert _fill_features(bank, record).tobytes() == feature_matrix(bank, oracle).tobytes()
-        assert stack[:, 0].tobytes() == feature_matrix(bank, oracle).tobytes()
+        other, bank = sample_banks((0.5, 2.0), n_features, len(referencing), seed)
+        features = _blocked_features(oracle, bank)
+        stack = _fill_features((other, bank), record, np.empty((len(targets), 2, 2 * n_features)))
+        assert feature_matrix(bank, record).tobytes() == features.tobytes()
+        assert stack[:, 1].tobytes() == features.tobytes()
+        assert stack[:, 0].tobytes() == _blocked_features(oracle, other).tobytes()
         model = SkgModel(bank, 0.1, rng.standard_normal(2 * n_features))
-        assert model.predict_batch(record).tobytes() == model.predict_batch(oracle).tobytes()
+        assert model.predict_batch(record).tobytes() == (features @ model.theta).tobytes()
+        assert model.predict_batch(oracle).tobytes() == (features @ model.theta).tobytes()
         # the scatter of at most 150 rows: n(n-1)/2 rows each
         head, values = slice(0, 150), rng.standard_normal(min(len(targets), 150))
         if values.size >= 2:
