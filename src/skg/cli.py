@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _read_json,
+from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _read_text,
                          drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
                          read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
@@ -85,9 +85,8 @@ def _run_config(args) -> tuple[RunConfig, int]:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as handle:
-                file_conf = json.load(handle)
-        except (OSError, ValueError) as exc:  # ValueError: JSON syntax or UTF-8 decoding
+            file_conf = json.loads(_read_text(config_path))
+        except (OSError, ValueError) as exc:  # ValueError: JSON syntax
             raise DataError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise ArgumentError(f"config file {config_path} must hold a JSON object")
@@ -197,11 +196,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     if args.nodes is not None and not args.nodes.replace(",", "").strip():
         raise ArgumentError("--nodes names no target node")
-    # the bank's size is checked against this list, so it is refused before the bank is drawn
-    if _read_json(args.model, "skg-model-v1", "a model file").get("referencing") is None:
-        raise DataError(f"{args.model}: model lacks a referencing node list")
     model, meta = load_model(args.model)
-    referencing, scale = meta["referencing"], meta["value_scale"] or 1.0
+    referencing, scale = meta["referencing"], meta["value_scale"]
     dataset_values = load_values(args.values) if args.values else None
     graph = _load_graph(args)
     if args.nodes:

@@ -158,9 +158,10 @@ class Dataset:
 
 
 def _read_text(path) -> str:
-    """The file decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
+    """The file decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``; a leading
+    byte-order mark, which Excel and Notepad write, is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{Path(path)}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                         ) from None
@@ -722,9 +723,8 @@ def write_split_manifest(path, sampled, tested, seed: int, fraction: float) -> N
 def _read_json(path, fmt: str, what: str) -> dict:
     """The JSON object in ``path`` tagged ``"format": fmt``; DataError naming the file otherwise."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # JSON syntax and UTF-8 decoding errors
+        payload = json.loads(_read_text(path))
+    except ValueError as exc:  # JSON syntax errors
         raise DataError(f"{path}: not {what} ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise DataError(f"{path}: not {what}")

@@ -293,25 +293,27 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     all grid variances of the seed train together (a pinned split is
     prepared once for all seeds); every cell equals :func:`run_once` at
     the same variance and seed. ``base_prepared`` is ``base_seed``'s split
-    as the caller already prepared it (for selection, say), so it is not
-    prepared again; a split of another seed or fraction is refused. Seeds
-    are independent; ``jobs`` > 1 runs them in processes, and aggregation
-    does not depend on completion order.
+    as the caller already prepared it (for selection, say), so its records
+    are not built again; a split of another graph, seed, fraction or
+    normalization is refused. Seeds are independent; ``jobs`` > 1 runs them
+    in processes, and aggregation does not depend on completion order.
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
     if repeats < 1:
         raise ArgumentError(f"repeats must be at least 1, got {repeats}")
     seeds = [int(base_seed) + r for r in range(repeats)]
+    prepared = prepare(dataset, grid.config, seeds[0])  # also the pinned split
     if base_prepared is not None:
-        split = split_sample(dataset.node_ids, grid.config.sample_fraction, base_seed)
-        if (base_prepared.sampled, base_prepared.tested) != tuple(map(tuple, split)):
-            raise ArgumentError(f"base_prepared is not the split of base seed {base_seed}")
-    elif fixed_split:
-        # the pinned split is base_seed's own draw
-        base_prepared = prepare(dataset, grid.config, base_seed)
+        if ((base_prepared.graph, base_prepared.sampled, base_prepared.tested)
+                != (prepared.graph, prepared.sampled, prepared.tested)
+                or not np.array_equal(base_prepared.train_values, prepared.train_values)
+                or not np.array_equal(base_prepared.test_values, prepared.test_values)):
+            raise ArgumentError(f"base_prepared is not base seed {base_seed}'s split of this "
+                                "dataset under the grid's config")
+        prepared = base_prepared  # its records may be built already
     tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
-              base_prepared if fixed_split or seed == base_seed else None) for seed in seeds]
+              prepared if fixed_split or seed == base_seed else None) for seed in seeds]
     if jobs > 1:
         import concurrent.futures  # only parallel sweeps pay for the import
 

@@ -147,13 +147,13 @@ def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
     return predictions
 
 
-def save_model(path, model: SkgModel, referencing=None, value_scale=None) -> None:
+def save_model(path, model: SkgModel, referencing, value_scale) -> None:
     """Serialize a model as JSON (theta in hex floats for exact round trips).
 
     The bank is stored as (sigma_sq, seed, dims) and regenerated on load,
-    which reproduces the frequencies bit-for-bit. ``referencing`` node ids
-    and the training ``value_scale`` make a predict-only deployment
-    self-contained.
+    which reproduces the frequencies bit-for-bit. The ``referencing`` node
+    ids, whose adjacency vectors the model reads, and the training
+    ``value_scale`` make a predict-only deployment self-contained.
     """
     payload = {
         "format": "skg-model-v1",
@@ -163,11 +163,9 @@ def save_model(path, model: SkgModel, referencing=None, value_scale=None) -> Non
         "eta": float(model.eta).hex(),
         "bank_seed": model.bank.seed,
         "theta": [x.hex() for x in model.theta.tolist()],
+        "referencing": list(referencing),
+        "value_scale": float(value_scale).hex(),
     }
-    if referencing is not None:
-        payload["referencing"] = list(referencing)
-    if value_scale is not None:
-        payload["value_scale"] = float(value_scale).hex()
     with open(path, "w", encoding="utf-8") as handle:  # dumps runs json's C encoder, dump never
         handle.write(json.dumps(payload) + "\n")
 
@@ -175,13 +173,17 @@ def save_model(path, model: SkgModel, referencing=None, value_scale=None) -> Non
 def load_model(path):
     """Load a model written by :func:`save_model`.
 
-    Returns ``(model, metadata)`` where metadata carries the optional
-    ``referencing`` list and ``value_scale`` (None when absent). A file
-    that is not JSON, lacks a key or holds a bad hex, list or parameter
-    value raises :class:`DataError` naming it.
+    Returns ``(model, metadata)`` where metadata carries the
+    ``referencing`` list and the ``value_scale``. Every key is read and
+    checked before the bank is drawn: a file that is not JSON, lacks a key
+    or holds a bad hex, list or parameter value raises :class:`DataError`
+    naming it.
     """
     payload = _read_json(path, "skg-model-v1", "a model file")
     referencing = payload.get("referencing")
+    # the bank's size is checked against this list, so it is refused first
+    if referencing is None:
+        raise DataError(f"{path}: model lacks a referencing node list")
     try:
         if not isinstance(payload["theta"], list):
             raise DataError(f"{path}: theta must be a list of hex floats")
@@ -193,20 +195,19 @@ def load_model(path):
         # checked before the bank is drawn, which takes n_features * input_dim floats
         if theta.shape != (2 * n_features,):
             raise DataError(f"{path}: theta must have length {2 * n_features}, got {theta.shape}")
-        if referencing is not None and not (_is_node_list(referencing) and
-                                            len(set(referencing)) == len(referencing) == input_dim):
+        distinct = _is_node_list(referencing) and len(set(referencing)) == len(referencing)
+        if not (distinct and len(referencing) == input_dim):
             raise DataError(f"{path}: referencing must list {input_dim} distinct node ids")
-        bank = sample_bank(float.fromhex(payload["sigma_sq"]), n_features, input_dim,
-                           payload["bank_seed"])
-        model = SkgModel(bank=bank, eta=float.fromhex(payload["eta"]), theta=theta)
-        scale = payload.get("value_scale")
-        scale = float.fromhex(scale) if scale is not None else None
+        sigma_sq, eta = float.fromhex(payload["sigma_sq"]), float.fromhex(payload["eta"])
+        scale = float.fromhex(payload["value_scale"])
+        if not (0.0 < scale < math.inf):
+            raise DataError(f"{path}: value_scale must be positive and finite, got {scale}")
+        bank = sample_bank(sigma_sq, n_features, input_dim, payload["bank_seed"])
+        model = SkgModel(bank=bank, eta=eta, theta=theta)
     except KeyError as exc:
         raise DataError(f"{path}: model lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # ArgumentError is a ValueError
         raise DataError(f"{path}: {exc}") from exc
-    if scale is not None and not (0.0 < scale < math.inf):
-        raise DataError(f"{path}: value_scale must be positive and finite, got {scale}")
     return model, {"referencing": referencing, "value_scale": scale}
 
 

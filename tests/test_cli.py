@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import builtins
+import io
 import json
 import math
 import os
@@ -21,7 +23,7 @@ from skg.model import SkgModel, save_model
 from skg.rff import sample_bank
 from skg.variance import SELECTION_REPORT_SCHEMA
 
-from test_graph_data import _edge_file, _oracle_graph, _oracle_values, _value_file
+from test_graph_data import _edge_file, _graph_parts, _oracle_graph, _oracle_values, _value_file
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,23 @@ class TestSelect:
         code, _, _ = run_cli(capsys, "select", "--graph", str(edges), "--values",
                              str(values), "--config", str(config))
         assert code == 2
+
+
+    def test_a_byte_order_mark_is_ignored(self, tiny_dataset_files, tmp_path, capsys):
+        # Excel and Notepad start a UTF-8 file with one; it is no part of the first id
+        config, small = tmp_path / "config.json", tmp_path / "small.csv"
+        config.write_text('{"features": 64}')
+        small.write_text("0,1\n1,2\n0,2\n2,3\n")
+        plain = [*tiny_dataset_files, config, small]
+        marked = [tmp_path / f"bom-{path.name}" for path in plain]
+        for path, copy in zip(plain, marked):
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for path, copy in ((plain[0], marked[0]), (small, marked[3])):
+            assert _graph_parts(skg.load_graph(copy)) == _graph_parts(skg.load_graph(path))
+        assert list(skg.load_values(marked[1]).items()) == list(skg.load_values(plain[1]).items())
+        reports = [run_cli(capsys, "select", "--graph", str(graph), "--values", str(values),
+                           "--config", str(conf)) for graph, values, conf, _ in (plain, marked)]
+        assert reports[0][0] == 0 and reports[1] == reports[0]
 
 
 class TestStats:
@@ -329,6 +348,23 @@ class TestTrainPredict:
                                   "--values", str(values))
         assert code == 0
         assert np.isfinite(json.loads(stdout.strip().splitlines()[-1])["gnmse"])
+
+    def test_predict_reads_the_model_file_once(self, tiny_dataset_files, tmp_path, capsys,
+                                               monkeypatch):
+        edges, values = tiny_dataset_files
+        model = tmp_path / "model.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--model-out", str(model))
+        opened, io_open = [], io.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return io_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)  # pathlib opens through io.open
+        code, _, err = run_cli(capsys, "predict", "--model", str(model), "--graph", str(edges))
+        assert code == 0 and opened.count(str(model)) == 1, (err, opened)
 
     def test_zero_model_predicts_zero(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files

@@ -288,7 +288,13 @@ class TestSweep:
                     base_prepared=prepare(small_ds, cfg, 0))
         assert own[0].gnmse_mean == run_once(small_ds, cfg, 2.0, 0).gnmse
         other_fraction = dataclasses.replace(cfg, sample_fraction=0.6)
-        for wrong in (prepare(small_ds, cfg, 5), prepare(small_ds, other_fraction, 0)):
+        # the same split with unnormalized values under a max-abs grid, or on another
+        # graph over the same nodes and values: each gives another cell
+        unnormalized = dataclasses.replace(cfg, normalization="none")
+        other_graph = dataclasses.replace(
+            small_ds, graph=planted_community_dataset(n_nodes=40, n_communities=2, seed=4).graph)
+        for wrong in (prepare(small_ds, cfg, 5), prepare(small_ds, other_fraction, 0),
+                      prepare(small_ds, unnormalized, 0), prepare(other_graph, cfg, 0)):
             for fixed_split in (False, True):
                 with pytest.raises(ArgumentError, match="base seed 0"):
                     sweep(small_ds, grid, repeats=1, base_seed=0, fixed_split=fixed_split,

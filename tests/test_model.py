@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import skg.model
 from skg.errors import ArgumentError, DataError, NumericError
 from skg.graph_data import TrainingSet
 from skg.model import SkgModel, load_model, save_model, sgd_pass, write_training_trace_csv
@@ -224,7 +225,7 @@ class TestSerialization:
         # a non-integer is named by its key; a size that theta or the referencing list
         # contradicts is refused before the bank's n_features * input_dim floats
         path = tmp_path / "model.json"
-        save_model(path, make_model(), referencing=["a", "b", "c", "d"])
+        save_model(path, make_model(), referencing=["a", "b", "c", "d"], value_scale=1.0)
         payload = json.loads(path.read_text())
         payload[key] = value
         path.write_text(json.dumps(payload))
@@ -237,6 +238,30 @@ class TestSerialization:
             tracemalloc.stop()
         assert str(path) in str(refused.value) and peak < 1 << 20, peak
         assert (key in str(refused.value)) == (type(value) is not int), str(refused.value)
+
+    @pytest.mark.parametrize("key, input_dim, message", [
+        ("referencing", 10**9, "model lacks a referencing node list"),
+        ("value_scale", 4, "model lacks the key 'value_scale'")])
+    def test_a_model_without_its_list_or_scale_is_refused_before_the_bank_is_drawn(
+            self, tmp_path, monkeypatch, key, input_dim, message):
+        # without the list, input_dim has nothing to be checked against: a drawn
+        # 10**9-column bank raised MemoryError; without the scale the file loaded
+        path = tmp_path / "model.json"
+        save_model(path, make_model(), referencing=["a", "b", "c", "d"], value_scale=1.0)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        payload["input_dim"] = input_dim
+        path.write_text(json.dumps(payload))
+        drawn = []
+        monkeypatch.setattr(skg.model, "sample_bank", lambda *args: drawn.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as refused:
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"{path}: {message}" and not drawn and peak < 1 << 20
 
     def test_trace_csv_layout(self, tmp_path):
         ts = TrainingSet(np.ones((2, 4)), np.array([1.0, -1.0]))
