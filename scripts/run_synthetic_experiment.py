@@ -4,8 +4,9 @@
 Generates the dataset, selects the kernel variance, sweeps a log grid
 around it, and exports the diagnostic tables (sweep curve, weight traces
 at one variance per regime, distance/value scatter) into an output
-directory. Selection, the sweep's base seed, traces and scatter share one
-prepared split of the run seed. Everything is seeded and reproducible.
+directory. Selection, traces and scatter share one prepared split of the
+run seed; the sweep prepares each of its seeds' splits itself. Everything
+is seeded and reproducible.
 
     PYTHONPATH=src python scripts/run_synthetic_experiment.py --out synthetic_experiment
 """
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
 
     grid = skg.default_grid(report, config, points=args.grid_points)
     results = skg.sweep(dataset, grid, repeats=args.repeats, base_seed=args.seed,
-                        jobs=args.jobs, base_prepared=prepared)
+                        jobs=args.jobs)
     skg.write_sweep_csv(out_dir / "sweep.csv", results, marked_sigma_sq=grid.marked_sigma_sq)
     best = min(results, key=lambda r: r.gnmse_mean)
     print(f"sweep: best mean gnmse {best.gnmse_mean:.4f} at variance {best.sigma_sq:.4f} "

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -224,8 +225,7 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     config, seed = _run_config(args)
     dataset = _load_dataset(args)
-    prepared = prepare(dataset, config, seed)
-    report = select_prepared(prepared, config, seed)
+    report = resolve_sigma_sq(dataset, config, seed)
     if args.grid_min is not None or args.grid_max is not None:
         if args.grid_min is None or args.grid_max is None:
             raise ArgumentError("--grid-min and --grid-max must be given together")
@@ -237,7 +237,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = default_grid(report, config, points=args.grid_points)
     results = sweep(dataset, grid, repeats=args.repeats, base_seed=seed,
-                    jobs=args.jobs, fixed_split=args.fixed_split, base_prepared=prepared)
+                    jobs=args.jobs, fixed_split=args.fixed_split)
     write_sweep_csv(args.out, results, marked_sigma_sq=grid.marked_sigma_sq)
     best = min(results, key=lambda r: r.gnmse_mean)
     _emit({
@@ -344,6 +344,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        for name, path in vars(args).items():  # before any input is read or output written
+            if ((name == "out" or name.endswith("_out")) and path not in (None, "-")
+                    and not os.path.isdir(os.path.dirname(path) or ".")):
+                raise DataError(f"--{name.replace('_', '-')} {path}: no such directory")
         return globals()[f"cmd_{args.command}"](args)
     except SkgError as exc:
         print(f"error: {exc}", file=sys.stderr)

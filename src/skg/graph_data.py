@@ -738,8 +738,9 @@ def _is_node_list(value) -> bool:
 def read_split_manifest(path):
     """Load a split manifest; returns (sampled, tested, seed, fraction).
 
-    A file that is not JSON, lacks a key or holds node lists that are not
-    lists of node ids raises :class:`DataError` naming it.
+    A file that is not JSON, lacks a key, holds node lists that are not
+    lists of node ids or names no tested node raises :class:`DataError`
+    naming it.
     """
     payload = _read_json(path, "skg-split-v1", "a split manifest")
     try:
@@ -749,4 +750,6 @@ def read_split_manifest(path):
         raise DataError(f"{path}: split manifest lacks the key {exc}") from None
     if not (_is_node_list(sampled) and _is_node_list(tested)):
         raise DataError(f"{path}: 'sampled' and 'tested' must be lists of node ids")
+    if not tested:
+        raise DataError(f"{path}: split manifest names no tested node")
     return sampled, tested, seed, fraction

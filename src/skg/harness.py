@@ -275,45 +275,32 @@ def _fit_grid(prepared: PreparedSplit, config: RunConfig, sigma_sq_values, seed:
 
 
 def _sweep_seed(args) -> list[float]:
-    dataset, config, sigma_sq_values, seed, prepared = args
-    if prepared is None:
-        prepared = prepare(dataset, config, seed)
+    dataset, config, sigma_sq_values, seed, split_seed = args
+    prepared = prepare(dataset, config, split_seed)
     return [gnmse(prepared.test_values, skg.predict_batch(prepared._test_nonzeros))
             for skg, _, _ in _fit_grid(prepared, config, sigma_sq_values, seed)]
 
 
 def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int = 0, *,
-          jobs: int = 1, fixed_split: bool = False,
-          base_prepared: PreparedSplit | None = None) -> list[GnmseResult]:
+          jobs: int = 1, fixed_split: bool = False) -> list[GnmseResult]:
     """Repeated seeded runs over the variance grid.
 
     Each repeat uses a fresh split, bank and order (seed ``base_seed + r``)
     unless ``fixed_split`` pins the split of ``base_seed`` for all runs,
-    isolating bank/order randomness. A seed's split is prepared once and
-    all grid variances of the seed train together (a pinned split is
-    prepared once for all seeds); every cell equals :func:`run_once` at
-    the same variance and seed. ``base_prepared`` is ``base_seed``'s split
-    as the caller already prepared it (for selection, say), so its records
-    are not built again; a split of another graph, seed, fraction or
-    normalization is refused. Seeds are independent; ``jobs`` > 1 runs them
-    in processes, and aggregation does not depend on completion order.
+    isolating bank/order randomness. The task that runs a seed prepares its
+    split once (a pinned split: ``base_seed``'s, in every task), and all
+    grid variances of the seed train together; every cell equals
+    :func:`run_once` at the same variance and seed. Seeds are independent;
+    ``jobs`` > 1 runs them in processes, and aggregation does not depend on
+    completion order.
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
     if repeats < 1:
         raise ArgumentError(f"repeats must be at least 1, got {repeats}")
     seeds = [int(base_seed) + r for r in range(repeats)]
-    prepared = prepare(dataset, grid.config, seeds[0])  # also the pinned split
-    if base_prepared is not None:
-        if ((base_prepared.graph, base_prepared.sampled, base_prepared.tested)
-                != (prepared.graph, prepared.sampled, prepared.tested)
-                or not np.array_equal(base_prepared.train_values, prepared.train_values)
-                or not np.array_equal(base_prepared.test_values, prepared.test_values)):
-            raise ArgumentError(f"base_prepared is not base seed {base_seed}'s split of this "
-                                "dataset under the grid's config")
-        prepared = base_prepared  # its records may be built already
     tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
-              prepared if fixed_split or seed == base_seed else None) for seed in seeds]
+              seeds[0] if fixed_split else seed) for seed in seeds]
     if jobs > 1:
         import concurrent.futures  # only parallel sweeps pay for the import
 

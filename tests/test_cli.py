@@ -619,6 +619,23 @@ class TestMalformedInputs:
         assert err.startswith("error:") and str(broken) in err
         assert not preds.exists()
 
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_split_without_tested_nodes_exits_3(self, tiny_dataset_files, tmp_path, capsys,
+                                                scored):
+        # train never writes such a manifest; predicting it would score or write nothing
+        edges, values = tiny_dataset_files
+        model, split = tmp_path / "m.json", tmp_path / "split.json"
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--model-out", str(model), "--split-out", str(split))
+        split.write_text(json.dumps(json.loads(split.read_text()) | {"tested": []}))
+        preds = tmp_path / "preds.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
+                                    str(edges), "--split", str(split), "--out", str(preds),
+                                    *(["--values", str(values)] if scored else []))
+        assert (code, stdout) == (3, "")
+        assert f"{split}: split manifest names no tested node" in err and "Traceback" not in err
+        assert not preds.exists()
+
     @pytest.mark.parametrize("input_dim", [None, 10**9])
     def test_model_without_referencing_exits_3_before_the_bank_is_drawn(
             self, tiny_dataset_files, tmp_path, capsys, monkeypatch, input_dim):
@@ -775,6 +792,44 @@ class TestMalformedCsvContract:
         return not any(node.strip() for node in listed)
 
 
+# every output option of every command, and the file it names in a run that writes them all
+_OUTPUTS = {
+    "stats": {"--out": "o.json", "--hist-out": "h.csv"},
+    "select": {"--out": "o.json"},
+    "train": {"--model-out": "m.json", "--split-out": "s.json", "--trace-out": "t.csv"},
+    "predict": {"--out": "p.csv"},
+    "sweep": {"--out": "s.csv"},
+    "analyze": {"--trace-out": "t.csv", "--scatter-out": "sc.csv"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in _OUTPUTS.items()
+                                           for flag in flags])
+def test_missing_output_directory_exits_3_before_any_work(tiny_dataset_files, tmp_path, capsys,
+                                                          adjacency_builds, command, flag):
+    edges, values = tiny_dataset_files
+    model, split = tmp_path / "m.json", tmp_path / "split.json"
+    if command == "predict":
+        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
+                "--features", "16", "--model-out", str(model), "--split-out", str(split))
+        adjacency_builds.clear()
+    inputs = {
+        "stats": ["--graph", edges],
+        "predict": ["--model", model, "--graph", edges, "--split", split],
+        "sweep": ["--graph", edges, "--values", values, "--repeats", "8"],
+        "analyze": ["--graph", edges, "--values", values, "--test-node", "0"],
+    }.get(command, ["--graph", edges, "--values", values])
+    out_dir, missing = tmp_path / "out", tmp_path / "missing" / "file"
+    out_dir.mkdir()
+    outputs = [part for name, file in _OUTPUTS[command].items()
+               for part in (name, missing if name == flag else out_dir / file)]
+    code, stdout, err = run_cli(capsys, command, *map(str, inputs + outputs))
+    assert (code, stdout) == (3, "")
+    assert err == f"error: {flag} {missing}: no such directory\n"
+    assert list(out_dir.iterdir()) == [] and not missing.parent.exists()
+    assert adjacency_builds == []
+
+
 class TestSweepCommand:
     def test_csv_and_summary(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
@@ -923,17 +978,17 @@ class TestPrepareOnce:
         sampled = adjacency_builds[0][0]
         assert adjacency_builds[0] == (sampled, sampled)
 
-    @pytest.mark.parametrize("extra, builds", [((), 4), (("--fixed-split",), 2)])
-    def test_sweep_reuses_the_selection_split(self, tiny_dataset_files, tmp_path, capsys,
-                                              adjacency_builds, extra, builds):
-        # the base seed's task runs on the split selection prepared; a pinned split
-        # is that same split for every seed
+    @pytest.mark.parametrize("extra", [(), ("--fixed-split",)])
+    def test_sweep_prepares_each_seed_once(self, tiny_dataset_files, tmp_path, capsys,
+                                           adjacency_builds, extra):
+        # selection builds the sampled vectors once; each seed's task prepares its
+        # split (a pinned one: the base seed's) and builds both sets of vectors once
         edges, values = tiny_dataset_files
         code, _, _ = run_cli(capsys, "sweep", "--graph", str(edges), "--values", str(values),
                              "--features", "16", "--seed", "1", "--repeats", "2",
                              "--grid-points", "3", "--out", str(tmp_path / "s.csv"), *extra)
         assert code == 0
-        assert len(adjacency_builds) == builds
+        assert len(adjacency_builds) == 5
 
 
 class TestParser:

@@ -281,24 +281,18 @@ class TestSweep:
         manual = [fit_prepared(pinned, cfg, 2.0, 7 + r).gnmse for r in range(2)]
         assert results[0].gnmse_mean == pytest.approx(np.mean(manual), rel=1e-12)
 
-    def test_base_prepared_must_be_the_base_seed_split(self, small_ds):
-        cfg = RunConfig(n_features=32)
-        grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
-        own = sweep(small_ds, grid, repeats=1, base_seed=0,
-                    base_prepared=prepare(small_ds, cfg, 0))
-        assert own[0].gnmse_mean == run_once(small_ds, cfg, 2.0, 0).gnmse
-        other_fraction = dataclasses.replace(cfg, sample_fraction=0.6)
-        # the same split with unnormalized values under a max-abs grid, or on another
-        # graph over the same nodes and values: each gives another cell
-        unnormalized = dataclasses.replace(cfg, normalization="none")
-        other_graph = dataclasses.replace(
-            small_ds, graph=planted_community_dataset(n_nodes=40, n_communities=2, seed=4).graph)
-        for wrong in (prepare(small_ds, cfg, 5), prepare(small_ds, other_fraction, 0),
-                      prepare(small_ds, unnormalized, 0), prepare(other_graph, cfg, 0)):
-            for fixed_split in (False, True):
-                with pytest.raises(ArgumentError, match="base seed 0"):
-                    sweep(small_ds, grid, repeats=1, base_seed=0, fixed_split=fixed_split,
-                          base_prepared=wrong)
+    @pytest.mark.parametrize("fixed_split", [False, True])
+    def test_each_task_prepares_its_split_seed(self, small_ds, monkeypatch, fixed_split):
+        prepared_seeds, original = [], harness.prepare
+
+        def spy(dataset, config, seed):
+            prepared_seeds.append(seed)
+            return original(dataset, config, seed)
+
+        monkeypatch.setattr(harness, "prepare", spy)
+        grid = SweepGrid(sigma_sq_values=(2.0,), config=RunConfig(n_features=16))
+        sweep(small_ds, grid, repeats=3, base_seed=4, fixed_split=fixed_split)
+        assert tuple(prepared_seeds) == ((4, 4, 4) if fixed_split else (4, 5, 6))
 
     def test_cells_equal_run_once_bitwise(self, small_ds):
         cfg = RunConfig(n_features=32)
@@ -402,7 +396,7 @@ class TestLockstepGrid:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "_GRID_BYTES", per_chunk * per_variance.pop())
             patch.setattr(skg.model, "sgd_pass", spy)
-            grid = [harness._sweep_seed((small_ds, cfg, values, seed, prepared[seed]))
+            grid = [harness._sweep_seed((small_ds, cfg, values, seed, seed))
                     for seed in seeds]
             results = sweep(small_ds, SweepGrid(sigma_sq_values=values, config=cfg),
                             repeats=repeats, base_seed=base_seed)

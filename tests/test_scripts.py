@@ -46,8 +46,8 @@ def test_synthetic_experiment_writes_every_table(tmp_path, capsys):
 
 
 def test_base_seed_split_is_prepared_once(tmp_path, monkeypatch, capsys):
-    # selection prepares the run seed (2 builds), the sweep reuses it and prepares
-    # only the second repeat's seed (2 more); traces and scatter build nothing
+    # selection, traces and scatter share the run seed's split (2 builds); the sweep
+    # prepares each of its 2 seeds' splits in that seed's task (2 builds each)
     # (every adjacency build, dense or not, is one sort of the graph's arcs)
     builds = []
     original = skg.graph_data._Nonzeros.of_graph
@@ -60,4 +60,4 @@ def test_base_seed_split_is_prepared_once(tmp_path, monkeypatch, capsys):
     code = load_script().main(["--out", str(tmp_path / "experiment"), "--nodes", "40",
                                "--repeats", "2", "--grid-points", "3"])
     assert code == 0 and "selected variance" in capsys.readouterr().out
-    assert len(builds) == 4
+    assert len(builds) == 6
