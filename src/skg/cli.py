@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as exc:  # an option too large for this machine: one line, no traceback
+        print(f"error: not enough memory for this run: {exc}", file=sys.stderr)
+        return ArgumentError.exit_code
 
 
 if __name__ == "__main__":

@@ -110,14 +110,6 @@ class TrainingSet:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class PairwiseStats:
@@ -731,8 +723,14 @@ def _read_json(path, fmt: str, what: str) -> dict:
     return payload
 
 
-def _is_node_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(node, Hashable) for node in value)
+def _node_set(value):
+    """The set of the ids in ``value``, a JSON list of node ids, or None if it is not one."""
+    if not isinstance(value, list):
+        return None
+    try:
+        return set(value)
+    except TypeError:  # an unhashable item: a JSON array or object, never a node id
+        return None
 
 
 def read_split_manifest(path):
@@ -748,7 +746,7 @@ def read_split_manifest(path):
                                            ("sampled", "tested", "seed", "fraction")]
     except KeyError as exc:
         raise DataError(f"{path}: split manifest lacks the key {exc}") from None
-    if not (_is_node_list(sampled) and _is_node_list(tested)):
+    if _node_set(sampled) is None or _node_set(tested) is None:
         raise DataError(f"{path}: 'sampled' and 'tested' must be lists of node ids")
     if not tested:
         raise DataError(f"{path}: split manifest names no tested node")

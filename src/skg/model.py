@@ -17,7 +17,7 @@ import numpy as np
 
 from . import streams
 from .errors import ArgumentError, DataError, NumericError
-from .graph_data import TrainingSet, _is_node_list, _read_json, write_csv
+from .graph_data import TrainingSet, _node_set, _read_json, write_csv
 from .rff import RandomFeatureBank, feature_matrix, sample_bank
 
 
@@ -111,22 +111,20 @@ def training_order(n: int, epochs: int, seed: int) -> np.ndarray:
 
 
 def sgd_pass(features, order, targets, state, eta: float) -> np.ndarray:
-    """Least-squares SGD over ``order``; returns the pre-update predictions.
+    """Least-squares SGD over ``order``; returns the pre-update predictions (T, S).
 
-    Step t takes z = ``features[order[t]]``, predicts with the current
-    ``state`` and moves ``state`` in place by 2*eta*(``targets[order[t]]`` -
-    prediction) along z. ``state`` is one coefficient vector (D,) over
-    features (n, D), or S of them (S, D) trained side by side over
-    features (n, S, D), row s on ``features[:, s]``, with predictions
-    (T, S). Each row steps bit for bit as it would on its own: one row, (D,)
-    or (1, D), on Python floats and ``z.dot``, in half the time of the
-    batched ``matmul`` of 1-D rows, which numpy evaluates as the same BLAS dot.
+    ``state`` holds S coefficient vectors (S, D), trained side by side over
+    features (n, S, D), row s on ``features[:, s]``. Step t takes z =
+    ``features[order[t], s]``, predicts with row s of ``state`` and moves it
+    in place by 2*eta*(``targets[order[t]]`` - prediction) along z. Each row
+    steps bit for bit as it would on its own: one row runs on Python floats
+    and ``z.dot``, in half the time of the batched ``matmul`` of 1-D rows,
+    which numpy evaluates as the same BLAS dot.
     """
-    predictions = np.empty(order.shape + state.shape[:-1], dtype=np.float64)
+    predictions = np.empty((order.size, len(state)), dtype=np.float64)
     gain = 2.0 * eta
-    if state.size == state.shape[-1]:
-        theta, rows, out = (state, features, predictions) if state.ndim == 1 else (
-            state[0], features[:, 0], predictions[:, 0])
+    if len(state) == 1:
+        theta, rows, out = state[0], features[:, 0], predictions[:, 0]
         step = np.empty_like(theta)
         targets = targets.tolist()
         for t, idx in enumerate(order.tolist()):
@@ -195,8 +193,8 @@ def load_model(path):
         # checked before the bank is drawn, which takes n_features * input_dim floats
         if theta.shape != (2 * n_features,):
             raise DataError(f"{path}: theta must have length {2 * n_features}, got {theta.shape}")
-        distinct = _is_node_list(referencing) and len(set(referencing)) == len(referencing)
-        if not (distinct and len(referencing) == input_dim):
+        ids = _node_set(referencing)
+        if ids is None or not len(ids) == len(referencing) == input_dim:
             raise DataError(f"{path}: referencing must list {input_dim} distinct node ids")
         sigma_sq, eta = float.fromhex(payload["sigma_sq"]), float.fromhex(payload["eta"])
         scale = float.fromhex(payload["value_scale"])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -32,11 +33,39 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _unclean(text):
+    """``text`` with a byte-order mark, CRLF, a comment, a blank line and padded fields."""
+    padded = [" , ".join(line.split(",")) + "\t" for line in text.splitlines()]
+    return ("\ufeff# a comment\r\n\r\n" + "\r\n".join(padded) + "\r\n").encode()
+
+
+def _long_ids(text, n_ids):
+    """``text`` with its first ``n_ids`` fields made ids of 19-20 UTF-8 bytes, alike in 8."""
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    return "".join(",".join([f"nœud-ünïcødé-{f}" for f in row[:n_ids]] + row[n_ids:]) + "\n"
+                   for row in rows).encode()
+
+
 def strict_json(text):
     """``json.loads`` that refuses the NaN and Infinity tokens."""
     def refuse(token):
         raise ValueError(f"non-finite JSON token {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture
+def ring_files(tmp_path):
+    """A 40-node ring with 20 diameter chords, as a 0/1 and as a weighted edge CSV, and the
+    values of 41 nodes. Node 40 has one weighted in-edge and no out-edge, so a directed
+    --drop-isolated drops it."""
+    n = 40
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    weighted = [(s, d, 1 + s * d % 3 / 2) for s, d in edges + [(0, n)]]
+    paths = tmp_path / "ring.csv", tmp_path / "weighted-ring.csv", tmp_path / "ring-values.csv"
+    paths[0].write_text("".join(f"{s},{d}\n" for s, d in edges))
+    paths[1].write_text("".join(f"{s},{d},{w}\n" for s, d, w in weighted))
+    paths[2].write_text("".join(f"{i},{i % 4}\n" for i in range(n + 1)))
+    return paths
 
 
 @pytest.fixture
@@ -70,13 +99,6 @@ class TestSelect:
                              str(values), "--features", "64", "--seed", "1",
                              "--out", str(out))
         assert code == 0 and out.read_bytes() == first
-
-    def test_refine_flag_changes_source(self, tiny_dataset_files, capsys):
-        edges, values = tiny_dataset_files
-        code, stdout, _ = run_cli(capsys, "select", "--graph", str(edges), "--values",
-                                  str(values), "--features", "64", "--seed", "1", "--refine")
-        assert code == 0
-        assert json.loads(stdout)["noise_up"]["source"] == "refined"
 
     def test_degenerate_dataset_exits_4(self, tmp_path, capsys):
         edges = tmp_path / "e.csv"
@@ -131,7 +153,9 @@ class TestSelect:
 
 
     def test_a_byte_order_mark_is_ignored(self, tiny_dataset_files, tmp_path, capsys):
-        # Excel and Notepad start a UTF-8 file with one; it is no part of the first id
+        # Excel and Notepad start a UTF-8 file with one; it is no part of the first id. Nor
+        # do CRLF, comments, blank lines, padded fields, long multibyte ids or a
+        # --drop-isolated that drops no node change the report
         config, small = tmp_path / "config.json", tmp_path / "small.csv"
         config.write_text('{"features": 64}')
         small.write_text("0,1\n1,2\n0,2\n2,3\n")
@@ -142,9 +166,16 @@ class TestSelect:
         for path, copy in ((plain[0], marked[0]), (small, marked[3])):
             assert _graph_parts(skg.load_graph(copy)) == _graph_parts(skg.load_graph(path))
         assert list(skg.load_values(marked[1]).items()) == list(skg.load_values(plain[1]).items())
-        reports = [run_cli(capsys, "select", "--graph", str(graph), "--values", str(values),
-                           "--config", str(conf)) for graph, values, conf, _ in (plain, marked)]
-        assert reports[0][0] == 0 and reports[1] == reports[0]
+        edges, values = tiny_dataset_files
+        runs = [[edges, values, config], marked[:3], [edges, values, config, "--drop-isolated"]]
+        for name, rewrite in (("unclean", lambda text, _: _unclean(text)), ("long", _long_ids)):
+            copies = [tmp_path / f"{name}-{path.name}" for path in (edges, values)]
+            for path, copy, n_ids in zip((edges, values), copies, (2, 1)):
+                copy.write_bytes(rewrite(path.read_text(), n_ids))
+            runs.append([*copies, config])
+        reports = [run_cli(capsys, "select", "--graph", str(graph), "--values", str(vals),
+                           "--config", str(conf), *flags) for graph, vals, conf, *flags in runs]
+        assert reports[0][0] == 0 and all(report == reports[0] for report in reports)
 
 
 class TestStats:
@@ -170,15 +201,31 @@ class TestStats:
         assert (payload["n_pairs"], payload["d_sq_max"], payload["d_sq_min_nonzero"]) == \
             (stats.n_pairs, stats.d_sq_max, stats.d_sq_min_nonzero)
 
-    def test_histogram_export(self, tiny_dataset_files, tmp_path, capsys):
-        edges, _ = tiny_dataset_files
+    def test_histogram_export(self, ring_files, tmp_path, capsys):
+        # every sampled pair is counted once, from exact Gram blocks on the ring and from
+        # differences on the weighted ring. A chord between two sampled nodes left out, or
+        # repeated last, reversed, at weight 0 (the last weight wins), reads the same
+        edges, weighted, values = ring_files
         hist = tmp_path / "hist.csv"
-        code, _, _ = run_cli(capsys, "stats", "--graph", str(edges), "--seed", "1",
-                             "--hist-out", str(hist))
-        assert code == 0
-        lines = hist.read_text().strip().splitlines()
-        assert lines[0] == "d_sq,count"
-        assert sum(int(line.split(",")[1]) for line in lines[1:]) == 120
+        for graph in (["--graph", str(edges)], ["--graph", str(weighted), "--weighted"]):
+            code, _, _ = run_cli(capsys, "stats", *graph, "--seed", "1", "--hist-out", str(hist))
+            assert code == 0
+            lines = hist.read_text().strip().splitlines()
+            assert lines[0] == "d_sq,count"
+            assert sum(int(line.split(",")[1]) for line in lines[1:]) == 120
+        sampled = set(skg.split_sample(skg.load_graph(weighted).nodes, 0.4, 1)[0])
+        rows = weighted.read_text().splitlines(keepends=True)
+        at = next(i for i in range(40, 60) if set(rows[i].split(",")[:2]) <= sampled)
+        src, dst, _ = rows[at].split(",")
+        printed = []
+        for name, text in (("chordless", rows[:at] + rows[at + 1:]),
+                           ("zeroed", rows + [f"{dst},{src},0\n"])):
+            (tmp_path / name).write_text("".join(text))
+            data = ["--graph", str(tmp_path / name), "--weighted", "--seed", "1"]
+            printed.append((run_cli(capsys, "select", *data, "--values", str(values)),
+                            run_cli(capsys, "stats", *data, "--hist-out", str(hist)),
+                            hist.read_bytes()))
+        assert printed[0][0][0] == 0 and printed[0] == printed[1]
 
     def test_invalid_config_exits_2_and_writes_nothing(self, tiny_dataset_files, tmp_path,
                                                        capsys):
@@ -207,12 +254,94 @@ def dense_planted_files(tmp_path_factory):
     return weighted, unweighted, values
 
 
-def _cli_at_blas_threads(threads, *argv):
-    """stdout of ``python -m skg.cli argv`` in a fresh process with that many BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-        [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+_SRC = str(Path(skg.__file__).parents[1])
+
+
+def _cli_at_blas_threads(threads, *argv, **kwargs):
+    """stdout of ``python -m skg.cli argv`` in a fresh process with that many BLAS threads;
+    a nonzero exit raises ``CalledProcessError``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "skg.cli", *map(str, argv)], env=env,
-                          capture_output=True, check=True).stdout
+                          capture_output=True, check=True, **kwargs).stdout
+
+
+# runs each argv of the JSON list on stdin through one skg.cli.main; prints each exit code
+# and stdout, how many skg parsers were built, and which modules named in sys.argv are loaded
+_CHILD = """
+import argparse, contextlib, io, json, sys
+built, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counted
+import skg.cli
+runs = []
+for argv in json.loads(sys.stdin.read()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((skg.cli.main(argv), out.getvalue()))
+print(json.dumps({"runs": runs, "parsers": built.count("skg"),
+                  "loaded": sorted(set(sys.argv[1:]) & set(sys.modules))}))
+"""
+
+
+def test_every_command_runs_numpy_only_in_one_interpreter(ring_files, tmp_path):
+    # an interpreter without pytest runs every command, also directed, weighted and with a
+    # node that --drop-isolated drops: each exits 0 and prints strict JSON, all share one
+    # parser, no test extra is imported, and predict writes one finite row per target
+    edges, weighted, values = ring_files
+    out = tmp_path.joinpath
+    data = ["--graph", edges, "--values", values]
+    tested = skg.split_sample([str(i) for i in range(40)], 0.4, 0)[1][0]
+    commands = [
+        ["stats", "--graph", edges, "--hist-out", out("hist.csv")],
+        ["select", *data], ["select", *data, "--refine"],
+        ["train", *data, "--model-out", out("model.json"), "--split-out", out("split.json"),
+         "--trace-out", out("trace.csv")],
+        ["predict", "--model", out("model.json"), *data, "--split", out("split.json"),
+         "--out", out("predictions.csv")],
+        ["sweep", *data, "--repeats", "2", "--grid-points", "3", "--out", out("sweep.csv")],
+        ["analyze", *data, "--test-node", tested, "--trace-out", out("bf.csv"),
+         "--scatter-out", out("scatter.csv")],
+    ]
+    weighted_data = ["--graph", weighted, "--values", values, "--weighted"]
+    variants = {"directed": ([*data, "--directed"], 40), "weighted": (weighted_data, 41),
+                "dropped": ([*weighted_data, "--directed", "--drop-isolated"], 40)}
+    for name, (flags, _) in variants.items():
+        model = out(f"{name}.json")
+        commands += [["select", *flags], ["train", *flags, "--model-out", model],
+                     ["predict", "--model", model, *flags, "--out", out(f"{name}-all.csv")],
+                     ["predict", "--model", model, *flags, "--nodes", f"{tested},{tested}",
+                      "--out", out(f"{name}-named.csv")]]
+    child = subprocess.run([sys.executable, "-c", _CHILD, "scipy", "hypothesis", "jsonschema",
+                            "pytest"], input=json.dumps(commands, default=str), capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=_SRC))
+    assert child.returncode == 0, child.stderr
+    verdict = json.loads(child.stdout)
+    assert [(code, type(strict_json(stdout))) for code, stdout in verdict["runs"]] == \
+        [(0, dict)] * len(commands), child.stderr
+    assert verdict["parsers"] == 1 and verdict["loaded"] == []
+    for name, (_, nodes) in variants.items():
+        for csv, count in ((f"{name}-all.csv", nodes), (f"{name}-named.csv", 2)):
+            rows = out(csv).read_text().splitlines()[1:]
+            assert len(rows) == count, (csv, rows)
+            assert all(math.isfinite(float(row.split(",")[1])) for row in rows), rows
+
+
+@pytest.mark.parametrize("argv", [["train", "--sigma-sq", "1", "--model-out"],
+                                  ["select", "--refine", "--out"]])
+def test_a_run_out_of_memory_exits_2(tiny_dataset_files, tmp_path, argv):
+    # a bank of 10**8 features takes 12 GiB, past the child's 2 GiB address space
+    edges, values = tiny_dataset_files
+    out = tmp_path / "out.json"
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        _cli_at_blas_threads("1", *argv, out, "--graph", edges, "--values", values,
+                             "--features", "100000000", preexec_fn=lambda: resource.setrlimit(
+                                 resource.RLIMIT_AS, (2**31, 2**31)))
+    err = failed.value.stderr.decode()
+    assert (failed.value.returncode, failed.value.stdout, err.count("\n")) == (2, b"", 1), err
+    assert err.startswith("error: not enough memory for this run: ") and not out.exists()
 
 
 def test_select_and_stats_bytes_hold_across_blas_threads(dense_planted_files, tmp_path):
@@ -334,20 +463,6 @@ class TestTrainPredict:
         run_cli(capsys, "predict", "--model", str(model), "--graph", str(edges),
                 "--split", str(split), "--out", str(preds))
         assert preds.read_bytes() == first
-
-    def test_training_nodes_smoke_path(self, tiny_dataset_files, tmp_path, capsys):
-        edges, values = tiny_dataset_files
-        model = tmp_path / "model.json"
-        split = tmp_path / "split.json"
-        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
-                "--features", "64", "--seed", "1", "--sigma-sq", "2.5",
-                "--model-out", str(model), "--split-out", str(split))
-        sampled = json.loads(split.read_text())["sampled"]
-        code, stdout, _ = run_cli(capsys, "predict", "--model", str(model), "--graph",
-                                  str(edges), "--nodes", ",".join(sampled),
-                                  "--values", str(values))
-        assert code == 0
-        assert np.isfinite(json.loads(stdout.strip().splitlines()[-1])["gnmse"])
 
     def test_predict_reads_the_model_file_once(self, tiny_dataset_files, tmp_path, capsys,
                                                monkeypatch):
@@ -485,20 +600,6 @@ class TestTrainPredict:
         assert code == 3 and "error:" in err
         assert not preds.exists() and stdout == ""
 
-    def test_out_of_range_eta_in_model_file_exits_3(self, tiny_dataset_files, tmp_path, capsys):
-        edges, values = tiny_dataset_files
-        model = tmp_path / "m.json"
-        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
-                "--features", "64", "--seed", "1", "--model-out", str(model))
-        payload = json.loads(model.read_text())
-        payload["eta"] = (1.5).hex()
-        model.write_text(json.dumps(payload))
-        preds = tmp_path / "preds.csv"
-        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
-                                    str(edges), "--nodes", "5,6", "--out", str(preds))
-        assert code == 3 and "error:" in err and str(model) in err
-        assert not preds.exists() and stdout == ""
-
     def test_bad_sigma_exits_2(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
         code, _, _ = run_cli(capsys, "train", "--graph", str(edges), "--values",
@@ -525,19 +626,6 @@ class TestTrainPredict:
         assert code == 2 and "finite" in err and stdout == ""
         assert list(out_dir.iterdir()) == []
 
-    def test_non_finite_sigma_in_model_file_exits_3(self, tiny_dataset_files, tmp_path,
-                                                    capsys):
-        edges, values = tiny_dataset_files
-        model = tmp_path / "m.json"
-        run_cli(capsys, "train", "--graph", str(edges), "--values", str(values),
-                "--features", "16", "--seed", "1", "--model-out", str(model))
-        payload = json.loads(model.read_text())
-        payload["sigma_sq"] = float("inf").hex()
-        model.write_text(json.dumps(payload))
-        code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--graph",
-                                    str(edges), "--nodes", "5,6")
-        assert code == 3 and str(model) in err and stdout == ""
-
 
 def _without(key):
     def edit(payload):
@@ -548,6 +636,12 @@ def _without(key):
 def _setting(key, value):
     def edit(payload):
         payload[key] = value
+    return edit
+
+
+def _first(key, value):
+    def edit(payload):
+        payload[key][0] = value
     return edit
 
 
@@ -575,8 +669,11 @@ class TestMalformedInputs:
         ("model", _setting("theta", ["0x1.0p+0", "zz"])),
         ("model", _setting("theta", "0x1.0p+0")),
         ("model", _setting("sigma_sq", 2.0)),
+        ("model", _setting("sigma_sq", float("inf").hex())),
+        ("model", _setting("eta", (1.5).hex())),
         ("model", _setting("referencing", "0,1")),
         ("model", _setting("referencing", [["0"], ["1"]])),
+        ("model", _first("referencing", {"0": 1})),
         ("model", _setting("value_scale", "inf")),
         ("model", _setting("bank_seed", True)),
         ("model", _setting("bank_seed", 7.9)),
@@ -590,13 +687,15 @@ class TestMalformedInputs:
         ("split", _without("tested")),
         ("split", _setting("tested", {"5": 1})),
         ("split", _setting("tested", [["5"]])),
+        ("split", _first("sampled", {"0": 1})),
     ], ids=["model-not-json", "model-no-theta", "model-bad-hex", "model-theta-not-list",
-            "model-sigma-not-hex", "model-referencing-not-list",
-            "model-referencing-unhashable", "model-infinite-scale", "model-seed-bool",
-            "model-seed-fraction", "model-seed-string", "model-features-float",
+            "model-sigma-not-hex", "model-sigma-infinite", "model-eta-out-of-range",
+            "model-referencing-not-list",
+            "model-referencing-unhashable", "model-referencing-object", "model-infinite-scale",
+            "model-seed-bool", "model-seed-fraction", "model-seed-string", "model-features-float",
             "model-dim-fraction", "model-dim-huge", "model-features-huge", "split-not-json",
             "split-no-sampled", "split-no-tested", "split-tested-not-list",
-            "split-tested-unhashable"])
+            "split-tested-unhashable", "split-sampled-object"])
     def test_malformed_model_or_split_exits_3(self, tiny_dataset_files, tmp_path, capsys,
                                               target, edit):
         edges, values = tiny_dataset_files
@@ -661,13 +760,14 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("text, argv", [
         ("# only a comment\n", ["stats"]),
+        ("# only a comment\n", ["select"]),
         ("a,b\nb,c\n", ["stats"]),
         ("a,b\nb,c\n", ["select"]),
         ("a,b\nb,c\n", ["train"]),
         ("a,b\nb,c\n", ["sweep", "--repeats", "1", "--grid-points", "3"]),
         ("a,b\nb,c\n", ["train", "--sigma-sq", "1", "--fraction", "0.1"]),
         ("a,b\nb,c\n", ["analyze", "--sigma-sq", "1"]),
-    ], ids=["stats-no-node", "stats-one-sampled", "select-one-sampled",
+    ], ids=["stats-no-node", "select-no-node", "stats-one-sampled", "select-one-sampled",
             "train-auto-one-sampled", "sweep-one-sampled", "train-none-sampled",
             "analyze-scatter-one-sampled"])
     def test_too_small_a_sample_exits_4(self, tmp_path, capsys, text, argv):
@@ -843,6 +943,16 @@ class TestSweepCommand:
         assert len(lines) >= 7  # grid plus the inserted selected variance
         summary = json.loads(stdout)
         assert summary["best_gnmse_mean"] >= 0.0
+        # a row of one repeat holds the repr of the test_gnmse train prints at its variance
+        run_cli(capsys, "sweep", "--graph", str(edges), "--values", str(values), "--features",
+                "64", "--seed", "1", "--grid-points", "3", "--repeats", "1", "--out", str(out))
+        for row in out.read_text().splitlines()[1:]:
+            sigma_sq, gnmse_mean = row.split(",")[:2]
+            code, stdout, _ = run_cli(capsys, "train", "--graph", str(edges), "--values",
+                                      str(values), "--features", "64", "--seed", "1",
+                                      "--sigma-sq", sigma_sq,
+                                      "--model-out", str(tmp_path / "m.json"))
+            assert code == 0 and gnmse_mean == repr(json.loads(stdout)["test_gnmse"]), row
 
     def test_first_order_da_sets_the_grid_top(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files
@@ -906,6 +1016,8 @@ class TestAnalyze:
         scatter_lines = scatter.read_text().strip().splitlines()
         assert scatter_lines[0] == "d_sq,abs_dy"
         assert len(scatter_lines) == 1 + summary["scatter_rows"]
+        sampled = len(json.loads(split.read_text())["sampled"])
+        assert summary["scatter_rows"] == sampled * (sampled - 1) // 2
 
     def test_unknown_test_node_exits_3(self, tiny_dataset_files, tmp_path, capsys):
         edges, values = tiny_dataset_files

@@ -970,8 +970,6 @@ class TestDataset:
     def test_training_set_validation(self):
         with pytest.raises(ArgumentError):
             TrainingSet(np.ones((2, 3)), np.ones(3))
-        ts = TrainingSet(np.ones((2, 3)), np.ones(2))
-        assert ts.n == 2 and ts.m == 3
 
 
 def test_temperature_distance_statistics_if_installed():

@@ -76,7 +76,7 @@ class TestTrainStep:
         slack = 1e-13 * np.linalg.norm(target)
         error = np.linalg.norm(model.theta - target)
         for idx in rng.integers(0, 12, 200):
-            sgd_pass(features, np.array([idx]), values, model.theta, model.eta)
+            sgd_pass(features[:, None], np.array([idx]), values, model.theta[None], model.eta)
             moved = np.linalg.norm(model.theta - target)
             assert moved <= error + slack
             error = moved
@@ -182,7 +182,7 @@ class TestTrain:
     @given(rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_stacked_pass_equals_one_pass_per_row(self, rows, seed):
-        # state (S, D) over features (n, S, D) trains row s as the (D,) form on features[:, s]
+        # state (S, D) over features (n, S, D) trains row s as the one-row form on features[:, s]
         rng = np.random.default_rng(seed)
         features = rng.standard_normal((9, rows, 16))
         targets = rng.standard_normal(9)
@@ -192,8 +192,9 @@ class TestTrain:
         assert predictions.shape == (30, rows)
         for s in range(rows):
             theta = np.zeros(16)
-            single = sgd_pass(np.ascontiguousarray(features[:, s]), order, targets, theta, 0.1)
-            assert np.array_equal(predictions[:, s], single)
+            single = sgd_pass(np.ascontiguousarray(features[:, s])[:, None], order, targets,
+                              theta[None], 0.1)
+            assert np.array_equal(predictions[:, s], single[:, 0])
             assert np.array_equal(state[s], theta)
 
     def test_epoch_and_dimension_validation(self):
