@@ -27,8 +27,6 @@ from .rff import (RandomFeatureBank, feature_map, feature_matrix, kernel_exact, 
 from .synthetic import planted_community_dataset
 from .variance import (SELECTION_REPORT_SCHEMA, SelectionReport, select, sigma_ce, sigma_da,
                        sigma_ed)
-from .weights import (SimilarityMatrix, WeightTrace, conformity_alpha,
-                      contribution_weights, expected_weight_sum, noise_up_from_run,
-                      noise_up_theoretical, probe_weight_traces, similarity,
-                      similarity_approx, similarity_conditional_variance,
-                      similarity_matrix)
+from .weights import (WeightTrace, conformity_alpha, contribution_weights, expected_weight_sum,
+                      noise_up_from_run, noise_up_theoretical, probe_weight_traces, similarity,
+                      similarity_approx, similarity_conditional_variance, similarity_matrix)

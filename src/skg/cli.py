@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericError, SkgError
-from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _read_text,
+from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _open_out, _read_text,
                          drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
                          read_split_manifest, split_sample, write_csv, write_split_manifest)
 from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
@@ -123,8 +123,8 @@ def _emit(payload: dict, out_path=None, indent=2) -> None:
     except ValueError as exc:  # NaN or infinity: a numeric error, never a bare JSON token
         raise NumericError(f"non-finite number in the output: {exc}") from None
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if out_path and out_path != "-":  # stdout already holds the text
+        with _open_out(out_path) as handle:
             handle.write(text)
 
 

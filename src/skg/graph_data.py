@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import streams
-from .errors import ArgumentError, DataError, DegenerateInputError
+from .errors import ArgumentError, DataError, DegenerateInputError, NumericError
 
 NodeId = Hashable
 
@@ -293,6 +293,11 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _open_out(path):
+    """A text handle to write an output to: stdout for ``path`` "-", else the UTF-8 file."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header line and one comma-joined line per row; ``path`` "-" is stdout.
 
@@ -303,9 +308,7 @@ def write_csv(path, header, rows) -> None:
     scalars, and each such chunk is written by one ``%`` format, without
     copying the whole array or holding more than a chunk of its text.
     """
-    target = contextlib.nullcontext(sys.stdout) if path == "-" else open(
-        path, "w", encoding="utf-8")
-    with target as handle:
+    with _open_out(path) as handle:
         handle.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             line = ",".join(["%r"] * rows.shape[1]) + "\n"
@@ -503,10 +506,15 @@ _SCAN_COST = 300
 
 
 def _scan_input(vectors) -> _Nonzeros:
-    """The record a pair scan reads (see :meth:`_Nonzeros.of`), of two rows or more."""
+    """The record a pair scan reads (see :meth:`_Nonzeros.of`): two rows or more, each of squared
+    norm at most an eighth of float64's largest, so that every (|a| + |b|)^2 is finite."""
     vectors = _Nonzeros.of(vectors)
     if vectors.shape[0] < 2:
         raise DegenerateInputError("pairwise statistics need at least two vectors")
+    with np.errstate(over="ignore"):
+        largest = float(vectors.norms.max(initial=0.0))
+    if not largest <= np.finfo(np.float64).max / 8.0:
+        raise NumericError("edge weights too large: a squared distance would overflow float64")
     return vectors
 
 
@@ -708,7 +716,7 @@ def write_split_manifest(path, sampled, tested, seed: int, fraction: float) -> N
         "sampled": list(sampled),
         "tested": list(tested),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_out(path) as handle:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 

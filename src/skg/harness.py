@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
-from .graph_data import (Dataset, Graph, _Nonzeros, _pair_rows, _scan_input, apply_normalization,
-                         split_sample, write_csv)
+from .graph_data import (NORMALIZATION_POLICIES, Dataset, Graph, _Nonzeros, _pair_rows,
+                         _scan_input, apply_normalization, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, _train_lockstep, training_order
 from .rff import _fill_features, feature_matrix, sample_bank, sample_banks
 from .variance import SelectionReport, select
@@ -53,6 +53,9 @@ class RunConfig:
             raise ArgumentError(f"sample_fraction must lie in (0, 1], got {self.sample_fraction}")
         if not (0.0 < self.closeness < 0.5):
             raise ArgumentError(f"closeness must lie in (0, 0.5), got {self.closeness}")
+        if self.normalization not in NORMALIZATION_POLICIES:
+            raise ArgumentError(f"unknown normalization policy {self.normalization!r}; "
+                                f"known: {NORMALIZATION_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,8 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     split once (a pinned split: ``base_seed``'s, in every task), and all
     grid variances of the seed train together; every cell equals
     :func:`run_once` at the same variance and seed. Seeds are independent;
-    ``jobs`` > 1 runs them in processes, and aggregation does not depend on
-    completion order.
+    ``jobs`` > 1 runs them in up to ``jobs`` processes, never more than there
+    are seeds, and aggregation does not depend on completion order.
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be at least 1, got {jobs}")
@@ -301,12 +304,13 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     seeds = [int(base_seed) + r for r in range(repeats)]
     tasks = [(dataset, grid.config, grid.sigma_sq_values, seed,
               seeds[0] if fixed_split else seed) for seed in seeds]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a pool starts all its workers at once: no idle ones
+    if workers > 1:
         import concurrent.futures  # only parallel sweeps pay for the import
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_sweep_seed, tasks,
-                                     chunksize=max(1, len(tasks) // (4 * jobs))))
+                                     chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         per_seed = [_sweep_seed(task) for task in tasks]
     scores = np.array(per_seed, dtype=np.float64).T

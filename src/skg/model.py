@@ -17,7 +17,7 @@ import numpy as np
 
 from . import streams
 from .errors import ArgumentError, DataError, NumericError
-from .graph_data import TrainingSet, _node_set, _read_json, write_csv
+from .graph_data import TrainingSet, _node_set, _open_out, _read_json, write_csv
 from .rff import RandomFeatureBank, feature_matrix, sample_bank
 
 
@@ -164,7 +164,7 @@ def save_model(path, model: SkgModel, referencing, value_scale) -> None:
         "referencing": list(referencing),
         "value_scale": float(value_scale).hex(),
     }
-    with open(path, "w", encoding="utf-8") as handle:  # dumps runs json's C encoder, dump never
+    with _open_out(path) as handle:  # dumps runs json's C encoder, dump never
         handle.write(json.dumps(payload) + "\n")
 
 

@@ -54,41 +54,30 @@ class SelectionReport:
                        sigma_sq_ce=sigma_ce(self.d_sq_min_nonzero, noise_up, self.eta))
 
     def to_dict(self) -> dict:
-        def entry(value, source):
-            return {"value": value, "source": source}
-
+        own = {"noise_up": self.noise_up_source,
+               "sigma_sq_da": "first-order" if self.da_first_order else "closed-form"}
         return {
             "format": "skg-selection-report-v1",
-            "d_sq_max": entry(self.d_sq_max, "pairwise-scan"),
-            "d_sq_min_nonzero": entry(self.d_sq_min_nonzero, "pairwise-scan"),
-            "noise_up": entry(self.noise_up, self.noise_up_source),
-            "sigma_sq_ed": entry(self.sigma_sq_ed, "closed-form"),
-            "sigma_sq_ce": entry(self.sigma_sq_ce, "closed-form"),
-            "sigma_sq_da": entry(
-                self.sigma_sq_da, "first-order" if self.da_first_order else "closed-form"
-            ),
-            "closeness": entry(self.closeness, "parameter"),
+            **{key: {"value": getattr(self, key), "source": tag or own[key]}
+               for key, tag in _TAGS.items()},
             "inputs": {"eta": self.eta, "n_features": self.n_features},
         }
 
+
+# The report's tagged numbers, in report order, with their provenance tags; None marks a
+# tag the report itself carries (see :meth:`SelectionReport.to_dict`).
+_TAGS = {"d_sq_max": "pairwise-scan", "d_sq_min_nonzero": "pairwise-scan", "noise_up": None,
+         "sigma_sq_ed": "closed-form", "sigma_sq_ce": "closed-form", "sigma_sq_da": None,
+         "closeness": "parameter"}
 
 SELECTION_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "skg selection report",
     "type": "object",
-    "required": [
-        "format", "d_sq_max", "d_sq_min_nonzero", "noise_up",
-        "sigma_sq_ed", "sigma_sq_ce", "sigma_sq_da", "closeness", "inputs",
-    ],
+    "required": ["format", *_TAGS, "inputs"],
     "properties": {
         "format": {"const": "skg-selection-report-v1"},
-        "d_sq_max": {"$ref": "#/definitions/tagged"},
-        "d_sq_min_nonzero": {"$ref": "#/definitions/tagged"},
-        "noise_up": {"$ref": "#/definitions/tagged"},
-        "sigma_sq_ed": {"$ref": "#/definitions/tagged"},
-        "sigma_sq_ce": {"$ref": "#/definitions/tagged"},
-        "sigma_sq_da": {"$ref": "#/definitions/tagged"},
-        "closeness": {"$ref": "#/definitions/tagged"},
+        **{key: {"$ref": "#/definitions/tagged"} for key in _TAGS},
         "inputs": {
             "type": "object",
             "required": ["eta", "n_features"],

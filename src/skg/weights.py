@@ -42,24 +42,6 @@ _BLOCK = 64
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    """Dense pairwise similarities for one processing sequence.
-
-    ``values[p, q]`` is defined for 0 <= p < q < n (0-based step times;
-    the diagonal and lower triangle are not part of the contract).
-    Memory is O(n^2) by design; construction is capped to keep that
-    honest.
-    """
-
-    values: np.ndarray
-    eta: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class WeightTrace:
     """Contribution weights toward one target time.
 
@@ -112,13 +94,11 @@ def similarity_conditional_variance(d_sq: float, sigma_sq: float, eta: float,
     return (2.0 * eta) ** 2 / (2.0 * n_features) * (math.expm1(-d_sq / sigma_sq)) ** 2
 
 
-def similarity_matrix(features: np.ndarray, eta: float,
-                      max_steps: int = 5000) -> SimilarityMatrix:
-    """Similarities for a full processing sequence of feature vectors.
+def similarity_matrix(features: np.ndarray, eta: float, max_steps: int = 5000) -> np.ndarray:
+    """Similarities (T, T) of the ``features`` of a processing sequence, one row per step.
 
-    ``features`` holds one row per step, in processing order. Sequences
-    longer than ``max_steps`` are refused: the dense matrix is the honest
-    O(n^2) cost of the exact recursion.
+    Entry [p, q] is defined for 0-based times p < q. Sequences longer than ``max_steps`` are
+    refused: the dense matrix is the honest O(T^2) cost of the exact recursion.
     """
     z = np.asarray(features, dtype=np.float64)
     if z.ndim != 2:
@@ -126,25 +106,9 @@ def similarity_matrix(features: np.ndarray, eta: float,
     if not eta > 0:
         raise ArgumentError(f"eta must be positive, got {eta}")
     if z.shape[0] > max_steps:
-        raise ArgumentError(
-            f"sequence of {z.shape[0]} steps exceeds the cap of {max_steps}; "
-            "raise max_steps explicitly to accept the O(n^2) memory"
-        )
-    return SimilarityMatrix(values=2.0 * eta * (z @ z.T), eta=float(eta))
-
-
-def _backward_recursion(block: np.ndarray, target_column: np.ndarray) -> np.ndarray:
-    """Weights toward a target from its similarity column and the earlier block.
-
-    ``block[p, q]`` must hold similarities for 0 <= p < q < t and
-    ``target_column[i]`` the similarity of step i to the target; returns
-    F over i = 0..t-1.
-    """
-    t = target_column.size
-    weights = np.zeros(t, dtype=np.float64)
-    for i in range(t - 1, -1, -1):
-        weights[i] = target_column[i] - block[i, i + 1:t] @ weights[i + 1:t]
-    return weights
+        raise ArgumentError(f"sequence of {z.shape[0]} steps exceeds the cap of {max_steps}; "
+                            "raise max_steps explicitly to accept the O(n^2) memory")
+    return 2.0 * eta * (z @ z.T)
 
 
 def _alphas(weights: np.ndarray, similarities: np.ndarray):
@@ -163,17 +127,18 @@ def _alphas(weights: np.ndarray, similarities: np.ndarray):
     return alpha, valid
 
 
-def contribution_weights(matrix: SimilarityMatrix, target: int) -> WeightTrace:
-    """Exact contribution weights toward 1-based time ``target``."""
-    n = matrix.n_steps
-    if not 2 <= target <= n:
-        raise ArgumentError(f"target must lie in [2, {n}], got {target}")
-    needed = matrix.values[:target, :target]
-    if not np.all(np.isfinite(needed[np.triu_indices(target, k=1)])):
+def contribution_weights(matrix: np.ndarray, target: int) -> WeightTrace:
+    """Exact contribution weights toward 1-based time ``target`` from the similarities of
+    :func:`similarity_matrix`, by the definitional backward recursion, one step at a time."""
+    if not 2 <= target <= matrix.shape[0]:
+        raise ArgumentError(f"target must lie in [2, {matrix.shape[0]}], got {target}")
+    if not np.all(np.isfinite(matrix[:target, :target][np.triu_indices(target, k=1)])):
         raise StateError("similarity matrix has missing entries below the target")
-    column = matrix.values[: target - 1, target - 1]
-    block = matrix.values[: target - 1, : target - 1]
-    weights = _backward_recursion(block, column)
+    t = target - 1
+    column = matrix[:t, t]
+    weights = np.zeros(t, dtype=np.float64)
+    for i in range(t - 1, -1, -1):
+        weights[i] = column[i] - matrix[i, i + 1:t] @ weights[i + 1:]
     alpha, valid = _alphas(weights, column)
     return WeightTrace(target=int(target), weights=weights, similarities=column.copy(),
                        alpha=alpha, alpha_valid=valid, noise_up=float(abs(weights.min())))

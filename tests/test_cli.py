@@ -93,6 +93,7 @@ class TestSelect:
         assert code == 0
         report = json.loads(stdout)
         jsonschema.validate(report, SELECTION_REPORT_SCHEMA)
+        assert list(report) == SELECTION_REPORT_SCHEMA["required"]
         assert report["noise_up"]["source"] == "theoretical"
         first = out.read_bytes()
         code, _, _ = run_cli(capsys, "select", "--graph", str(edges), "--values",
@@ -229,13 +230,16 @@ class TestStats:
 
     def test_invalid_config_exits_2_and_writes_nothing(self, tiny_dataset_files, tmp_path,
                                                        capsys):
-        # stats builds a RunConfig like every other subcommand, so it validates it too
+        # stats builds a RunConfig like every other subcommand, so it validates it too, from
+        # a flag or from a config file
         edges, _ = tiny_dataset_files
-        out, hist = tmp_path / "stats.json", tmp_path / "hist.csv"
-        code, stdout, err = run_cli(capsys, "stats", "--graph", str(edges), "--eta", "2",
-                                    "--out", str(out), "--hist-out", str(hist))
-        assert code == 2 and stdout == "" and err.startswith("error:") and "eta" in err
-        assert not out.exists() and not hist.exists()
+        out, hist, config = tmp_path / "stats.json", tmp_path / "hist.csv", tmp_path / "c.json"
+        config.write_text('{"normalization": "bogus"}')
+        for flags, named in ((["--eta", "2"], "eta"), (["--config", str(config)], "bogus")):
+            code, stdout, err = run_cli(capsys, "stats", "--graph", str(edges), *flags,
+                                        "--out", str(out), "--hist-out", str(hist))
+            assert code == 2 and stdout == "" and err.startswith("error:") and named in err
+            assert not out.exists() and not hist.exists()
 
 
 @pytest.fixture(scope="module")
@@ -645,6 +649,10 @@ def _first(key, value):
     return edit
 
 
+# weighted triangles: one weight's square overflows float64, or one vector's squared norm does
+_OVERFLOWING = ("a,b,2e154\nb,c,1\na,c,1\n", "a,b,1e200\nb,c,0.5\na,c,0.5\n")
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("command, flag", [
         ("stats", "--graph"), ("select", "--graph"), ("select", "--values"),
@@ -767,11 +775,17 @@ class TestMalformedInputs:
         ("a,b\nb,c\n", ["sweep", "--repeats", "1", "--grid-points", "3"]),
         ("a,b\nb,c\n", ["train", "--sigma-sq", "1", "--fraction", "0.1"]),
         ("a,b\nb,c\n", ["analyze", "--sigma-sq", "1"]),
+        *[(text, [*argv, "--weighted", "--fraction", "1"]) for text in _OVERFLOWING
+          for argv in (["select"], ["stats"], ["analyze", "--sigma-sq", "1"])],
     ], ids=["stats-no-node", "select-no-node", "stats-one-sampled", "select-one-sampled",
             "train-auto-one-sampled", "sweep-one-sampled", "train-none-sampled",
-            "analyze-scatter-one-sampled"])
+            "analyze-scatter-one-sampled", "select-weight-square-overflows",
+            "stats-weight-square-overflows", "analyze-scatter-weight-square-overflows",
+            "select-norm-overflows", "stats-norm-overflows", "analyze-scatter-norm-overflows"])
     def test_too_small_a_sample_exits_4(self, tmp_path, capsys, text, argv):
-        # a split that samples no node, or one too few to scan, is degenerate input
+        # a split that samples no node, or one too few to scan, is degenerate input; a
+        # weight whose square, or a vector whose squared norm, overflows float64 is refused
+        # before the scan
         edges, values, out = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "out"
         edges.write_text(text, encoding="utf-8")
         values.write_text("a,1\nb,2\nc,3\n", encoding="utf-8")
@@ -781,6 +795,7 @@ class TestMalformedInputs:
         code, stdout, err = run_cli(capsys, *argv, *files, outputs[argv[0]], str(out))
         assert code == 4 and stdout == "" and "Traceback" not in err
         assert err.startswith("error:") and not out.exists()
+        assert ("overflow" in err) == (text in _OVERFLOWING)
 
     def test_values_of_nodes_without_edges_are_ignored(self, tmp_path, capsys):
         # a node with no edge is absent from the edge list, but may have a value
@@ -928,6 +943,29 @@ def test_missing_output_directory_exits_3_before_any_work(tiny_dataset_files, tm
     assert err == f"error: {flag} {missing}: no such directory\n"
     assert list(out_dir.iterdir()) == [] and not missing.parent.exists()
     assert adjacency_builds == []
+
+
+@pytest.mark.parametrize("command, outputs, formats", [
+    ("select", ["--out", "-"], ["skg-selection-report-v1"]),
+    ("stats", ["--out", "-"], [None]),
+    ("train", ["--model-out", "-"], ["skg-model-v1", None]),
+    ("train", ["--model-out", "m.json", "--split-out", "-"], ["skg-split-v1", None]),
+], ids=["select---out", "stats---out", "train---model-out", "train---split-out"])
+def test_a_dash_output_is_stdout_alone(tiny_dataset_files, tmp_path, capsys, monkeypatch,
+                                       command, outputs, formats):
+    # "-" is stdout for every output option: the JSON written there is printed once, before
+    # a train summary, and no file named "-" is made
+    edges, values = tiny_dataset_files
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--graph", str(edges), "--features", "16", *outputs]
+    code, stdout, err = run_cli(capsys, *argv, *["--values", str(values)] * (command != "stats"))
+    assert code == 0, err
+    printed, rest = [], stdout
+    while rest:
+        document, end = json.JSONDecoder().raw_decode(rest)
+        printed.append(document.get("format"))
+        rest = rest[end:].lstrip()
+    assert printed == formats and not (tmp_path / "-").exists()
 
 
 class TestSweepCommand:

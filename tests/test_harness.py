@@ -273,6 +273,35 @@ class TestSweep:
         parallel = sweep(small_ds, grid, repeats=2, base_seed=5, jobs=2)
         assert [r.gnmse_mean for r in serial] == [r.gnmse_mean for r in parallel]
 
+    def test_a_pool_is_never_wider_than_the_seeds(self, small_ds, monkeypatch):
+        # a pool forks all its workers at its first task, so idle ones would each cost a
+        # process; the fake records the width asked for and maps in this process
+        import concurrent.futures
+
+        widths = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        grid = SweepGrid(sigma_sq_values=(1.0, 4.0), config=RunConfig(n_features=16))
+        wide = sweep(small_ds, grid, repeats=2, base_seed=5, jobs=64)
+        assert widths == [2]
+        single = sweep(small_ds, grid, repeats=1, base_seed=5, jobs=4)
+        assert widths == [2]  # one seed runs in this process, with no pool
+        assert wide == sweep(small_ds, grid, repeats=2, base_seed=5)
+        assert single == sweep(small_ds, grid, repeats=1, base_seed=5)
+
     def test_fixed_split_isolates_bank_randomness(self, small_ds):
         cfg = RunConfig(n_features=32)
         grid = SweepGrid(sigma_sq_values=(2.0,), config=cfg)
@@ -481,6 +510,8 @@ class TestRunConfig:
             RunConfig(sample_fraction=0.0)
         with pytest.raises(ArgumentError):
             RunConfig(closeness=0.6)
+        with pytest.raises(ArgumentError, match="bogus"):
+            RunConfig(normalization="bogus")
         # (1 - 2*eta) must contract: eta outside (0, 1) diverges or oscillates
         bank = skg.sample_bank(2.0, 8, 3, seed=0)
         for eta in (1.0, 1.5, 5.0, -0.1):

@@ -104,15 +104,14 @@ class TestContributionWeights:
     def test_final_weight_equals_similarity(self):
         values = np.zeros((4, 4))
         values[np.triu_indices(4, k=1)] = [0.11, 0.12, 0.13, 0.21, 0.22, 0.31]
-        matrix = skg.SimilarityMatrix(values=values, eta=0.1)
-        trace = contribution_weights(matrix, target=4)
+        trace = contribution_weights(values, target=4)
         assert trace.weights[-1] == values[2, 3]
 
     def test_three_step_recursion_by_hand(self):
         values = np.zeros((4, 4))
         b12, b13, b14, b23, b24, b34 = 0.11, 0.12, 0.13, 0.21, 0.22, 0.31
         values[np.triu_indices(4, k=1)] = [b12, b13, b14, b23, b24, b34]
-        trace = contribution_weights(skg.SimilarityMatrix(values=values, eta=0.1), target=4)
+        trace = contribution_weights(values, target=4)
         f34 = b34
         f24 = b24 - b23 * b34
         f14 = b14 - b12 * f24 - b13 * f34
@@ -129,9 +128,8 @@ class TestContributionWeights:
             contribution_weights(matrix, target=1)
         with pytest.raises(ArgumentError):
             contribution_weights(matrix, target=4)
-        holed = skg.SimilarityMatrix(values=np.full((3, 3), np.nan), eta=0.1)
         with pytest.raises(StateError):
-            contribution_weights(holed, target=3)
+            contribution_weights(np.full((3, 3), np.nan), target=3)
 
     def test_sequence_cap_is_enforced(self):
         with pytest.raises(ArgumentError, match="cap"):
@@ -285,7 +283,7 @@ class TestConformityAlpha:
         matrix = np.zeros((4, 4))
         matrix[:3, :3][np.triu_indices(3, k=1)] = [0.5, 0.5, 0.5]
         matrix[:3, 3] = [0.02, 0.05, 0.1]
-        trace = contribution_weights(skg.SimilarityMatrix(values=matrix, eta=0.1), target=4)
+        trace = contribution_weights(matrix, target=4)
         assert trace.weights[0] < 0 < trace.similarities[0]
         assert not trace.alpha_valid[0] and np.isnan(trace.alpha[0])
 
