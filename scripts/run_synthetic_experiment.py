@@ -84,9 +84,9 @@ def main(argv=None) -> int:
     for name, sigma_sq in regimes.items():
         result = skg.fit_prepared(prepared, config, sigma_sq, seed=args.seed,
                                   probe_node=prepared.tested[0])
-        write_bf_trace_csv(out_dir / f"trace_{name}.csv", skg.export_bf_trace(result))
+        write_bf_trace_csv(out_dir / f"trace_{name}.csv", result.trace)
         print(f"trace[{name}] sigma_sq={sigma_sq:.4f} gnmse={result.gnmse:.4f} "
-              f"probe={result.probe_node}")
+              f"probe={prepared.tested[0]}")
 
     # the sampled matrix's nonzero record, already built for selection: no second arc sort
     rows = skg.export_scatter(prepared._nonzeros, prepared.train_values)

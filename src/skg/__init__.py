@@ -18,9 +18,8 @@ from .graph_data import (Dataset, Graph, PairwiseStats, TrainingSet,
                          load_graph, load_values, pairwise_histogram, pairwise_stats,
                          read_split_manifest, split_sample, write_split_manifest)
 from .harness import (GnmseResult, PreparedSplit, RunConfig, RunResult, SweepGrid,
-                      default_grid, export_bf_trace, export_scatter, fit_prepared, gnmse,
-                      prepare, resolve_sigma_sq, run_once, select_prepared, sweep,
-                      write_sweep_csv)
+                      default_grid, export_scatter, fit_prepared, gnmse, prepare,
+                      resolve_sigma_sq, run_once, select_prepared, sweep, write_sweep_csv)
 from .model import SkgModel, TrainingTrace, load_model, save_model
 from .rff import (RandomFeatureBank, feature_map, feature_matrix, kernel_exact, sample_bank,
                   sample_banks)

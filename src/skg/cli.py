@@ -25,9 +25,9 @@ from .errors import ArgumentError, DataError, NumericError, SkgError
 from .graph_data import (NORMALIZATION_POLICIES, _Nonzeros, _node_index, _open_out, _read_text,
                          drop_isolated, load_dataset, load_graph, load_values, pairwise_histogram,
                          read_split_manifest, split_sample, write_csv, write_split_manifest)
-from .harness import (RunConfig, SweepGrid, default_grid, export_bf_trace, export_scatter,
-                      fit_prepared, gnmse, prepare, resolve_sigma_sq, select_prepared, sweep,
-                      write_bf_trace_csv, write_scatter_csv, write_sweep_csv)
+from .harness import (RunConfig, SweepGrid, default_grid, export_scatter, fit_prepared, gnmse,
+                      prepare, resolve_sigma_sq, select_prepared, sweep, write_bf_trace_csv,
+                      write_scatter_csv, write_sweep_csv)
 from .model import load_model, save_model, write_training_trace_csv
 
 
@@ -176,17 +176,17 @@ def cmd_select(args) -> int:
 def cmd_train(args) -> int:
     config, seed, prepared, sigma_sq = _prepare_at_sigma(args)
     result = fit_prepared(prepared, config, sigma_sq, seed)
-    save_model(args.model_out, result.model, referencing=result.sampled,
-               value_scale=result.value_scale)
+    save_model(args.model_out, result.model, referencing=prepared.sampled,
+               value_scale=prepared.value_scale)
     if args.split_out:
-        write_split_manifest(args.split_out, result.sampled, result.tested,
+        write_split_manifest(args.split_out, prepared.sampled, prepared.tested,
                              seed, config.sample_fraction)
     if args.trace_out:
         write_training_trace_csv(args.trace_out, result.training_trace)
     _emit({
         "sigma_sq": sigma_sq,
-        "n_sampled": len(result.sampled),
-        "n_tested": len(result.tested),
+        "n_sampled": len(prepared.sampled),
+        "n_tested": len(prepared.tested),
         "duration": result.training_trace.duration,
         "test_gnmse": result.gnmse,
         "model": args.model_out,
@@ -267,7 +267,7 @@ def cmd_analyze(args) -> int:
         write_scatter_csv(args.scatter_out, rows)
         summary.update(scatter_out=args.scatter_out, scatter_rows=int(rows.shape[0]))
     if args.trace_out:  # after the scatter, which can fail: a failing run writes no file
-        write_bf_trace_csv(args.trace_out, export_bf_trace(result))
+        write_bf_trace_csv(args.trace_out, result.trace)
     _emit(summary)
     return 0
 

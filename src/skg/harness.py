@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, DegenerateInputError, NumericError, StateError
+from .errors import ArgumentError, DataError, DegenerateInputError, NumericError
 from .graph_data import (NORMALIZATION_POLICIES, Dataset, Graph, _Nonzeros, _pair_rows,
                          _scan_input, apply_normalization, split_sample, write_csv)
 from .model import SkgModel, TrainingTrace, _train_lockstep, training_order
@@ -85,23 +85,6 @@ class GnmseResult:
     gnmse_mean: float
     gnmse_std: float
     repeats: int
-    seeds: tuple
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Artifacts of one pipeline run."""
-
-    gnmse: float
-    sampled: tuple
-    tested: tuple
-    value_scale: float
-    predictions: np.ndarray
-    test_values: np.ndarray
-    model: SkgModel
-    training_trace: TrainingTrace
-    trace: WeightTrace | None = None
-    probe_node: object = None
 
 
 def gnmse(y_true, y_pred) -> float:
@@ -153,6 +136,19 @@ class PreparedSplit:
     @functools.cached_property
     def _test_nonzeros(self) -> _Nonzeros:
         return _Nonzeros.of_graph(self.graph, self.tested, self.sampled)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Artifacts of one pipeline run on ``prepared``, its split: ``predictions`` of its tested
+    nodes and their ``gnmse``, and the probe node's weight ``trace`` when one was named."""
+
+    gnmse: float
+    predictions: np.ndarray
+    model: SkgModel
+    training_trace: TrainingTrace
+    prepared: PreparedSplit
+    trace: WeightTrace | None = None
 
 
 def prepare(dataset: Dataset, config: RunConfig, seed: int) -> PreparedSplit:
@@ -219,12 +215,8 @@ def fit_prepared(prepared: PreparedSplit, config: RunConfig, sigma_sq: float, se
         probe = feature_matrix(skg.bank, prepared._test_nonzeros.take([tested.index(probe_node)]))
         trace = probe_weight_traces(ordered, probe, config.eta)[0]
 
-    return RunResult(
-        gnmse=gnmse(prepared.test_values, predictions), sampled=prepared.sampled, tested=tested,
-        value_scale=prepared.value_scale, predictions=predictions,
-        test_values=prepared.test_values, model=skg, training_trace=training_trace,
-        trace=trace, probe_node=probe_node,
-    )
+    return RunResult(gnmse=gnmse(prepared.test_values, predictions), predictions=predictions,
+                     model=skg, training_trace=training_trace, prepared=prepared, trace=trace)
 
 
 def default_grid(report: SelectionReport, config: RunConfig, points: int = 25) -> SweepGrid:
@@ -318,12 +310,8 @@ def sweep(dataset: Dataset, grid: SweepGrid, repeats: int = 50, base_seed: int =
     for i, sigma_sq in enumerate(grid.sigma_sq_values):
         row = scores[i]
         std = float(row.std(ddof=1)) if row.size > 1 else 0.0
-        results.append(
-            GnmseResult(
-                sigma_sq=float(sigma_sq), gnmse_mean=float(row.mean()), gnmse_std=std,
-                repeats=row.size, seeds=tuple(seeds),
-            )
-        )
+        results.append(GnmseResult(sigma_sq=float(sigma_sq), gnmse_mean=float(row.mean()),
+                                   gnmse_std=std, repeats=row.size))
     return results
 
 
@@ -358,17 +346,11 @@ def write_scatter_csv(path, rows: np.ndarray) -> None:
     write_csv(path, ("d_sq", "abs_dy"), rows)
 
 
-def export_bf_trace(result: RunResult) -> list[tuple]:
-    """Rows (i, B, F, alpha, alpha_flag) for the retained probe trace."""
-    if result.trace is None:
-        raise StateError("run was executed without trace retention")
-    trace = result.trace
+def write_bf_trace_csv(path, trace: WeightTrace) -> None:
+    """Write a probe's weight trace as ``i,B,F,alpha,alpha_flag`` rows (i from 1); alpha is
+    empty and the flag 0 where ``alpha_valid`` is false."""
     valid = trace.alpha_valid.tolist()
-    return list(zip(range(1, len(valid) + 1), trace.similarities.tolist(), trace.weights.tolist(),
-                    [a if ok else None for a, ok in zip(trace.alpha.tolist(), valid)], valid))
-
-
-def write_bf_trace_csv(path, rows) -> None:
-    """Write probe-trace rows as ``i,B,F,alpha,alpha_flag``."""
     write_csv(path, ("i", "B", "F", "alpha", "alpha_flag"),
-              ((i, b, f, alpha, int(valid)) for i, b, f, alpha, valid in rows))
+              zip(range(1, len(valid) + 1), trace.similarities.tolist(), trace.weights.tolist(),
+                  [a if ok else None for a, ok in zip(trace.alpha.tolist(), valid)],
+                  map(int, valid)))

@@ -34,16 +34,6 @@ class TrainingTrace:
     predictions: np.ndarray
     errors: np.ndarray
 
-    def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
-        predictions = np.asarray(self.predictions, dtype=np.float64)
-        errors = np.asarray(self.errors, dtype=np.float64)
-        if not (order.shape == predictions.shape == errors.shape) or order.ndim != 1:
-            raise ArgumentError("order, predictions and errors must be 1-d and equally long")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "predictions", predictions)
-        object.__setattr__(self, "errors", errors)
-
     @property
     def duration(self) -> int:
         return self.order.size
@@ -95,9 +85,10 @@ class SkgModel:
 
 def _train_lockstep(features, values, epochs: int, seed: int, state, eta: float) -> list:
     """Every run's training: the rows of ``state`` (S, D), trained in place on features
-    (n, S, D) in the seed's visit order, as :func:`sgd_pass`; one trace per row."""
-    if not np.all(np.isfinite(features)) or not np.all(np.isfinite(values)):
-        raise NumericError("non-finite features or values in training set")
+    (n, S, D) in the seed's visit order, as :func:`sgd_pass`; one trace per row. Features are
+    finite: :func:`rff._fill_features` refuses a non-finite phase."""
+    if not np.all(np.isfinite(values)):
+        raise NumericError("non-finite values in training set")
     order = training_order(len(values), epochs, seed)
     predictions = sgd_pass(features, order, values, state, eta)
     errors = values[order][:, None] - predictions

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 from .graph_data import _Nonzeros
 
 
@@ -32,12 +32,6 @@ class RandomFeatureBank:
     frequencies: np.ndarray
     sigma_sq: float
     seed: int
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        if freqs.ndim != 2:
-            raise ArgumentError(f"frequencies must be 2-d, got shape {freqs.shape}")
-        object.__setattr__(self, "frequencies", freqs)
 
     @property
     def n_features(self) -> int:
@@ -100,13 +94,18 @@ def _fill_features(banks, record: _Nonzeros, out: np.ndarray) -> np.ndarray:
     """The features of ``record``'s rows under each of ``banks`` (of one size) in ``out``
     (n, S, 2*n_features), from blocks of 256 to 511 rows (all, when fewer), each made dense once
     for all banks. Shorter blocks, or a bank of 3 or 199 features at any block size, can change
-    the bits that one whole phase product gives, so every feature matrix is made from these."""
+    the bits that one whole phase product gives, so every feature matrix is made from these.
+    A phase that is not finite raises :class:`NumericError`."""
     half = out.shape[-1] // 2
     cuts = [*range(0, max(len(out) // 256, 1) * 256, 256), len(out)]
     for start, stop in zip(cuts, cuts[1:]):
         block = record.dense(slice(start, stop))
         for s, bank in enumerate(banks):
-            phase = block @ bank.frequencies.T
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, before sin/cos
+                phase = block @ bank.frequencies.T
+            if not np.isfinite(phase).all():
+                raise NumericError("feature phases overflow float64: edge weights too large for "
+                                   "the kernel variance")
             # sin and cos go straight into the two halves: no concatenated copy
             np.sin(phase, out=out[start:stop, s, :half])
             np.cos(phase, out=out[start:stop, s, half:])

@@ -44,9 +44,9 @@ class SelectionReport:
 
     def refined(self, noise_up: float) -> SelectionReport:
         """This report with a run-measured ceiling; a ceiling of 0 keeps the theoretical one."""
-        if noise_up >= 2.0 * self.eta:
-            raise NumericError(f"refined noise ceiling {noise_up} reached 2*eta; run diverged, "
-                               "check eta and epochs")
+        if not noise_up < 2.0 * self.eta:  # NaN too
+            raise NumericError(f"refined noise ceiling {noise_up} is not below 2*eta; run "
+                               "diverged, check eta and epochs")
         if not noise_up > 0.0:
             return self
         return replace(self, noise_up=noise_up, noise_up_source="refined",

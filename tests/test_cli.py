@@ -548,6 +548,21 @@ class TestTrainPredict:
         if code == 0:
             assert err == "" and math.isfinite(strict_json(stdout.splitlines()[-1])["gnmse"])
 
+    @pytest.mark.parametrize("edge_text, flags", [
+        ("a,b,1e308\nb,c,1\nc,d,1\nd,a,1\n", ("--sigma-sq", "1", "--fraction", "0.75")),
+        # the tested node e reads the huge weight: its prediction, not training, overflows
+        ("a,b,1\nb,c,1\nc,d,1\nd,a,1\ne,a,1e308\n",
+         ("--directed", "--fraction", "0.8", "--seed", "4"))], ids=["training", "tested"])
+    def test_overflowing_phases_exit_4_and_write_nothing(self, tmp_path, capsys, edge_text,
+                                                         flags):
+        edges, values, model = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "m.json"
+        edges.write_text(edge_text)
+        values.write_text("a,1\nb,2\nc,3\nd,4\ne,5\n")
+        code, stdout, err = run_cli(capsys, "train", "--graph", str(edges), "--values",
+                                    str(values), "--weighted", *flags, "--model-out", str(model))
+        assert (code, stdout) == (4, "") and err.count("\n") == 1 and "phases overflow" in err
+        assert not model.exists()
+
     def test_underflowing_values_are_scored(self, tmp_path, capsys):
         # t @ t rounds to 0.0 on values of 1e-170, although none of them is zero
         edges, values, model = tmp_path / "g.csv", tmp_path / "v.csv", tmp_path / "m.json"

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 import skg
 from skg import harness
-from skg.errors import (ArgumentError, DataError, DegenerateInputError, NumericError, SkgError,
-                        StateError)
+from skg.errors import ArgumentError, DataError, DegenerateInputError, NumericError, SkgError
 from skg.graph_data import apply_normalization, build_adjacency_vectors
-from skg.harness import (RunConfig, SweepGrid, default_grid, export_bf_trace,
-                         export_scatter, fit_prepared, gnmse, prepare, run_once,
-                         select_prepared, sweep, write_bf_trace_csv, write_sweep_csv)
+from skg.harness import (RunConfig, SweepGrid, default_grid, export_scatter, fit_prepared,
+                         gnmse, prepare, run_once, select_prepared, sweep, write_bf_trace_csv,
+                         write_sweep_csv)
 from skg.synthetic import planted_community_dataset
 
 from conftest import require_data
@@ -124,7 +123,7 @@ class TestRunOnce:
         r2 = run_once(planted_small_dataset, cfg, 5.0, seed=3)
         assert r1.gnmse == r2.gnmse
         assert np.array_equal(r1.predictions, r2.predictions)
-        assert r1.sampled == r2.sampled
+        assert r1.prepared.sampled == r2.prepared.sampled
 
     def test_identical_values_average_out_in_the_flat_regime(self):
         # constant nodal values: far above the selected variance the model
@@ -140,10 +139,9 @@ class TestRunOnce:
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         plain = fit_prepared(prepared, cfg, 5.0, seed=3)
-        assert plain.trace is None and plain.probe_node is None
-        probe = prepared.tested[1]
-        result = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=probe)
-        assert result.trace is not None and result.probe_node == probe
+        assert plain.trace is None and plain.prepared is prepared
+        result = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[1])
+        assert result.trace is not None and result.prepared is prepared
         assert result.trace.weights.size == result.training_trace.duration
         assert result.gnmse == plain.gnmse
         for not_tested in (prepared.sampled[0], "no-such-node"):
@@ -244,7 +242,7 @@ class TestRunOnce:
         base = run_once(planted_small_dataset, cfg, 5.0, seed=3)
         pinned = prepare(planted_small_dataset, cfg, seed=3)  # the split of seed 3
         moved = fit_prepared(pinned, cfg, 5.0, seed=4)
-        assert moved.sampled == base.sampled
+        assert moved.prepared.sampled == base.prepared.sampled
         assert moved.gnmse != base.gnmse  # bank/order randomness still moves
 
 
@@ -264,7 +262,7 @@ class TestSweep:
         forward = sweep(small_ds, grid, repeats=4, base_seed=1)
         backward = [sweep(small_ds, grid, repeats=1, base_seed=seed)[0].gnmse_mean
                     for seed in (4, 3, 1, 2)]
-        assert forward[0].seeds == (1, 2, 3, 4)
+        assert forward[0].repeats == 4
         assert forward[0].gnmse_mean == pytest.approx(np.mean(backward), rel=1e-12)
 
     def test_parallel_equals_sequential(self, small_ds):
@@ -357,7 +355,7 @@ class TestSweep:
         grid = default_grid(report, RunConfig(), points=25)
         assert len(grid.sigma_sq_values) == 25 and grid.sigma_sq_values[12] == ed
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, [harness.GnmseResult(v, 0.5, 0.0, 1, (0,))
+        write_sweep_csv(path, [harness.GnmseResult(v, 0.5, 0.0, 1)
                                for v in grid.sigma_sq_values],
                         marked_sigma_sq=grid.marked_sigma_sq)
         marked = [line for line in path.read_text().splitlines() if line.endswith(",true")]
@@ -493,11 +491,10 @@ class TestLockstepGrid:
             object.__setattr__(prepared, "_nonzeros",
                                skg.graph_data._Nonzeros(record.shape, record.flat, values))
         sigma_sq = math.inf if case == "infinite variance" else 2.0
-        with np.errstate(invalid="ignore"):  # sin/cos of an infinite phase
-            with pytest.raises(SkgError) as single:
-                fit_prepared(prepared, cfg, sigma_sq, 0, **probe)
-            with pytest.raises(type(single.value)):
-                list(harness._fit_grid(prepared, cfg, (1.0, sigma_sq), 0))
+        with pytest.raises(SkgError) as single:
+            fit_prepared(prepared, cfg, sigma_sq, 0, **probe)
+        with pytest.raises(type(single.value)):
+            list(harness._fit_grid(prepared, cfg, (1.0, sigma_sq), 0))
         assert type(single.value) is (DegenerateInputError if untested else {
             "infinite variance": ArgumentError}.get(case, NumericError))
 
@@ -575,31 +572,26 @@ class TestExports:
             rows = export_scatter(vectors, values)
             assert np.array_equal(rows, _scatter_rows(vectors, values))
 
-    def test_bf_trace_rows_and_state_error(self, planted_small_dataset):
+    def test_bf_trace_csv_rows(self, planted_small_dataset, tmp_path):
         cfg = RunConfig(n_features=64)
-        plain = run_once(planted_small_dataset, cfg, 5.0, seed=3)
-        with pytest.raises(StateError):
-            export_bf_trace(plain)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
-        kept = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
-        rows = export_bf_trace(kept)
-        assert len(rows) == kept.training_trace.duration
-        assert rows[0][0] == 1 and rows[-1][0] == len(rows)
-        # the per-index rows, value types included
-        trace = kept.trace
-        expected = [(i + 1, float(trace.similarities[i]), float(trace.weights[i]),
-                     float(trace.alpha[i]) if trace.alpha_valid[i] else None,
-                     bool(trace.alpha_valid[i])) for i in range(trace.weights.size)]
-        assert rows == expected
-        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row))
-                                                           for row in expected]
+        trace = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0]).trace
+        path = tmp_path / "bf.csv"
+        write_bf_trace_csv(path, trace)
+        # i from 1, then B and F as exact reprs, alpha empty and flag 0 where it is not valid
+        expected = [f"{i + 1},{b!r},{f!r},{a!r},1" if ok else f"{i + 1},{b!r},{f!r},,0"
+                    for i, (b, f, a, ok) in enumerate(zip(
+                        trace.similarities.tolist(), trace.weights.tolist(),
+                        trace.alpha.tolist(), trace.alpha_valid.tolist()))]
+        assert path.read_text().splitlines()[1:] == expected
+        assert trace.alpha_valid.any() and not trace.alpha_valid.all()
 
     def test_bf_trace_csv_layout(self, planted_small_dataset, tmp_path):
         cfg = RunConfig(n_features=64)
         prepared = prepare(planted_small_dataset, cfg, seed=3)
         kept = fit_prepared(prepared, cfg, 5.0, seed=3, probe_node=prepared.tested[0])
         path = tmp_path / "bf.csv"
-        write_bf_trace_csv(path, export_bf_trace(kept))
+        write_bf_trace_csv(path, kept.trace)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "i,B,F,alpha,alpha_flag"
         assert len(lines) == 1 + kept.training_trace.duration

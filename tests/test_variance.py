@@ -131,11 +131,13 @@ class TestSelect:
             assert report.sigma_sq_ed > 0
 
     def test_refined_ceiling_domain(self):
-        # a zero ceiling keeps the theoretical report; one at 2*eta means the run diverged
+        # a zero ceiling keeps the theoretical report; one at 2*eta means the run diverged,
+        # and a NaN one too: it must not fall through to the theoretical ceiling
         report = select(self.make_vectors(), eta=0.1, n_features=200)
         assert report.refined(0.0) is report
-        with pytest.raises(NumericError, match="diverged"):
-            report.refined(0.2)
+        for bad in (0.2, math.nan):
+            with pytest.raises(NumericError, match="diverged"):
+                report.refined(bad)
         assert report.refined(0.005).sigma_sq_ed < report.sigma_sq_ed
 
     def test_first_order_flag_propagates(self):
