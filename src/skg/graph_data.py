@@ -486,10 +486,10 @@ class _Nonzeros:
         shift = np.repeat((np.arange(rows.size) - rows) * m, hi - lo)
         return _Nonzeros((rows.size, m), flat[at] + shift, values[at])
 
-    def dense(self, rows=None) -> np.ndarray:
-        """The matrix, or its ``rows`` (see :meth:`take`), made dense."""
+    def dense(self, rows=None, out=None) -> np.ndarray:
+        """The matrix, or its ``rows`` (see :meth:`take`), made dense; in ``out``, all zeros."""
         record = self if rows is None else self.take(rows)
-        vectors = np.zeros(record.shape)
+        vectors = np.zeros(record.shape) if out is None else out
         np.put(vectors, record.flat, record.values)
         return vectors
 

@@ -337,8 +337,12 @@ def export_scatter(vectors, values) -> np.ndarray:
     if values.shape != (nonzeros.shape[0],):
         raise ArgumentError(f"values shape {values.shape} does not match "
                             f"{nonzeros.shape[0]} vectors")
-    return np.concatenate([np.column_stack([d_sq, np.abs(values[i + 1:] - values[i])])
-                           for i, d_sq in _pair_rows(nonzeros)])
+    n = len(values)
+    rows = np.empty((n * (n - 1) // 2, 2))
+    for i, d_sq in _pair_rows(nonzeros):  # row i's pairs end where row i + 1's begin
+        at = slice(i * (2 * n - i - 1) // 2, (i + 1) * (2 * n - i - 2) // 2)
+        rows[at, 0], rows[at, 1] = d_sq, np.abs(values[i + 1:] - values[i])
+    return rows
 
 
 def write_scatter_csv(path, rows: np.ndarray) -> None:

@@ -11,6 +11,8 @@ cancellation.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,20 +97,44 @@ def _fill_features(banks, record: _Nonzeros, out: np.ndarray) -> np.ndarray:
     (n, S, 2*n_features), from blocks of 256 to 511 rows (all, when fewer), each made dense once
     for all banks. Shorter blocks, or a bank of 3 or 199 features at any block size, can change
     the bits that one whole phase product gives, so every feature matrix is made from these.
-    A phase that is not finite raises :class:`NumericError`."""
+    Blocks alternate over up to two lanes, one in a helper thread, each making its blocks dense
+    in one buffer made by the caller (made in the helper, they raised the peak footprint); every
+    block keeps its own phase product, so the bits do not depend on the lanes. A phase that is
+    not finite raises :class:`NumericError`."""
     half = out.shape[-1] // 2
     cuts = [*range(0, max(len(out) // 256, 1) * 256, 256), len(out)]
-    for start, stop in zip(cuts, cuts[1:]):
-        block = record.dense(slice(start, stop))
-        for s, bank in enumerate(banks):
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below, before sin/cos
-                phase = block @ bank.frequencies.T
-            if not np.isfinite(phase).all():
-                raise NumericError("feature phases overflow float64: edge weights too large for "
-                                   "the kernel variance")
-            # sin and cos go straight into the two halves: no concatenated copy
-            np.sin(phase, out=out[start:stop, s, :half])
-            np.cos(phase, out=out[start:stop, s, half:])
+    blocks = list(zip(cuts, cuts[1:]))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lanes = min(2, cpus or 1, len(blocks))
+    buffers = [np.zeros((max(stop - start for start, stop in blocks[lane::lanes]), record.shape[1]))
+               for lane in range(lanes)]
+    errors = [None] * lanes
+
+    def fill(lane, dense):
+        try:
+            for start, stop in blocks[lane::lanes]:
+                block = record.dense(slice(start, stop), out=dense[:stop - start])
+                for s, bank in enumerate(banks):
+                    phase = out[start:stop, s, :half]  # replaced by its sin once its cos is taken
+                    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                        np.matmul(block, bank.frequencies.T, out=phase)
+                    if not np.isfinite(phase).all():
+                        raise NumericError("feature phases overflow float64: edge weights too "
+                                           "large for the kernel variance")
+                    np.cos(phase, out=out[start:stop, s, half:])
+                    np.sin(phase, out=phase)
+                np.put(block, record.take(slice(start, stop)).flat, 0.0)  # zeros for the next
+        except BaseException as error:  # raised in the caller once every lane is done
+            errors[lane] = error
+
+    helpers = [threading.Thread(target=fill, args=(1, buffers[1]))] if lanes == 2 else []
+    for thread in helpers:
+        thread.start()
+    fill(0, buffers[0])
+    for thread in helpers:
+        thread.join()
+    for error in filter(None, errors):
+        raise error
     out /= math.sqrt(half)
     return out
 

@@ -406,8 +406,8 @@ def test_no_command_makes_more_than_511_rows_dense(tmp_path, capsys, monkeypatch
     rows = []
     dense = skg.graph_data._Nonzeros.dense
 
-    def counted(record, taken=None):
-        block = dense(record, taken)
+    def counted(record, taken=None, out=None):
+        block = dense(record, taken, out)
         rows.append(block.shape[0])
         return block
 

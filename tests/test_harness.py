@@ -445,15 +445,15 @@ class TestLockstepGrid:
         prepared = prepare(ds, cfg, seed=2)
         record, dense, blocks = prepared._nonzeros, skg.graph_data._Nonzeros.dense, []
 
-        def counted(self, rows=None):
-            made = dense(self, rows)
+        def counted(self, rows=None, out=None):
+            made = dense(self, rows, out)
             if self is record:
                 blocks.append(len(made))
             return made
 
         monkeypatch.setattr(skg.graph_data._Nonzeros, "dense", counted)
         cells = list(harness._fit_grid(prepared, cfg, (0.5, 2.0, 8.0), seed=2))
-        assert len(cells) == 3 and blocks == [256, 304]
+        assert len(cells) == 3 and sorted(blocks) == [256, 304]
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
     def test_parallel_pinned_split_cells_equal_fit_prepared(self, small_ds, monkeypatch,

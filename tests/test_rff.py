@@ -4,8 +4,11 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from scipy import stats as scipy_stats
 
 import skg
 from skg import streams
-from skg.errors import ArgumentError
+from skg.errors import ArgumentError, NumericError
 from skg.graph_data import Graph, _Nonzeros
 from skg.harness import export_scatter
 from skg.model import SkgModel
@@ -182,27 +185,35 @@ def _blocked_features(dense, bank):
     return out / math.sqrt(bank.n_features)
 
 
+# Run on the CPUs given as a JSON list in argv[1], set before numpy starts its BLAS threads.
 # Per (n, m): the rows of each dense block of a record's features and of a two-bank stack,
-# whether the record's features, the stack's slot of that bank and predict_batch equal those
-# of _blocked_features, and whether those equal one whole phase product, bit for bit.
+# sorted, and how many threads made them dense; whether the record's features, the stack's
+# slot of that bank and predict_batch equal those of _blocked_features, and whether those equal
+# one whole phase product, bit for bit; and a digest of the three outputs.
 _BLOCKS_SCRIPT = """
+import hashlib
 import json
 import math
+import os
+import sys
+import threading
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
 import numpy as np
 from skg import graph_data, model, rff
 """ + inspect.getsource(_blocked_features) + """
 class Counted(graph_data._Nonzeros):
     def __init__(self, *args):
         super().__init__(*args)
-        self.blocks = []
+        self.blocks, self.threads = [], []
 
-    def dense(self, rows=None):
-        block = super().dense(rows)
+    def dense(self, rows=None, out=None):
+        block = super().dense(rows, out)
         self.blocks.append(block.shape[0])
+        self.threads.append(threading.get_ident())
         return block
 
 results = []
-for n in (1, 255, 256, 257, 258, 513, 769, 1080, 1620):
+for n in (1, 255, 256, 257, 258, 513, 769, 1080, 1620, 1791):
     for m in (80, 1080, 2000):
         rng = np.random.default_rng([n, m])
         dense = (rng.random((n, m)) < 0.02) * rng.uniform(0.5, 2.0, (n, m))
@@ -211,19 +222,29 @@ for n in (1, 255, 256, 257, 258, 513, 769, 1080, 1620):
         other, bank = rff.sample_banks((0.5, 2.0), 200, m, seed=1)
         oracle = _blocked_features(dense, bank)
         fed = rff.feature_matrix(bank, record)
-        blocks = list(record.blocks)
+        blocks, threads = sorted(record.blocks), len(set(record.threads))
+        record.blocks, record.threads = [], []
         stack = rff._fill_features((other, bank), record, np.empty((n, 2, 400)))
-        stack_blocks = record.blocks[len(blocks):]
+        stack_blocks, stack_threads = sorted(record.blocks), len(set(record.threads))
         theta = rng.standard_normal(400)
         predicted = model.SkgModel(bank, 0.1, theta).predict_batch(record)
         phase = dense @ bank.frequencies.T
         whole = np.concatenate([np.sin(phase), np.cos(phase)], axis=1) / math.sqrt(200)
-        results.append([n, m, blocks, stack_blocks,
+        digest = hashlib.sha256(fed.tobytes() + stack.tobytes() + predicted.tobytes())
+        results.append([n, m, blocks, stack_blocks, [threads, stack_threads],
                         fed.tobytes() == oracle.tobytes() == stack[:, 1].tobytes(),
+                        stack[:, 0].tobytes() == _blocked_features(dense, other).tobytes(),
                         predicted.tobytes() == (oracle @ theta).tobytes(),
-                        oracle.tobytes() == whole.tobytes()])
+                        oracle.tobytes() == whole.tobytes(), digest.hexdigest()])
 print(json.dumps(results))
 """
+
+
+def _blocks_run(threads, cpus):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return json.loads(subprocess.run([sys.executable, "-c", _BLOCKS_SCRIPT, json.dumps(cpus)],
+                                     env=env, capture_output=True, check=True, text=True).stdout)
 
 
 class TestRecordFeatures:
@@ -233,15 +254,25 @@ class TestRecordFeatures:
     def test_blocks_keep_the_bits_at_1_and_2_blas_threads(self, threads):
         # at a fixed BLAS thread count, blocks of 256 to 511 rows (a 1- or 2-row tail joins
         # the last block) give the bits of one whole phase product at the default bank size;
-        # measured with OpenBLAS 0.3.31 on a 2-vCPU x86-64 box. Shorter tails did not
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            [str(Path(skg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", _BLOCKS_SCRIPT], env=env,
-                             capture_output=True, check=True, text=True).stdout
-        for n, m, blocks, stack_blocks, fed_equal, predicted_equal, whole_equal in json.loads(out):
-            assert fed_equal and predicted_equal and whole_equal, (n, m)
+        # measured with OpenBLAS 0.3.31 on a 2-vCPU x86-64 box. Shorter tails did not. On one
+        # CPU every block is made in the calling thread; on two, records of 2 or more blocks
+        # alternate them between it and one helper, with the same bits. OpenBLAS starts no
+        # more threads than the CPUs it may use, so the pinned run at 2 BLAS threads has the
+        # bits of 1, and the two runs' outputs are compared at 1 only
+        cpus = sorted(os.sched_getaffinity(0))
+        pinned = _blocks_run(threads, cpus[:1])
+        for n, m, blocks, stack_blocks, lanes, *equal, _ in pinned:
+            assert all(equal), (n, m, equal)
             assert sum(blocks) == n and stack_blocks == blocks, (n, m, blocks, stack_blocks)
             assert blocks == [n] if n < 256 else all(256 <= b <= 511 for b in blocks), blocks
+            assert lanes == [1, 1], (n, m, lanes)
+        if len(cpus) < 2:
+            pytest.skip("one usable CPU: the two-lane half needs two")
+        two = _blocks_run(threads, cpus[:2])
+        for run, (n, m, blocks, _, lanes, *equal, digest) in zip(pinned, two):
+            assert all(equal), (n, m, equal)
+            assert lanes == 2 * [min(2, len(blocks))], (n, m, lanes)
+            assert blocks == run[2] and (threads == "2" or digest == run[-1]), (n, m)
 
     @given(n_nodes=st.integers(1, 400), density=st.sampled_from([0.0, 0.005, 0.05]),
            weighted=st.booleans(), directed=st.booleans(), repeats=st.integers(0, 20),
@@ -294,6 +325,69 @@ class TestRecordFeatures:
         if values.size >= 2:
             assert (export_scatter(record.take(head), values).tobytes()
                     == export_scatter(oracle[head], values).tobytes())
+
+
+class TestLanes:
+    """Blocks alternate between the calling thread and one helper, started and joined per call."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        # two usable CPUs on any box, and every thread start counted
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self)
+                            or start(self))
+        return started
+
+    def test_a_failing_helper_lane_raises_in_the_caller_once_lane_0_is_done(self, starts):
+        # 768 rows are blocks 0 and 2 in the calling thread and block 1 in the helper, whose
+        # row 300 alone has overflowing phases under a small variance
+        rng = np.random.default_rng(3)
+        dense = (rng.random((768, 40)) < 0.1) * rng.uniform(0.5, 2.0, (768, 40))
+        bank, before = sample_bank(1e-4, 16, 40, seed=2), threading.active_count()
+        assert feature_matrix(bank, dense).tobytes() == _blocked_features(dense, bank).tobytes()
+        assert len(starts) == 1 and threading.active_count() == before
+        dense[300, :4] = 1e308
+        out = np.full((768, 1, 32), np.nan)
+        text = ("feature phases overflow float64: edge weights too large for the kernel "
+                "variance")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^{re.escape(text)}$"):
+                _fill_features((bank,), _Nonzeros.of(dense), out)
+        assert len(starts) == 2 and threading.active_count() == before
+        assert np.isfinite(out[:256]).all() and np.isfinite(out[512:]).all()
+
+    def test_concurrent_callers_get_the_serial_bits(self, starts):
+        # more callers than cores, each with its helper lane, switching every microsecond:
+        # the lanes of every call write their own rows, with the bits of the serial path
+        rng = np.random.default_rng(8)
+        dense = (rng.random((1300, 60)) < 0.1) * rng.uniform(0.5, 2.0, (1300, 60))
+        bank, record = sample_bank(2.0, 24, 60, seed=4), _Nonzeros.of(dense)
+        made = [None] * 6
+
+        def call(i):
+            made[i] = feature_matrix(bank, record).tobytes()
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(made))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers) and len(starts) == 12
+        assert made == [_blocked_features(dense, bank).tobytes()] * len(made)
+
+    @pytest.mark.parametrize("n", [1, 255, 511])
+    def test_a_single_block_starts_no_thread(self, starts, n):
+        dense = np.random.default_rng(n).random((n, 30))
+        bank = sample_bank(2.0, 8, 30, seed=1)
+        assert feature_matrix(bank, dense).tobytes() == _blocked_features(dense, bank).tobytes()
+        assert starts == []
 
 
 class TestKernelExact:
